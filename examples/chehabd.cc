@@ -524,16 +524,19 @@ main(int argc, char** argv)
         std::fprintf(stderr, "\nno kernels given; try --suite 8\n");
         return 2;
     }
-    // SealLite needs a power-of-two degree with t = 65537 ≡ 1 (mod 2n);
-    // reject bad values here rather than aborting inside a worker.
-    if (options.run &&
-        (options.poly_n < 8 || options.poly_n > 32768 ||
-         (options.poly_n & (options.poly_n - 1)) != 0)) {
-        std::fprintf(stderr,
-                     "chehabd: --poly-n must be a power of two in "
-                     "[8, 32768], got %d\n",
-                     options.poly_n);
-        return 2;
+    fhe::SealLiteParams run_params;
+    run_params.n = options.poly_n;
+    run_params.prime_count = 4;
+    run_params.seed = 17;
+    // Reject a bad --poly-n here, as a usage error, rather than failing
+    // every run request.
+    if (options.run) {
+        if (const std::string problem = run_params.validate();
+            !problem.empty()) {
+            std::fprintf(stderr, "chehabd: --poly-n: %s\n",
+                         problem.c_str());
+            return 2;
+        }
     }
     if (options.batch_lanes < 0 || options.batch_window_us < 0) {
         std::fprintf(stderr,
@@ -668,11 +671,6 @@ main(int argc, char** argv)
             [&synth] { return synth.generate(); }, 128, {}));
         config.agent = agent.get();
     }
-
-    fhe::SealLiteParams run_params;
-    run_params.n = options.poly_n;
-    run_params.prime_count = 4;
-    run_params.seed = 17;
 
     // ---- run ----------------------------------------------------------
     // With --run every response is a RunResponse; otherwise compile-only

@@ -1,7 +1,8 @@
 /// \file
-/// Minimal arbitrary-precision unsigned integer used only on the cold
-/// paths of the SealLite backend: CRT recomposition for decryption-time
-/// noise measurement. All hot-loop arithmetic stays in 64-bit RNS.
+/// Minimal arbitrary-precision unsigned integer used only to build the
+/// SealLite backend's CRT constants at construction, and as the
+/// reference the decryption tests check against. Decryption and noise
+/// measurement recompose in fixed-width stack limbs (fhe/sealite.cc).
 #pragma once
 
 #include <cstdint>

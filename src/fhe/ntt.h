@@ -1,9 +1,10 @@
 /// \file
 /// Negacyclic Number-Theoretic Transform over a 64-bit NTT-friendly prime
 /// (p ≡ 1 mod 2n). Used for fast polynomial multiplication in
-/// Z_p[x]/(x^n + 1). The forward transform leaves values in scrambled
-/// (bit-reversed) order; the inverse consumes that order, so the pair is
-/// only used around pointwise products, as in SEAL.
+/// Z_p[x]/(x^n + 1), and with p = t for SealLite's slot batching. The
+/// forward transform leaves values in scrambled (bit-reversed) order and
+/// the inverse consumes that order: products are pointwise, as in SEAL,
+/// and batching locates each slot's index once at construction.
 ///
 /// The hot path uses Harvey-style lazy reduction with Shoup-precomputed
 /// twiddles (one mulhi + two muls per butterfly, no division):

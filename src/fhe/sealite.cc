@@ -3,25 +3,83 @@
 #include <algorithm>
 #include <cmath>
 #include <mutex>
+#include <stdexcept>
+#include <unordered_map>
 
+#include "fhe/bigint.h"
 #include "fhe/modarith.h"
 #include "support/error.h"
 
 namespace chehab::fhe {
 
+namespace {
+
+/// Bytes the plaintext NTT-form cache of one SealLite may hold.
+constexpr std::size_t kPlainCacheBytes = std::size_t{4} << 20;
+
+SealLiteParams
+validated(SealLiteParams params)
+{
+    const std::string problem = params.validate();
+    if (!problem.empty()) {
+        throw std::invalid_argument("SealLiteParams: " + problem);
+    }
+    return params;
+}
+
+} // namespace
+
+std::string
+SealLiteParams::validate() const
+{
+    const auto text = [](auto value) { return std::to_string(value); };
+    if (n < kMinDegree || n > kMaxDegree || (n & (n - 1)) != 0) {
+        return "n must be a power of two in [" + text(kMinDegree) + ", " +
+               text(kMaxDegree) + "] (got " + text(n) + ")";
+    }
+    if (prime_count < 1 || prime_count > kMaxPrimeCount) {
+        return "prime_count must be in [1, " + text(kMaxPrimeCount) +
+               "] (got " + text(prime_count) + ")";
+    }
+    int log_two_n = 1;
+    while ((1 << log_two_n) < 2 * n) ++log_two_n;
+    const int min_bits = log_two_n + 12;
+    if (prime_bits < min_bits || prime_bits > kMaxPrimeBits) {
+        return "prime_bits must be in [" + text(min_bits) + ", " +
+               text(kMaxPrimeBits) + "] at n = " + text(n) + " (got " +
+               text(prime_bits) + ")";
+    }
+    if (decomp_bits < 1 || decomp_bits > prime_bits) {
+        return "decomp_bits must be in [1, prime_bits] (got " +
+               text(decomp_bits) + ")";
+    }
+    if (error_stddev_x10 < 0 || error_stddev_x10 > kMaxErrorStddevX10) {
+        return "error_stddev_x10 must be in [0, " +
+               text(kMaxErrorStddevX10) + "] (got " +
+               text(error_stddev_x10) + ")";
+    }
+    const std::uint64_t t = plain_modulus;
+    if (!isPrime(t) || (t - 1) % (2 * static_cast<std::uint64_t>(n)) != 0) {
+        return "plain_modulus must be a prime ≡ 1 (mod 2n) (got " +
+               text(t) + " at n = " + text(n) + ")";
+    }
+    // sampleError clips at 6σ and rounds, so |e| <= ceil(0.6 * x10).
+    const auto max_error =
+        static_cast<std::uint64_t>((6 * error_stddev_x10 + 9) / 10);
+    if (static_cast<unsigned __int128>(t) * (max_error + 1) >=
+        (1ULL << (prime_bits - 1))) {
+        return "plain_modulus times the largest sampled error must stay "
+               "below 2^(prime_bits-1) (got t = " +
+               text(t) + " with prime_bits " + text(prime_bits) + ")";
+    }
+    return {};
+}
+
 SealLite::SealLite(SealLiteParams params)
-    : params_(params), rng_(params.seed)
+    : params_(validated(params)), rng_(params.seed)
 {
     const auto n = static_cast<std::uint64_t>(params_.n);
     const std::uint64_t t = params_.plain_modulus;
-    CHEHAB_ASSERT((params_.n & (params_.n - 1)) == 0,
-                  "n must be a power of two");
-    CHEHAB_ASSERT((t - 1) % (2 * n) == 0,
-                  "t must be ≡ 1 (mod 2n) for batching");
-    // Pointwise NTT products use single-word Barrett multiplies whose
-    // 64-bit product bound needs p^2 < 2^64.
-    CHEHAB_ASSERT(params_.prime_bits <= 31,
-                  "chain primes must stay below 2^32");
 
     primes_ = findNttPrimes(params_.prime_bits, params_.prime_count, 2 * n);
     ntt_.reserve(primes_.size());
@@ -31,26 +89,45 @@ SealLite::SealLite(SealLiteParams params)
 
     // Per-level CRT recomposition tables: level k uses the first k chain
     // primes (modulus switching walks down the chain one prime at a time).
+    // BigInt builds them once; decryption reads only the fixed limbs.
+    const auto to_limbs = [](const BigInt& value) {
+        Limbs limbs{};
+        CHEHAB_ASSERT(value.limbs().size() <= limbs.size(),
+                      "CRT constant wider than the fixed limbs");
+        std::copy(value.limbs().begin(), value.limbs().end(),
+                  limbs.begin());
+        return limbs;
+    };
     level_tables_.resize(primes_.size());
     for (std::size_t lvl = 1; lvl <= primes_.size(); ++lvl) {
         LevelTables& tab = level_tables_[lvl - 1];
-        tab.q = BigInt(1);
-        for (std::size_t i = 0; i < lvl; ++i) {
-            tab.q = tab.q.multiplySmall(primes_[i]);
-        }
+        BigInt q(1);
+        for (std::size_t i = 0; i < lvl; ++i) q = q.multiplySmall(primes_[i]);
         std::uint64_t rem = 0;
-        tab.half_q = tab.q.divmodSmall(2, rem);
-        tab.q.divmodSmall(t, tab.q_mod_t);
+        tab.q = to_limbs(q);
+        tab.half_q = to_limbs(q.divmodSmall(2, rem));
+        q.divmodSmall(t, tab.q_mod_t);
+        tab.q_bits = q.bitLength();
+        // Every term y_i·(q/q_i) is below q and there are at most 16 of
+        // them, so 4 bits of headroom hold the sum.
+        tab.limbs = (tab.q_bits + 4 + 63) / 64;
         for (std::size_t i = 0; i < lvl; ++i) {
             BigInt q_hat(1);
             for (std::size_t j = 0; j < lvl; ++j) {
                 if (j != i) q_hat = q_hat.multiplySmall(primes_[j]);
             }
-            // (q/q_i) mod q_i via divmod on the bignum.
             std::uint64_t q_hat_mod_qi = 0;
             q_hat.divmodSmall(primes_[i], q_hat_mod_qi);
-            tab.q_hat_inv.push_back(invMod(q_hat_mod_qi, primes_[i]));
-            tab.q_hat.push_back(std::move(q_hat));
+            const std::uint64_t inv = invMod(q_hat_mod_qi, primes_[i]);
+            tab.q_hat_inv.push_back(inv);
+            tab.q_hat_inv_shoup.push_back(shoupPrecompute(inv, primes_[i]));
+            std::uint64_t q_hat_mod_t = 0;
+            q_hat.divmodSmall(t, q_hat_mod_t);
+            tab.q_hat_mod_t.push_back(q_hat_mod_t);
+            tab.q_hat_mod_t_shoup.push_back(
+                shoupPrecompute(q_hat_mod_t, t));
+            tab.q_hat.push_back(to_limbs(q_hat));
+            tab.alpha_q_mod_t.push_back(mulMod(i, tab.q_mod_t, t));
         }
     }
 
@@ -78,22 +155,27 @@ SealLite::SealLite(SealLiteParams params)
         }
     }
 
-    // Batching tables mod t: zeta is a primitive 2n-th root; slot j of
-    // row 0 is the evaluation at zeta^(3^j mod 2n).
-    const std::uint64_t zeta = findPrimitiveRoot(2 * n, t);
-    zeta_powers_.resize(2 * n);
-    std::uint64_t power = 1;
-    for (std::uint64_t i = 0; i < 2 * n; ++i) {
-        zeta_powers_[i] = power;
-        power = mulMod(power, zeta, t);
+    // Batching: slot j of row 0 is the evaluation at ζ^(3^j mod 2n). The
+    // forward NTT of X holds at index i the point index i evaluates at,
+    // which locates every slot's index.
+    plain_ntt_ = acquireNttTables(params_.n, t);
+    std::vector<std::uint64_t> points(static_cast<std::size_t>(n), 0);
+    points[1] = 1;
+    plain_ntt_->forward(points.data());
+    std::unordered_map<std::uint64_t, int> index_of;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        index_of.emplace(points[i], static_cast<int>(i));
     }
-    slot_exponents_.resize(static_cast<std::size_t>(params_.n) / 2);
-    std::uint64_t e = 1;
-    for (auto& exponent : slot_exponents_) {
-        exponent = static_cast<int>(e);
-        e = (e * 3) % (2 * n);
+    // ζ has order 2n, so cubing the point steps the exponent 3^j -> 3^(j+1).
+    std::uint64_t point = findPrimitiveRoot(2 * n, t);
+    slot_index_.resize(static_cast<std::size_t>(params_.n) / 2);
+    for (int& index : slot_index_) {
+        index = index_of.at(point);
+        point = mulMod(mulMod(point, point, t), point, t);
     }
-    inv_n_mod_t_ = invMod(n % t, t);
+
+    plain_cache_capacity_ = std::max<std::size_t>(
+        1, kPlainCacheBytes / (primes_.size() * n * 16 + n * 8));
 
     // Key material.
     secret_ = sampleTernary();
@@ -106,7 +188,7 @@ int
 SealLite::coeffModulusBitsAt(int level) const
 {
     CHEHAB_ASSERT(level >= 1 && level <= levels(), "bad chain level");
-    return level_tables_[static_cast<std::size_t>(level) - 1].q.bitLength();
+    return level_tables_[static_cast<std::size_t>(level) - 1].q_bits;
 }
 
 // ---------------------------------------------------------------------
@@ -389,7 +471,9 @@ SealLite::plainNttForm(const Plaintext& plain) const
     entry->coeffs = plain.coeffs;
     entry->form = toNttForm(liftPlain(plain));
     std::lock_guard<std::mutex> lock(plain_cache_mutex_);
-    if (plain_ntt_cache_.size() >= 256) plain_ntt_cache_.clear();
+    if (plain_ntt_cache_.size() >= plain_cache_capacity_) {
+        plain_ntt_cache_.clear();
+    }
     plain_ntt_cache_[hash] = entry;
     return {entry, &entry->form};
 }
@@ -408,8 +492,8 @@ SealLite::modSwitchPolyDown(RnsPoly& poly) const
 
     // δ per coefficient: δ ≡ c (mod q_l) and δ ≡ 0 (mod t), built as the
     // centered residue δ0 of c mod q_l plus q_l times the centered lift
-    // of -δ0·q_l^{-1} mod t, so |δ| <= q_l(t+1)/2 (fits int64 for the
-    // <= 46-bit products the parameter asserts allow). The signed values
+    // of -δ0·q_l^{-1} mod t, so |δ| <= q_l(t+1)/2 (fits int64: validate()
+    // keeps q_l below 2^31 and t below 2^30). The signed values
     // ride in an arena buffer as two's-complement bit patterns so drops
     // stay allocation-free too.
     std::vector<std::uint64_t> delta_buf =
@@ -472,58 +556,38 @@ SealLite::encode(const std::vector<std::int64_t>& values) const
     CHEHAB_ASSERT(static_cast<int>(values.size()) <= slots(),
                   "too many values for the batching row");
     const std::uint64_t t = params_.plain_modulus;
-    const auto two_n = static_cast<std::uint64_t>(2 * params_.n);
-
-    // Slot values (row 0 = requested vector, row 1 = zeros).
-    std::vector<std::uint64_t> slot_values(slot_exponents_.size(), 0);
+    // Slot values at their NTT indices (row 1 and the tail stay zero),
+    // then c_k = n^{-1} Σ_j v_j ζ^{-e_j k} is one inverse transform.
+    Plaintext plain;
+    plain.coeffs.assign(static_cast<std::size_t>(params_.n), 0);
     for (std::size_t j = 0; j < values.size(); ++j) {
         const std::int64_t v = values[j] % static_cast<std::int64_t>(t);
-        slot_values[j] =
+        plain.coeffs[static_cast<std::size_t>(slot_index_[j])] =
             v >= 0 ? static_cast<std::uint64_t>(v)
                    : t - static_cast<std::uint64_t>(-v);
     }
-
-    // c_k = n^{-1} * sum_j v_j * zeta^{-e_j * k}   (exact inverse CRT,
-    // see DESIGN.md; O(n^2) on purpose — simple and obviously correct).
-    Plaintext plain;
-    plain.coeffs.assign(static_cast<std::size_t>(params_.n), 0);
-    for (int k = 0; k < params_.n; ++k) {
-        std::uint64_t acc = 0;
-        for (std::size_t j = 0; j < slot_exponents_.size(); ++j) {
-            if (slot_values[j] == 0) continue;
-            const std::uint64_t exponent =
-                (two_n -
-                 (static_cast<std::uint64_t>(slot_exponents_[j]) * k) %
-                     two_n) %
-                two_n;
-            acc = addMod(acc,
-                         mulMod(slot_values[j], zeta_powers_[exponent], t),
-                         t);
-        }
-        plain.coeffs[static_cast<std::size_t>(k)] =
-            mulMod(acc, inv_n_mod_t_, t);
-    }
+    plain_ntt_->inverse(plain.coeffs.data());
     return plain;
 }
 
 std::vector<std::int64_t>
 SealLite::decode(const Plaintext& plain) const
 {
-    const std::uint64_t t = params_.plain_modulus;
-    const auto two_n = static_cast<std::uint64_t>(2 * params_.n);
-    std::vector<std::int64_t> values(slot_exponents_.size(), 0);
-    for (std::size_t j = 0; j < slot_exponents_.size(); ++j) {
-        std::uint64_t acc = 0;
-        for (int k = 0; k < params_.n; ++k) {
-            const std::uint64_t coeff =
-                plain.coeffs[static_cast<std::size_t>(k)];
-            if (coeff == 0) continue;
-            const std::uint64_t exponent =
-                (static_cast<std::uint64_t>(slot_exponents_[j]) * k) % two_n;
-            acc = addMod(acc, mulMod(coeff, zeta_powers_[exponent], t), t);
-        }
-        values[j] = static_cast<std::int64_t>(acc);
+    CHEHAB_ASSERT(static_cast<int>(plain.coeffs.size()) == params_.n,
+                  "plaintext degree does not match the ring");
+    std::vector<std::uint64_t> evaluations =
+        arena_.acquire(static_cast<std::size_t>(params_.n));
+    const Barrett& reducer = plain_ntt_->reducer();
+    for (std::size_t k = 0; k < evaluations.size(); ++k) {
+        evaluations[k] = reducer.reduce(plain.coeffs[k]);
     }
+    plain_ntt_->forward(evaluations.data());
+    std::vector<std::int64_t> values(slot_index_.size());
+    for (std::size_t j = 0; j < slot_index_.size(); ++j) {
+        values[j] = static_cast<std::int64_t>(
+            evaluations[static_cast<std::size_t>(slot_index_[j])]);
+    }
+    arena_.release(std::move(evaluations));
     return values;
 }
 
@@ -603,47 +667,119 @@ SealLite::encrypt(const Plaintext& plain)
     return ct;
 }
 
-BigInt
+namespace {
+
+/// -1, 0, +1 as a <, =, > b over the low \p limbs limbs.
+template <std::size_t N>
+int
+compareLimbs(const std::array<std::uint64_t, N>& a,
+             const std::array<std::uint64_t, N>& b, int limbs)
+{
+    for (int l = limbs - 1; l >= 0; --l) {
+        const auto i = static_cast<std::size_t>(l);
+        if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
+    }
+    return 0;
+}
+
+/// out = a - b over the low \p limbs limbs; requires a >= b.
+template <std::size_t N>
+void
+subtractLimbs(const std::array<std::uint64_t, N>& a,
+              const std::array<std::uint64_t, N>& b,
+              std::array<std::uint64_t, N>& out, int limbs)
+{
+    std::uint64_t borrow = 0;
+    for (int l = 0; l < limbs; ++l) {
+        const auto i = static_cast<std::size_t>(l);
+        const std::uint64_t diff = a[i] - b[i];
+        const std::uint64_t next = (a[i] < b[i]) | (diff < borrow);
+        out[i] = diff - borrow;
+        borrow = next;
+    }
+}
+
+template <std::size_t N>
+int
+bitLengthLimbs(const std::array<std::uint64_t, N>& a, int limbs)
+{
+    for (int l = limbs - 1; l >= 0; --l) {
+        const std::uint64_t top = a[static_cast<std::size_t>(l)];
+        if (top != 0) return l * 64 + 64 - __builtin_clzll(top);
+    }
+    return 0;
+}
+
+} // namespace
+
+SealLite::Recomposed
 SealLite::recomposeCoeff(const RnsPoly& poly, int index) const
 {
     const LevelTables& tab =
         level_tables_[static_cast<std::size_t>(poly.k) - 1];
-    BigInt value;
+    const std::uint64_t t = params_.plain_modulus;
+    Recomposed out;
+    Limbs& value = out.value;
+    std::uint64_t y[SealLiteParams::kMaxPrimeCount];
+    std::uint64_t mod_t = 0;
     for (int i = 0; i < poly.k; ++i) {
-        const std::uint64_t scaled =
-            mulMod(poly.component(i)[index],
-                   tab.q_hat_inv[static_cast<std::size_t>(i)],
-                   primes_[static_cast<std::size_t>(i)]);
-        value = value.add(
-            tab.q_hat[static_cast<std::size_t>(i)].multiplySmall(scaled));
+        const auto pi = static_cast<std::size_t>(i);
+        y[pi] = mulModShoup(poly.component(i)[index], tab.q_hat_inv[pi],
+                            tab.q_hat_inv_shoup[pi], primes_[pi]);
+        mod_t = addMod(mod_t,
+                       mulModShoup(y[pi], tab.q_hat_mod_t[pi],
+                                   tab.q_hat_mod_t_shoup[pi], t),
+                       t);
     }
-    return value.reduceBySubtraction(tab.q);
+    // Limb by limb: a column sums at most 16 products below 2^95 plus
+    // the carry in, so it never leaves 128 bits.
+    unsigned __int128 carry = 0;
+    for (int l = 0; l < tab.limbs; ++l) {
+        const auto li = static_cast<std::size_t>(l);
+        for (int i = 0; i < poly.k; ++i) {
+            carry += static_cast<unsigned __int128>(
+                         tab.q_hat[static_cast<std::size_t>(i)][li]) *
+                     y[i];
+        }
+        value[li] = static_cast<std::uint64_t>(carry);
+        carry >>= 64;
+    }
+    // The sum is below k·q: at most k-1 subtractions land it in [0, q).
+    std::size_t alpha = 0;
+    while (compareLimbs(value, tab.q, tab.limbs) >= 0) {
+        subtractLimbs(value, tab.q, value, tab.limbs);
+        ++alpha;
+    }
+    out.mod_t = subMod(mod_t, tab.alpha_q_mod_t[alpha], t);
+    out.upper = compareLimbs(value, tab.half_q, tab.limbs) > 0;
+    return out;
+}
+
+RnsPoly
+SealLite::decryptionPhase(const Ciphertext& ct) const
+{
+    RnsPoly v = mulPolyNtt(ct.c1, secret_ntt_);
+    addInPlace(v, ct.c0);
+    return v;
 }
 
 Plaintext
 SealLite::decryptPlain(const Ciphertext& ct) const
 {
-    // v = c0 + c1*s mod q; m = (centered v) mod t. q here is the
-    // ciphertext's *current* chain product — decryption works at every
-    // level.
-    RnsPoly v = mulPolyNtt(ct.c1, secret_ntt_);
-    addInPlace(v, ct.c0);
-
+    // m = (centered phase) mod t. q here is the ciphertext's *current*
+    // chain product — decryption works at every level.
+    RnsPoly v = decryptionPhase(ct);
     const std::uint64_t t = params_.plain_modulus;
-    const LevelTables& tab =
-        level_tables_[static_cast<std::size_t>(v.k) - 1];
+    const std::uint64_t q_mod_t =
+        level_tables_[static_cast<std::size_t>(v.k) - 1].q_mod_t;
 
     Plaintext plain;
     plain.coeffs.assign(static_cast<std::size_t>(params_.n), 0);
     for (int j = 0; j < params_.n; ++j) {
-        const BigInt value = recomposeCoeff(v, j);
-        std::uint64_t value_mod_t = 0;
-        value.divmodSmall(t, value_mod_t);
-        if (value.compare(tab.half_q) > 0) {
-            // True integer is value - q (negative lift).
-            value_mod_t = subMod(value_mod_t, tab.q_mod_t, t);
-        }
-        plain.coeffs[static_cast<std::size_t>(j)] = value_mod_t;
+        const Recomposed c = recomposeCoeff(v, j);
+        // Upper half: the true integer is value - q (negative lift).
+        plain.coeffs[static_cast<std::size_t>(j)] =
+            c.upper ? subMod(c.mod_t, q_mod_t, t) : c.mod_t;
     }
     recycle(std::move(v));
     return plain;
@@ -988,22 +1124,20 @@ SealLite::rotate(const Ciphertext& a, int step) const
 int
 SealLite::noiseBudgetBits(const Ciphertext& ct) const
 {
-    RnsPoly v = mulPolyNtt(ct.c1, secret_ntt_);
-    addInPlace(v, ct.c0);
+    RnsPoly v = decryptionPhase(ct);
     const LevelTables& tab =
         level_tables_[static_cast<std::size_t>(v.k) - 1];
 
-    BigInt max_magnitude;
+    // The magnitude of the centered lift is min(value, q - value), i.e.
+    // q - value exactly for the upper half (q is odd).
+    int max_bits = 0;
     for (int j = 0; j < params_.n; ++j) {
-        const BigInt value = recomposeCoeff(v, j);
-        const BigInt complement = tab.q.subtract(value);
-        const BigInt magnitude =
-            value.compare(complement) <= 0 ? value : complement;
-        if (magnitude.compare(max_magnitude) > 0) max_magnitude = magnitude;
+        Recomposed c = recomposeCoeff(v, j);
+        if (c.upper) subtractLimbs(tab.q, c.value, c.value, tab.limbs);
+        max_bits = std::max(max_bits, bitLengthLimbs(c.value, tab.limbs));
     }
     recycle(std::move(v));
-    const int budget = (tab.q.bitLength() - 1) - max_magnitude.bitLength();
-    return budget;
+    return (tab.q_bits - 1) - max_bits;
 }
 
 int

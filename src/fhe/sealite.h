@@ -38,13 +38,14 @@
 /// deployments.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "fhe/bigint.h"
 #include "fhe/ntt.h"
 #include "fhe/poly_arena.h"
 #include "support/rng.h"
@@ -63,6 +64,34 @@ struct SealLiteParams
     int decomp_bits = 15;             ///< Key-switch digit width 2^w within
                                       ///  each RNS residue (noise/size
                                       ///  trade-off, as in SEAL).
+
+    /// \name Accepted ranges
+    /// @{
+    static constexpr int kMinDegree = 8;
+    static constexpr int kMaxDegree = 32768;
+    /// Longest chain: decryption recomposes coefficients in fixed-width
+    /// stack limbs sized for this many primes of at most 31 bits.
+    static constexpr int kMaxPrimeCount = 16;
+    /// Pointwise NTT products use single-word Barrett multiplies, whose
+    /// 64-bit product bound needs p^2 < 2^64.
+    static constexpr int kMaxPrimeBits = 31;
+    static constexpr int kMaxErrorStddevX10 = 1000;
+    /// @}
+
+    /// Empty when a SealLite can be built from these parameters, else a
+    /// one-line description of the first problem. Checks: n is a power
+    /// of two in [kMinDegree, kMaxDegree]; prime_count is in
+    /// [1, kMaxPrimeCount]; prime_bits is at most kMaxPrimeBits and at
+    /// least log2(2n) + 12, which leaves enough primes ≡ 1 (mod 2n) for
+    /// any chain length, all above 2^(prime_bits-1); decomp_bits is in
+    /// [1, prime_bits]; error_stddev_x10 is in [0, kMaxErrorStddevX10];
+    /// t is a prime ≡ 1 (mod 2n); and t times the largest sampled error
+    /// stays below 2^(prime_bits-1), so scaled errors lift exactly into
+    /// every chain prime and t is never itself a chain prime. The
+    /// SealLite constructor throws std::invalid_argument on a non-empty
+    /// result; the service checks requests with it before building a
+    /// runtime.
+    std::string validate() const;
 };
 
 /// Polynomial in RNS form: prime-major layout, `k * n` words. k is the
@@ -123,6 +152,8 @@ struct Ciphertext
 class SealLite
 {
   public:
+    /// Throws std::invalid_argument when params.validate() rejects the
+    /// parameters.
     explicit SealLite(SealLiteParams params = {});
 
     const SealLiteParams& params() const { return params_; }
@@ -152,10 +183,16 @@ class SealLite
     /// @}
 
     /// \name Batching
+    /// Slot j of row 0 is the plaintext polynomial evaluated at
+    /// ζ^(3^j mod 2n), ζ the primitive 2n-th root of unity mod t that
+    /// findPrimitiveRoot returns (SEAL's BatchEncoder layout). Both
+    /// directions are one negacyclic NTT mod t: the slot -> NTT index
+    /// permutation is fixed at construction.
     /// @{
-    /// Encode up to slots() integers (mod t) into a plaintext.
+    /// Encode up to slots() integers (mod t) into a plaintext; row 1 and
+    /// the slots past values.size() are zero.
     Plaintext encode(const std::vector<std::int64_t>& values) const;
-    /// Decode all slots() row-0 slot values.
+    /// Decode all slots() row-0 slot values, each in [0, t).
     std::vector<std::int64_t> decode(const Plaintext& plain) const;
     /// @}
 
@@ -190,6 +227,11 @@ class SealLite
     Ciphertext encrypt(const Plaintext& plain);
     Plaintext decryptPlain(const Ciphertext& ct) const;
     std::vector<std::int64_t> decrypt(const Ciphertext& ct) const;
+    /// The phase c0 + c1·s mod q at ct's level, which decryptPlain and
+    /// noiseBudgetBits recompose coefficient by coefficient (exposed
+    /// for noise analysis and the differential tests). Arena-backed:
+    /// hand it back with recycle().
+    RnsPoly decryptionPhase(const Ciphertext& ct) const;
     /// @}
 
     /// \name Homomorphic evaluation
@@ -282,14 +324,37 @@ class SealLite
         std::vector<NttForm> a;
     };
 
+    /// Little-endian fixed-width integer wide enough for
+    /// kMaxPrimeCount * (the largest prime, < 2^31) * q.
+    using Limbs = std::array<std::uint64_t, 8>;
+
     /// Per-level CRT recomposition tables (level = index + 1 primes).
+    /// Every multiplier below is a constant, so each carries a Shoup
+    /// companion.
     struct LevelTables
     {
-        BigInt q;
-        BigInt half_q;
-        std::uint64_t q_mod_t = 0;
-        std::vector<BigInt> q_hat;            ///< q / q_i.
+        int limbs = 0;  ///< Limbs in use: Σ y_i·(q/q_i) < k·q fits.
+        int q_bits = 0; ///< Bit length of q.
+        Limbs q{};
+        Limbs half_q{};                       ///< floor(q / 2).
+        std::vector<Limbs> q_hat;             ///< q / q_i.
         std::vector<std::uint64_t> q_hat_inv; ///< (q/q_i)^-1 mod q_i.
+        std::vector<std::uint64_t> q_hat_inv_shoup;
+        std::vector<std::uint64_t> q_hat_mod_t; ///< (q/q_i) mod t.
+        std::vector<std::uint64_t> q_hat_mod_t_shoup;
+        /// [α] = α·q mod t for α < k: the correction for α
+        /// subtractions of q.
+        std::vector<std::uint64_t> alpha_q_mod_t;
+        std::uint64_t q_mod_t = 0;
+    };
+
+    /// One coefficient recomposed exactly from its residues.
+    struct Recomposed
+    {
+        Limbs value{};           ///< In [0, q).
+        std::uint64_t mod_t = 0; ///< value mod t.
+        /// value > floor(q/2): the centered lift is value - q.
+        bool upper = false;
     };
 
     RnsPoly zeroPoly(int k = 0) const; ///< k = 0 means full level.
@@ -346,8 +411,11 @@ class SealLite
     /// Galois element for a left rotation by \p step.
     std::uint64_t galoisElement(int step) const;
 
-    /// CRT-recompose coefficient \p index of \p poly at poly's level.
-    BigInt recomposeCoeff(const RnsPoly& poly, int index) const;
+    /// CRT-recompose coefficient \p index of \p poly at poly's level:
+    /// y_i = v_i·(q/q_i)^-1 mod q_i, then Σ y_i·(q/q_i) in stack limbs,
+    /// then at most k-1 conditional subtractions of q. Exact — no
+    /// floating-point estimate, no heap.
+    Recomposed recomposeCoeff(const RnsPoly& poly, int index) const;
 
     SealLiteParams params_;
     std::vector<std::uint64_t> primes_;
@@ -360,9 +428,10 @@ class SealLite
     /// centered representative of q_l mod t.
     std::vector<std::uint64_t> inv_prime_mod_t_;
     std::vector<std::vector<std::uint64_t>> switch_factor_;
-    std::vector<std::uint64_t> zeta_powers_;   ///< 2n-th root powers mod t.
-    std::vector<int> slot_exponents_;          ///< e_j = 3^j mod 2n (row 0).
-    std::uint64_t inv_n_mod_t_ = 0;
+    /// Negacyclic NTT mod t behind encode/decode, and the NTT index of
+    /// each row-0 slot (evaluation point ζ^(3^j mod 2n)).
+    std::shared_ptr<const NttTables> plain_ntt_;
+    std::vector<int> slot_index_;
 
     std::vector<int> secret_;                  ///< Ternary secret key.
     RnsPoly secret_rns_;
@@ -376,12 +445,14 @@ class SealLite
     /// Cache of NTT forms for repeatedly-used plaintext constants
     /// (packed masks are re-multiplied on every run of a cached
     /// program). Keyed by coefficient hash with full-coefficient
-    /// verification on hit; cleared wholesale at capacity.
+    /// verification on hit; cleared wholesale at capacity, which is a
+    /// fixed byte budget over the k·n·16 + n·8 bytes of one entry.
     struct PlainCacheEntry
     {
         std::vector<std::uint64_t> coeffs;
         NttForm form;
     };
+    std::size_t plain_cache_capacity_ = 1;
     mutable std::mutex plain_cache_mutex_;
     mutable std::unordered_map<std::uint64_t,
                                std::shared_ptr<const PlainCacheEntry>>

@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -187,7 +188,9 @@ using CompileCache =
 /// shared that row and lane which region this request occupied.
 struct RunArtifact
 {
-    compiler::Compiled compiled;
+    /// Aliases the compile cache entry's artifact (and keeps that entry
+    /// alive), so every run entry of one kernel shares a single copy.
+    std::shared_ptr<const compiler::Compiled> compiled;
     compiler::RunResult result;
     double compile_seconds = 0.0; ///< Wall time of the producing compile.
     /// Load-model predicted wall seconds of the execution that

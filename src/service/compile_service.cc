@@ -732,20 +732,21 @@ CompileService::runSoloLane(const BatchLane& lane,
     const Stopwatch exec_watch;
     try {
         RunArtifact artifact;
-        artifact.compiled = *lane.compiled;
+        artifact.compiled = std::shared_ptr<const compiler::Compiled>(
+            lane.compile_entry, lane.compiled);
         artifact.compile_seconds = lane.compile_seconds;
         artifact.predicted_seconds = lane.predicted;
         artifact.window_wait_seconds = lane.window_wait_seconds;
         // Per-request reseed: bit-identical noise accounting on any
         // pooled instance (see runtime_pool.h).
         runtime.scheme().reseedRandomness(runSeed(lane.run_key));
-        if (artifact.compiled.key_planned) {
+        if (artifact.compiled->key_planned) {
             artifact.result =
-                runtime.run(artifact.compiled.program, lane.request.inputs,
-                            artifact.compiled.key_plan);
+                runtime.run(artifact.compiled->program, lane.request.inputs,
+                            artifact.compiled->key_plan);
         } else {
             artifact.result =
-                runtime.run(artifact.compiled.program, lane.request.inputs,
+                runtime.run(artifact.compiled->program, lane.request.inputs,
                             lane.request.key_budget);
         }
         const double seconds = exec_watch.elapsedSeconds();
@@ -962,7 +963,12 @@ CompileService::executePacked(BatchPlanner::Group& group, int worker)
             // consistent with what was actually delivered.
             for (std::size_t l = 0; l < member.lanes.size(); ++l) {
                 RunArtifact artifact;
-                artifact.compiled = *member.compiled;
+                // The lane's own compile entry: a member may gather
+                // lanes from distinct (content-equal) entries.
+                artifact.compiled =
+                    std::shared_ptr<const compiler::Compiled>(
+                        member.lanes[l].compile_entry,
+                        member.lanes[l].compiled);
                 artifact.compile_seconds =
                     member.lanes[l].compile_seconds;
                 artifact.predicted_seconds = group.predicted_sum;
@@ -1007,6 +1013,15 @@ CompileService::submitRun(RunRequest request)
 {
     auto promise = std::make_shared<std::promise<RunResponse>>();
     std::future<RunResponse> future = promise->get_future();
+    // Parameters no runtime can be built from are rejected before the
+    // request is accepted, so poolFor never sees them.
+    if (std::string problem = request.params.validate(); !problem.empty()) {
+        RunResponse response;
+        response.name = request.name;
+        response.error = "SealLiteParams: " + problem;
+        promise->set_value(std::move(response));
+        return future;
+    }
     {
         std::unique_lock<std::mutex> lock(stats_mutex_);
         ++stats_.run_submitted;
@@ -1147,7 +1162,7 @@ CompileService::submitRun(RunRequest request)
             response.worker_id = settled.worker_id;
             if (settled.state == RunEntry::State::Ready) {
                 response.ok = true;
-                response.compiled = settled.artifact->compiled;
+                response.compiled = *settled.artifact->compiled;
                 response.result = settled.artifact->result;
                 response.compile_seconds =
                     settled.artifact->compile_seconds;

@@ -208,7 +208,9 @@ class CompileService final : public ServiceApi
 
     /// Enqueue one compile-then-execute job; the future resolves when
     /// the outputs are available. Never throws on compile or execution
-    /// failure — inspect RunResponse::ok.
+    /// failure — inspect RunResponse::ok. Requests whose params fail
+    /// SealLiteParams::validate() resolve at once with ok = false and a
+    /// "SealLiteParams: " error, and are not counted as submitted.
     std::future<RunResponse> submitRun(RunRequest request) override;
 
     ServiceStats stats() const override;

@@ -2,8 +2,14 @@
 /// SealLite correctness suite: modular arithmetic, NTT round-trips,
 /// BigInt, batching encode/decode, encryption round-trips, every
 /// homomorphic operation against plaintext semantics, rotation/Galois
-/// behaviour, and noise-budget monotonicity (App. H.1).
+/// behaviour, noise-budget monotonicity (App. H.1), parameter
+/// validation, and differential checks of the NTT batching and the
+/// fixed-limb decryption against the O(n^2) transform and the BigInt
+/// recomposition they replaced.
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <stdexcept>
 
 #include "fhe/bigint.h"
 #include "fhe/modarith.h"
@@ -358,6 +364,383 @@ TEST(SealLiteNoiseTest, DeepCircuitExhaustsBudget)
     // "Coyote exhausts the entire noise budget" scenario (§7.5).
     EXPECT_LE(depth, 8);
     EXPECT_LE(budget, 0);
+}
+
+// -- parameter validation ---------------------------------------------------
+
+TEST(SealLiteParamsTest, DefaultsAndTestParamsAreValid)
+{
+    EXPECT_EQ(SealLiteParams{}.validate(), "");
+    EXPECT_EQ(testParams().validate(), "");
+}
+
+TEST(SealLiteParamsTest, RejectsEveryOutOfRangeField)
+{
+    const auto rejects = [](auto mutate) {
+        SealLiteParams params = testParams();
+        mutate(params);
+        return !params.validate().empty();
+    };
+    EXPECT_TRUE(rejects([](SealLiteParams& p) { p.n = 1000; }));
+    EXPECT_TRUE(rejects([](SealLiteParams& p) { p.n = 4; }));
+    EXPECT_TRUE(rejects([](SealLiteParams& p) { p.n = 65536; }));
+    EXPECT_TRUE(rejects([](SealLiteParams& p) { p.plain_modulus = 65539; }));
+    EXPECT_TRUE(rejects([](SealLiteParams& p) { p.plain_modulus = 65535; }));
+    EXPECT_TRUE(rejects([](SealLiteParams& p) { p.plain_modulus = 0; }));
+    EXPECT_TRUE(rejects([](SealLiteParams& p) { p.prime_bits = 32; }));
+    EXPECT_TRUE(rejects([](SealLiteParams& p) { p.prime_bits = 12; }));
+    EXPECT_TRUE(rejects([](SealLiteParams& p) { p.prime_count = 0; }));
+    EXPECT_TRUE(rejects([](SealLiteParams& p) { p.prime_count = 17; }));
+    EXPECT_TRUE(rejects([](SealLiteParams& p) { p.decomp_bits = 0; }));
+    EXPECT_TRUE(rejects([](SealLiteParams& p) { p.decomp_bits = 31; }));
+    EXPECT_TRUE(rejects([](SealLiteParams& p) { p.error_stddev_x10 = -1; }));
+    // t is a prime ≡ 1 (mod 2n) but too wide for the chain primes.
+    EXPECT_TRUE(
+        rejects([](SealLiteParams& p) { p.plain_modulus = 998244353; }));
+    EXPECT_FALSE(rejects([](SealLiteParams& p) { p.prime_count = 16; }));
+    EXPECT_FALSE(rejects([](SealLiteParams& p) { p.prime_bits = 31; }));
+}
+
+TEST(SealLiteParamsTest, ConstructorThrowsInsteadOfAborting)
+{
+    SealLiteParams params = testParams();
+    params.n = 1000;
+    EXPECT_THROW(SealLite{params}, std::invalid_argument);
+    params = testParams();
+    params.plain_modulus = 65539;
+    EXPECT_THROW(SealLite{params}, std::invalid_argument);
+}
+
+// -- differential: NTT batching vs. the O(n^2) transform ---------------------
+
+/// The O(n^2) batching transform SealLite used before the NTT path,
+/// kept verbatim as the bit-for-bit reference: slot j of row 0 is the
+/// evaluation at zeta^(e_j), e_j = 3^j mod 2n.
+class ReferenceBatching
+{
+  public:
+    ReferenceBatching(int n, std::uint64_t t) : n_(n), t_(t)
+    {
+        const auto two_n = static_cast<std::uint64_t>(2 * n);
+        const std::uint64_t zeta = findPrimitiveRoot(two_n, t);
+        zeta_powers_.resize(two_n);
+        std::uint64_t power = 1;
+        for (std::uint64_t& z : zeta_powers_) {
+            z = power;
+            power = mulMod(power, zeta, t);
+        }
+        exponents_.resize(static_cast<std::size_t>(n) / 2);
+        std::uint64_t e = 1;
+        for (std::uint64_t& exponent : exponents_) {
+            exponent = e;
+            e = (e * 3) % two_n;
+        }
+        inv_n_ = invMod(static_cast<std::uint64_t>(n) % t, t);
+    }
+
+    std::vector<std::uint64_t>
+    encode(const std::vector<std::int64_t>& values) const
+    {
+        const auto two_n = static_cast<std::uint64_t>(2 * n_);
+        std::vector<std::uint64_t> slot_values(exponents_.size(), 0);
+        for (std::size_t j = 0; j < values.size(); ++j) {
+            const std::int64_t v = values[j] % static_cast<std::int64_t>(t_);
+            slot_values[j] = v >= 0 ? static_cast<std::uint64_t>(v)
+                                    : t_ - static_cast<std::uint64_t>(-v);
+        }
+        std::vector<std::uint64_t> coeffs(static_cast<std::size_t>(n_), 0);
+        for (int k = 0; k < n_; ++k) {
+            std::uint64_t acc = 0;
+            for (std::size_t j = 0; j < exponents_.size(); ++j) {
+                if (slot_values[j] == 0) continue;
+                const std::uint64_t exponent =
+                    (two_n - (exponents_[j] * static_cast<std::uint64_t>(k)) %
+                                 two_n) %
+                    two_n;
+                acc = addMod(acc,
+                             mulMod(slot_values[j], zeta_powers_[exponent], t_),
+                             t_);
+            }
+            coeffs[static_cast<std::size_t>(k)] = mulMod(acc, inv_n_, t_);
+        }
+        return coeffs;
+    }
+
+    std::vector<std::int64_t>
+    decode(const std::vector<std::uint64_t>& coeffs) const
+    {
+        const auto two_n = static_cast<std::uint64_t>(2 * n_);
+        std::vector<std::int64_t> values(exponents_.size(), 0);
+        for (std::size_t j = 0; j < exponents_.size(); ++j) {
+            std::uint64_t acc = 0;
+            for (int k = 0; k < n_; ++k) {
+                const std::uint64_t coeff = coeffs[static_cast<std::size_t>(k)];
+                if (coeff == 0) continue;
+                const std::uint64_t exponent =
+                    (exponents_[j] * static_cast<std::uint64_t>(k)) % two_n;
+                acc = addMod(acc, mulMod(coeff, zeta_powers_[exponent], t_),
+                             t_);
+            }
+            values[j] = static_cast<std::int64_t>(acc);
+        }
+        return values;
+    }
+
+  private:
+    int n_;
+    std::uint64_t t_;
+    std::vector<std::uint64_t> zeta_powers_;
+    std::vector<std::uint64_t> exponents_;
+    std::uint64_t inv_n_ = 0;
+};
+
+/// Restores the process-wide SIMD dispatch flag on scope exit.
+class SimdRestore
+{
+  public:
+    SimdRestore() : initial_(simdEnabled()) {}
+    ~SimdRestore() { setSimdEnabled(initial_); }
+
+  private:
+    bool initial_;
+};
+
+struct RingCase
+{
+    int n;
+    std::uint64_t t;
+};
+
+const std::vector<RingCase>&
+ringCases()
+{
+    static const std::vector<RingCase> cases = {
+        {8, 17},       {16, 97},      {1024, 65537},
+        {1024, 12289}, {4096, 65537}, {4096, 40961}};
+    return cases;
+}
+
+SealLiteParams
+ringParams(const RingCase& ring, int prime_count)
+{
+    SealLiteParams params;
+    params.n = ring.n;
+    params.plain_modulus = ring.t;
+    params.prime_count = prime_count;
+    params.seed = 0xd1ff + static_cast<std::uint64_t>(ring.n) + ring.t +
+                  static_cast<std::uint64_t>(prime_count);
+    return params;
+}
+
+TEST(SealLiteDifferentialTest, BatchingMatchesQuadraticTransform)
+{
+    const SimdRestore restore;
+    int prime_count = 2;
+    for (const RingCase& ring : ringCases()) {
+        SCOPED_TRACE("n=" + std::to_string(ring.n) +
+                     " t=" + std::to_string(ring.t));
+        // Batching depends on (n, t) only; the chain length cycles so
+        // every prime_count in [2, 8] builds a scheme here too.
+        const SealLite s(ringParams(ring, prime_count));
+        prime_count = prime_count == 8 ? 2 : prime_count + 1;
+        const ReferenceBatching reference(ring.n, ring.t);
+        const auto t = static_cast<std::int64_t>(ring.t);
+        const auto slots = static_cast<std::size_t>(s.slots());
+        Rng rng(static_cast<std::uint64_t>(ring.n) * 31 + ring.t);
+
+        std::vector<std::vector<std::int64_t>> rows;
+        std::vector<std::int64_t> full(slots);
+        for (std::int64_t& v : full) v = rng.uniformRange(0, t - 1);
+        rows.push_back(full);
+        std::vector<std::int64_t> partial(slots / 3 + 1);
+        for (std::int64_t& v : partial) v = rng.uniformRange(0, t - 1);
+        rows.push_back(partial);
+        std::vector<std::int64_t> negative(slots);
+        for (std::int64_t& v : negative) v = rng.uniformRange(-3 * t, -1);
+        negative[0] = -1;
+        negative[1] = -t;
+        negative[2] = std::numeric_limits<std::int64_t>::min();
+        negative[3] = std::numeric_limits<std::int64_t>::max();
+        rows.push_back(negative);
+        rows.emplace_back(); // Empty row: the zero plaintext.
+
+        std::vector<std::vector<std::uint64_t>> want_coeffs;
+        for (const auto& row : rows) {
+            want_coeffs.push_back(reference.encode(row));
+        }
+        // Decode inputs: every encoded row, a random plaintext, and
+        // unreduced coefficients (decode reduces mod t first).
+        std::vector<std::vector<std::uint64_t>> plains = want_coeffs;
+        std::vector<std::uint64_t> random(static_cast<std::size_t>(ring.n));
+        for (std::uint64_t& c : random) c = rng.uniformInt(ring.t);
+        plains.push_back(random);
+        std::vector<std::uint64_t> wide(static_cast<std::size_t>(ring.n));
+        for (std::uint64_t& c : wide) c = rng.next();
+        plains.push_back(wide);
+        std::vector<std::vector<std::int64_t>> want_slots;
+        for (const auto& coeffs : plains) {
+            want_slots.push_back(reference.decode(coeffs));
+        }
+
+        for (bool simd : {true, false}) {
+            SCOPED_TRACE(simd ? "simd on" : "simd off");
+            setSimdEnabled(simd);
+            for (std::size_t r = 0; r < rows.size(); ++r) {
+                EXPECT_EQ(s.encode(rows[r]).coeffs, want_coeffs[r]) << r;
+            }
+            for (std::size_t p = 0; p < plains.size(); ++p) {
+                Plaintext plain;
+                plain.coeffs = plains[p];
+                EXPECT_EQ(s.decode(plain), want_slots[p]) << p;
+            }
+        }
+    }
+}
+
+// -- differential: fixed-limb decryption vs. BigInt recomposition ------------
+
+/// What decryptPlain and noiseBudgetBits computed with heap BigInts per
+/// coefficient before the fixed-limb recomposition: the reference.
+struct ReferenceDecryption
+{
+    std::vector<std::uint64_t> plain;
+    int budget = 0;
+};
+
+ReferenceDecryption
+referenceDecrypt(const SealLite& s, const Ciphertext& ct)
+{
+    const RnsPoly v = s.decryptionPhase(ct);
+    const std::uint64_t t = s.params().plain_modulus;
+    const std::vector<std::uint64_t> primes(
+        s.primeChain().begin(), s.primeChain().begin() + v.k);
+    BigInt q(1);
+    for (std::uint64_t p : primes) q = q.multiplySmall(p);
+    std::uint64_t rem = 0;
+    const BigInt half_q = q.divmodSmall(2, rem);
+    std::uint64_t q_mod_t = 0;
+    q.divmodSmall(t, q_mod_t);
+    std::vector<BigInt> q_hat;
+    std::vector<std::uint64_t> q_hat_inv;
+    for (std::size_t i = 0; i < primes.size(); ++i) {
+        BigInt hat(1);
+        for (std::size_t j = 0; j < primes.size(); ++j) {
+            if (j != i) hat = hat.multiplySmall(primes[j]);
+        }
+        std::uint64_t hat_mod = 0;
+        hat.divmodSmall(primes[i], hat_mod);
+        q_hat_inv.push_back(invMod(hat_mod, primes[i]));
+        q_hat.push_back(hat);
+    }
+
+    ReferenceDecryption out;
+    BigInt max_magnitude;
+    for (int j = 0; j < v.n; ++j) {
+        BigInt value;
+        for (std::size_t i = 0; i < primes.size(); ++i) {
+            const std::uint64_t scaled = mulMod(
+                v.component(static_cast<int>(i))[j], q_hat_inv[i], primes[i]);
+            value = value.add(q_hat[i].multiplySmall(scaled));
+        }
+        value = value.reduceBySubtraction(q);
+        std::uint64_t value_mod_t = 0;
+        value.divmodSmall(t, value_mod_t);
+        if (value.compare(half_q) > 0) {
+            value_mod_t = subMod(value_mod_t, q_mod_t, t);
+        }
+        out.plain.push_back(value_mod_t);
+        const BigInt complement = q.subtract(value);
+        const BigInt magnitude =
+            value.compare(complement) <= 0 ? value : complement;
+        if (magnitude.compare(max_magnitude) > 0) max_magnitude = magnitude;
+    }
+    out.budget = (q.bitLength() - 1) - max_magnitude.bitLength();
+    return out;
+}
+
+/// decryptPlain and noiseBudgetBits against the reference at every level
+/// from \p ct's down to 1, with SIMD on and off.
+void
+expectDecryptionMatchesAtEveryLevel(const SealLite& s, const Ciphertext& ct)
+{
+    const SimdRestore restore;
+    Ciphertext at_level = s.clone(ct);
+    for (int level = s.level(ct); level >= 1; --level) {
+        SCOPED_TRACE("level " + std::to_string(level));
+        s.modSwitchTo(at_level, level);
+        const ReferenceDecryption want = referenceDecrypt(s, at_level);
+        for (bool simd : {true, false}) {
+            setSimdEnabled(simd);
+            EXPECT_EQ(s.decryptPlain(at_level).coeffs, want.plain) << simd;
+            EXPECT_EQ(s.noiseBudgetBits(at_level), want.budget) << simd;
+        }
+    }
+}
+
+TEST(SealLiteDifferentialTest, DecryptionMatchesBigIntAtEveryLevel)
+{
+    for (const RingCase& ring : ringCases()) {
+        for (int prime_count = 2; prime_count <= 8; ++prime_count) {
+            SCOPED_TRACE("n=" + std::to_string(ring.n) + " t=" +
+                         std::to_string(ring.t) +
+                         " k=" + std::to_string(prime_count));
+            SealLite s(ringParams(ring, prime_count));
+            Rng rng(static_cast<std::uint64_t>(prime_count) * 7 + ring.t);
+            std::vector<std::int64_t> row(static_cast<std::size_t>(s.slots()));
+            for (std::int64_t& v : row) {
+                v = rng.uniformRange(0, static_cast<std::int64_t>(ring.t) - 1);
+            }
+            const Ciphertext fresh = s.encrypt(s.encode(row));
+            expectDecryptionMatchesAtEveryLevel(s, fresh);
+            // Square until the budget is gone, then once more so the
+            // phase is noise through and through.
+            Ciphertext exhausted = s.clone(fresh);
+            int squarings = 0;
+            while (s.noiseBudgetBits(exhausted) > 0 && squarings < 16) {
+                exhausted = s.multiply(exhausted, exhausted);
+                ++squarings;
+            }
+            exhausted = s.multiply(exhausted, exhausted);
+            ASSERT_EQ(s.noiseBudgetBits(exhausted), 0);
+            expectDecryptionMatchesAtEveryLevel(s, exhausted);
+        }
+    }
+}
+
+TEST(SealLiteDifferentialTest, DecryptionMatchesBigIntOnBoundaryPhases)
+{
+    // A ciphertext (c0, 0) has phase c0, so chosen residues probe the
+    // recomposition's edges: 0, floor(q/2) and its neighbours, q - 1,
+    // and uniformly random residues.
+    SealLiteParams params = ringParams({16, 97}, 8);
+    const SealLite s(params);
+    const std::vector<std::uint64_t>& primes = s.primeChain();
+    const int k = s.levels();
+    BigInt q(1);
+    for (std::uint64_t p : primes) q = q.multiplySmall(p);
+    std::uint64_t rem = 0;
+    const BigInt half_q = q.divmodSmall(2, rem);
+    const std::vector<BigInt> targets = {
+        BigInt(0), BigInt(1), half_q.subtract(BigInt(1)), half_q,
+        half_q.add(BigInt(1)), q.subtract(BigInt(2)), q.subtract(BigInt(1))};
+
+    Ciphertext ct;
+    ct.c0.k = ct.c1.k = k;
+    ct.c0.n = ct.c1.n = params.n;
+    ct.c0.data.assign(static_cast<std::size_t>(k * params.n), 0);
+    ct.c1.data.assign(static_cast<std::size_t>(k * params.n), 0);
+    Rng rng(5);
+    for (int j = 0; j < params.n; ++j) {
+        for (int i = 0; i < k; ++i) {
+            const std::uint64_t p = primes[static_cast<std::size_t>(i)];
+            std::uint64_t residue = rng.uniformInt(p);
+            if (j < static_cast<int>(targets.size())) {
+                targets[static_cast<std::size_t>(j)].divmodSmall(p, residue);
+            }
+            ct.c0.component(i)[j] = residue;
+        }
+    }
+    expectDecryptionMatchesAtEveryLevel(s, ct);
 }
 
 } // namespace

@@ -391,6 +391,39 @@ TEST(ServiceExecuteTest, NullSourceRejectedOnSubmitRun)
     EXPECT_FALSE(responses[0].error.empty());
 }
 
+TEST(ServiceExecuteTest, InvalidParamsRejectedThenServiceStillServes)
+{
+    // n = 1000 and t = 65539 used to reach an assert in the SealLite
+    // constructor and abort the process; they must resolve as errors
+    // without building a runtime, and the service must keep serving.
+    CompileService service({/*num_workers=*/2});
+    RunRequest bad_n = runRequest("bad_n", dotSource(3));
+    bad_n.params.n = 1000;
+    RunRequest bad_t = runRequest("bad_t", dotSource(3));
+    bad_t.params.plain_modulus = 65539;
+    RunRequest wide = runRequest("wide", dotSource(3));
+    wide.params.prime_count = fhe::SealLiteParams::kMaxPrimeCount + 1;
+    for (const RunRequest& bad : {bad_n, bad_t, wide}) {
+        const RunResponse response = service.runBatch({bad})[0];
+        EXPECT_FALSE(response.ok) << response.name;
+        EXPECT_EQ(response.error.rfind("SealLiteParams: ", 0), 0u)
+            << response.error;
+    }
+    EXPECT_EQ(service.stats().runtimes_created, 0u);
+    EXPECT_EQ(service.stats().run_submitted, 0u);
+
+    RunRequest good = runRequest("good", dotSource(3));
+    const ir::ExprPtr source = good.source;
+    const ir::Env env = good.inputs;
+    const std::vector<RunResponse> responses =
+        service.runBatch({std::move(good)});
+    expectMatchesReference(responses[0], source, env);
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.run_submitted, 1u);
+    EXPECT_EQ(stats.runtimes_created, 1u);
+    EXPECT_EQ(checkStatsInvariants(stats, /*quiescent=*/true), "");
+}
+
 // ---- LRU bounding ---------------------------------------------------
 
 TEST(ServiceExecuteTest, CompileCacheLruEviction)
