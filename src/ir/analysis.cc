@@ -1,85 +1,121 @@
 #include "ir/analysis.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "support/error.h"
+#include "support/flat_hash_index.h"
 
 namespace chehab::ir {
 
-namespace {
-
-TypeInfo
-typeOfImpl(const ExprPtr& e)
+bool
+typeFromChildren(const Expr& e, const TypeInfo* kids, TypeInfo& out,
+                 std::string* why)
 {
-    switch (e->op()) {
+    // Messages are built only for callers that want them (typeOf); the
+    // rewriter's check runs this on every candidate it builds.
+    const auto fail = [why](const char* message) {
+        if (why) *why = message;
+        return false;
+    };
+    const std::size_t arity = e.arity();
+    switch (e.op()) {
       case Op::Var:
-        return {false, 1, false};
+        out = {false, 1, false};
+        return true;
       case Op::PlainVar:
       case Op::Const:
-        return {false, 1, true};
+        out = {false, 1, true};
+        return true;
       case Op::Add:
       case Op::Sub:
-      case Op::Mul: {
-        const TypeInfo a = typeOfImpl(e->child(0));
-        const TypeInfo b = typeOfImpl(e->child(1));
-        if (a.is_vector || b.is_vector) {
-            throw CompileError("scalar operator applied to vector operand in " +
-                               e->toString());
+      case Op::Mul:
+        if (arity != 2) break;
+        if (kids[0].is_vector || kids[1].is_vector) {
+            if (why) {
+                *why = "scalar operator applied to vector operand in " +
+                       e.toString();
+            }
+            return false;
         }
-        return {false, 1, a.is_plain && b.is_plain};
-      }
-      case Op::Neg: {
-        const TypeInfo a = typeOfImpl(e->child(0));
-        if (a.is_vector) {
-            throw CompileError("scalar negation of vector operand");
+        out = {false, 1, kids[0].is_plain && kids[1].is_plain};
+        return true;
+      case Op::Neg:
+        if (arity != 1) break;
+        if (kids[0].is_vector) {
+            return fail("scalar negation of vector operand");
         }
-        return {false, 1, a.is_plain};
-      }
-      case Op::Rotate: {
-        const TypeInfo a = typeOfImpl(e->child(0));
-        if (!a.is_vector) {
-            throw CompileError("rotation of a scalar operand");
-        }
-        return {true, a.width, a.is_plain};
-      }
+        out = {false, 1, kids[0].is_plain};
+        return true;
+      case Op::Rotate:
+        if (arity != 1) break;
+        if (!kids[0].is_vector) return fail("rotation of a scalar operand");
+        out = {true, kids[0].width, kids[0].is_plain};
+        return true;
       case Op::Vec: {
         bool plain = true;
-        for (const auto& child : e->children()) {
-            const TypeInfo t = typeOfImpl(child);
-            if (t.is_vector) {
-                throw CompileError("nested vector inside Vec constructor");
+        for (std::size_t i = 0; i < arity; ++i) {
+            if (kids[i].is_vector) {
+                return fail("nested vector inside Vec constructor");
             }
-            plain = plain && t.is_plain;
+            plain = plain && kids[i].is_plain;
         }
-        return {true, static_cast<int>(e->arity()), plain};
+        out = {true, static_cast<int>(arity), plain};
+        return true;
       }
       case Op::VecAdd:
       case Op::VecSub:
-      case Op::VecMul: {
-        const TypeInfo a = typeOfImpl(e->child(0));
-        const TypeInfo b = typeOfImpl(e->child(1));
-        if (!a.is_vector || !b.is_vector) {
-            throw CompileError("vector operator applied to scalar operand");
+      case Op::VecMul:
+        if (arity != 2) break;
+        if (!kids[0].is_vector || !kids[1].is_vector) {
+            return fail("vector operator applied to scalar operand");
         }
-        if (a.width != b.width) {
-            throw CompileError("vector width mismatch: " +
-                               std::to_string(a.width) + " vs " +
-                               std::to_string(b.width));
+        if (kids[0].width != kids[1].width) {
+            if (why) {
+                *why = "vector width mismatch: " +
+                       std::to_string(kids[0].width) + " vs " +
+                       std::to_string(kids[1].width);
+            }
+            return false;
         }
-        return {true, a.width, a.is_plain && b.is_plain};
-      }
-      case Op::VecNeg: {
-        const TypeInfo a = typeOfImpl(e->child(0));
-        if (!a.is_vector) {
-            throw CompileError("vector negation of scalar operand");
+        out = {true, kids[0].width, kids[0].is_plain && kids[1].is_plain};
+        return true;
+      case Op::VecNeg:
+        if (arity != 1) break;
+        if (!kids[0].is_vector) {
+            return fail("vector negation of scalar operand");
         }
-        return {true, a.width, a.is_plain};
-      }
+        out = {true, kids[0].width, kids[0].is_plain};
+        return true;
     }
-    CHEHAB_ASSERT(false, "unhandled op in typeOf");
-    return {};
+    if (why) {
+        *why = std::string("operator '") + opName(e.op()) + "' has " +
+               std::to_string(arity) + " operands";
+    }
+    return false;
+}
+
+namespace {
+
+/// Types \p e bottom-up. A Vec rejects a vector element before typing
+/// the elements after it; every other node types all of its children
+/// first. On an ill-typed subtree returns false, with the first
+/// violation found in \p why if it is set.
+bool
+typeOfImpl(const ExprPtr& e, TypeInfo& out, std::string* why)
+{
+    TypeInfo pair[2];
+    std::vector<TypeInfo> wide;
+    TypeInfo* kids = pair;
+    if (e->arity() > 2) {
+        wide.resize(e->arity());
+        kids = wide.data();
+    }
+    for (std::size_t i = 0; i < e->arity(); ++i) {
+        if (!typeOfImpl(e->child(i), kids[i], why)) return false;
+        if (e->op() == Op::Vec && kids[i].is_vector) break;
+    }
+    return typeFromChildren(*e, kids, out, why);
 }
 
 } // namespace
@@ -87,35 +123,34 @@ typeOfImpl(const ExprPtr& e)
 TypeInfo
 typeOf(const ExprPtr& e)
 {
-    return typeOfImpl(e);
+    TypeInfo type;
+    std::string why;
+    if (!typeOfImpl(e, type, &why)) throw CompileError(why);
+    return type;
 }
 
 bool
 wellTyped(const ExprPtr& e)
 {
-    try {
-        typeOf(e);
-        return true;
-    } catch (const CompileError&) {
-        return false;
-    }
+    TypeInfo type;
+    return typeOfImpl(e, type, nullptr);
 }
 
 namespace {
 
 /// Classify a single node into the OpCounts buckets.
 void
-classifyNode(const ExprPtr& e, OpCounts& counts)
+classifyNode(const Expr& e, OpCounts& counts)
 {
-    const bool vector_form = isVectorOp(e->op()) || e->op() == Op::Rotate;
-    switch (e->op()) {
+    const bool vector_form = isVectorOp(e.op()) || e.op() == Op::Rotate;
+    switch (e.op()) {
       case Op::Var:
       case Op::PlainVar:
       case Op::Const:
       case Op::Vec:
         return;
       case Op::Rotate:
-        if (e->isPlain()) {
+        if (e.isPlain()) {
             ++counts.plain_ops;
         } else {
             ++counts.rotation;
@@ -128,7 +163,7 @@ classifyNode(const ExprPtr& e, OpCounts& counts)
       case Op::VecAdd:
       case Op::VecSub:
       case Op::VecNeg:
-        if (e->isPlain()) {
+        if (e.isPlain()) {
             ++counts.plain_ops;
         } else {
             ++counts.ct_add;
@@ -137,15 +172,15 @@ classifyNode(const ExprPtr& e, OpCounts& counts)
         return;
       case Op::Mul:
       case Op::VecMul: {
-        if (e->isPlain()) {
+        if (e.isPlain()) {
             ++counts.plain_ops;
             return;
         }
-        const bool a_plain = e->child(0)->isPlain();
-        const bool b_plain = e->child(1)->isPlain();
+        const bool a_plain = e.child(0)->isPlain();
+        const bool b_plain = e.child(1)->isPlain();
         if (a_plain || b_plain) {
             ++counts.ct_pt_mul;
-        } else if (equal(e->child(0), e->child(1))) {
+        } else if (equal(e.child(0), e.child(1))) {
             ++counts.square;
         } else {
             ++counts.ct_ct_mul;
@@ -156,98 +191,55 @@ classifyNode(const ExprPtr& e, OpCounts& counts)
     }
 }
 
-/// Collect each distinct subtree once, resolving hash collisions with deep
-/// equality.
-class UniqueNodeSet
-{
-  public:
-    /// Returns true if \p e was not seen before.
-    bool
-    insert(const ExprPtr& e)
-    {
-        auto& bucket = buckets_[e->hash()];
-        for (const auto& existing : bucket) {
-            if (equal(existing, e)) return false;
-        }
-        bucket.push_back(e);
-        return true;
-    }
-
-  private:
-    std::unordered_map<std::size_t, std::vector<ExprPtr>> buckets_;
-};
-
 void
-countOpsUnique(const ExprPtr& e, UniqueNodeSet& seen, OpCounts& counts)
+forEachUniqueImpl(const ExprPtr& e, FlatHashIndex<const Expr*>& seen,
+                  const std::function<void(const Expr&)>& fn)
 {
-    if (!seen.insert(e)) return;
-    classifyNode(e, counts);
+    const auto same = [&](const Expr* other) { return equal(*other, *e); };
+    if (seen.find(e->hash(), same)) return;
+    seen.insert(e->hash(), e.get());
+    fn(*e);
     for (const auto& child : e->children()) {
-        countOpsUnique(child, seen, counts);
+        forEachUniqueImpl(child, seen, fn);
     }
 }
 
 } // namespace
+
+void
+forEachUniqueNode(const ExprPtr& root,
+                  const std::function<void(const Expr&)>& fn)
+{
+    FlatHashIndex<const Expr*> seen;
+    forEachUniqueImpl(root, seen, fn);
+}
 
 OpCounts
 countOps(const ExprPtr& root, bool dag_unique)
 {
     OpCounts counts;
     if (dag_unique) {
-        UniqueNodeSet seen;
-        countOpsUnique(root, seen, counts);
+        forEachUniqueNode(root, [&](const Expr& e) {
+            classifyNode(e, counts);
+        });
     } else {
         forEachNode(root, [&](const ExprPtr& e, int) {
-            classifyNode(e, counts);
+            classifyNode(*e, counts);
         });
     }
     return counts;
 }
 
-namespace {
-
-int
-depthImpl(const ExprPtr& e, bool mult_only,
-          std::unordered_map<const Expr*, int>& memo)
-{
-    auto it = memo.find(e.get());
-    if (it != memo.end()) return it->second;
-
-    int child_max = 0;
-    for (const auto& child : e->children()) {
-        child_max = std::max(child_max, depthImpl(child, mult_only, memo));
-    }
-
-    int self = 0;
-    if (mult_only) {
-        const bool is_mul = e->op() == Op::Mul || e->op() == Op::VecMul;
-        if (is_mul && !e->isPlain() && !e->child(0)->isPlain() &&
-            !e->child(1)->isPlain()) {
-            self = 1;
-        }
-    } else if (isComputeOp(e->op()) && !e->isPlain()) {
-        self = 1;
-    }
-
-    const int depth = child_max + self;
-    memo.emplace(e.get(), depth);
-    return depth;
-}
-
-} // namespace
-
 int
 circuitDepth(const ExprPtr& root)
 {
-    std::unordered_map<const Expr*, int> memo;
-    return depthImpl(root, /*mult_only=*/false, memo);
+    return root->circuitDepth();
 }
 
 int
 multiplicativeDepth(const ExprPtr& root)
 {
-    std::unordered_map<const Expr*, int> memo;
-    return depthImpl(root, /*mult_only=*/true, memo);
+    return root->multDepth();
 }
 
 namespace {

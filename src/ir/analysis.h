@@ -4,6 +4,7 @@
 /// ⊕ / ⊠ metrics of Table 6).
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,15 @@ TypeInfo typeOf(const ExprPtr& e);
 
 /// True if \p e type checks.
 bool wellTyped(const ExprPtr& e);
+
+/// The typing rule at one node: the type of \p e given the types of its
+/// children (\p child_types, one per child, in order), without looking
+/// further down. typeOf applies it at every node; callers that already
+/// know the children's types (the rewriter's incremental check) apply it
+/// directly. Returns false if the node is ill typed, with the violation
+/// in \p why if it is set.
+bool typeFromChildren(const Expr& e, const TypeInfo* child_types,
+                      TypeInfo& out, std::string* why = nullptr);
 
 /// Operation counts over the *unique* subtrees of the expression, i.e.
 /// after implicit common-subexpression elimination, which is how the paper
@@ -54,13 +64,20 @@ struct OpCounts
 /// structurally identical subtrees are counted once.
 OpCounts countOps(const ExprPtr& root, bool dag_unique = true);
 
-/// Circuit depth ∪: the maximum number of compute operations (arithmetic
-/// or rotation) on any root-to-leaf path. Vec constructors and leaves do
-/// not contribute.
+/// Pre-order visit of every structurally distinct subtree once, at its
+/// first occurrence (the implicit CSE that countOps and ir::cost price).
+void forEachUniqueNode(const ExprPtr& root,
+                       const std::function<void(const Expr&)>& fn);
+
+/// Circuit depth ∪: the maximum number of ciphertext compute operations
+/// (arithmetic or rotation) on any root-to-leaf path. Vec constructors,
+/// leaves and plaintext-only operations do not contribute. Read from
+/// the root, which computes it at construction (Expr::circuitDepth).
 int circuitDepth(const ExprPtr& root);
 
 /// Multiplicative depth ∪⊗: maximum number of ciphertext×ciphertext
-/// multiplications (incl. squares) on any root-to-leaf path.
+/// multiplications (incl. squares) on any root-to-leaf path. Read from
+/// the root (Expr::multDepth).
 int multiplicativeDepth(const ExprPtr& root);
 
 /// Names of all ciphertext variables, in first-occurrence order.

@@ -1,28 +1,26 @@
 #include "ir/cost_model.h"
 
-#include <unordered_map>
-
 namespace chehab::ir {
 
 namespace {
 
 double
-nodeCost(const ExprPtr& e, const OpCosts& costs)
+nodeCost(const Expr& e, const OpCosts& costs)
 {
-    if (e->op() == Op::Vec) {
+    if (e.op() == Op::Vec) {
         // Leaf/plain slots are free client-side packing; computed
         // ciphertext slots are materialized with mask/rotate/add.
         double total = 0.0;
-        for (const auto& child : e->children()) {
+        for (const auto& child : e.children()) {
             if (!child->isPlain() && child->op() != Op::Var) {
                 total += costs.pack_computed;
             }
         }
         return total;
     }
-    if (!isComputeOp(e->op())) return 0.0;
-    if (e->isPlain()) return costs.plain_op;
-    switch (e->op()) {
+    if (!isComputeOp(e.op())) return 0.0;
+    if (e.isPlain()) return costs.plain_op;
+    switch (e.op()) {
       case Op::Rotate:
         return costs.rotation;
       case Op::VecAdd:
@@ -41,39 +39,24 @@ nodeCost(const ExprPtr& e, const OpCosts& costs)
     }
 }
 
-void
-sumUnique(const ExprPtr& e, const OpCosts& costs,
-          std::unordered_map<std::size_t, std::vector<ExprPtr>>& seen,
-          double& total)
-{
-    auto& bucket = seen[e->hash()];
-    for (const auto& existing : bucket) {
-        if (equal(existing, e)) return;
-    }
-    bucket.push_back(e);
-    total += nodeCost(e, costs);
-    for (const auto& child : e->children()) {
-        sumUnique(child, costs, seen, total);
-    }
-}
-
 } // namespace
 
 double
 operationCost(const ExprPtr& root, const OpCosts& costs)
 {
-    std::unordered_map<std::size_t, std::vector<ExprPtr>> seen;
     double total = 0.0;
-    sumUnique(root, costs, seen, total);
+    forEachUniqueNode(root,
+                      [&](const Expr& e) { total += nodeCost(e, costs); });
     return total;
 }
 
 double
 cost(const ExprPtr& root, const CostWeights& weights, const OpCosts& costs)
 {
+    // One DAG walk: the depths are construction-time fields of the root.
     return weights.w_ops * operationCost(root, costs) +
-           weights.w_depth * circuitDepth(root) +
-           weights.w_mult * multiplicativeDepth(root);
+           weights.w_depth * root->circuitDepth() +
+           weights.w_mult * root->multDepth();
 }
 
 } // namespace chehab::ir

@@ -76,18 +76,30 @@ makeNode(Op op, std::vector<ExprPtr> children, std::string name,
 
     int nodes = 1;
     int height = 1;
+    int circuit_depth = 0;
+    int mult_depth = 0;
     bool plain = op != Op::Var;
     for (const auto& child : node->children_) {
         CHEHAB_ASSERT(child != nullptr, "null child in makeNode");
         h = combineHash(h, child->hash());
         nodes += child->numNodes();
         height = std::max(height, child->height() + 1);
+        circuit_depth = std::max(circuit_depth, child->circuitDepth());
+        mult_depth = std::max(mult_depth, child->multDepth());
         plain = plain && child->isPlain();
     }
     node->hash_ = h;
     node->numNodes_ = nodes;
     node->height_ = node->children_.empty() ? 1 : height;
     node->isPlain_ = plain;
+    // Plaintext work is free at runtime; only ciphertext compute ops
+    // count, and only ciphertext x ciphertext products multiply.
+    const auto& kids = node->children_;
+    const bool ct_ct_mul = (op == Op::Mul || op == Op::VecMul) &&
+                           kids.size() == 2 && !kids[0]->isPlain() &&
+                           !kids[1]->isPlain();
+    node->circuit_depth_ = circuit_depth + (isComputeOp(op) && !plain);
+    node->mult_depth_ = mult_depth + ct_ct_mul;
     return node;
 }
 
@@ -175,14 +187,21 @@ equal(const ExprPtr& a, const ExprPtr& b)
 {
     if (a.get() == b.get()) return true;
     if (!a || !b) return false;
-    if (a->hash() != b->hash()) return false;
-    if (a->op() != b->op() || a->arity() != b->arity()) return false;
-    if (a->name() != b->name() || a->value() != b->value() ||
-        a->step() != b->step()) {
+    return equal(*a, *b);
+}
+
+bool
+equal(const Expr& a, const Expr& b)
+{
+    if (&a == &b) return true;
+    if (a.hash() != b.hash()) return false;
+    if (a.op() != b.op() || a.arity() != b.arity()) return false;
+    if (a.name() != b.name() || a.value() != b.value() ||
+        a.step() != b.step()) {
         return false;
     }
-    for (std::size_t i = 0; i < a->arity(); ++i) {
-        if (!equal(a->child(i), b->child(i))) return false;
+    for (std::size_t i = 0; i < a.arity(); ++i) {
+        if (!equal(a.child(i), b.child(i))) return false;
     }
     return true;
 }
@@ -290,26 +309,6 @@ subtreeAt(const ExprPtr& root, int index)
     }
     CHEHAB_ASSERT(false, "subtreeAt index out of range");
     return nullptr;
-}
-
-ExprPtr
-replaceAll(const ExprPtr& root, const ExprPtr& target,
-           const ExprPtr& replacement)
-{
-    if (equal(root, target)) return replacement;
-    // Fast reject: if the target's hash never appears below, reuse.
-    if (root->arity() == 0) return root;
-    std::vector<ExprPtr> kids;
-    kids.reserve(root->arity());
-    bool changed = false;
-    for (const auto& child : root->children()) {
-        ExprPtr mapped = replaceAll(child, target, replacement);
-        changed = changed || mapped.get() != child.get();
-        kids.push_back(std::move(mapped));
-    }
-    if (!changed) return root;
-    return makeNode(root->op(), std::move(kids), root->name(),
-                    root->value(), root->step());
 }
 
 namespace {

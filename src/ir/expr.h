@@ -9,8 +9,8 @@
 /// Nodes are reference counted and never mutated after construction, so
 /// rewriting produces new trees that share unchanged subtrees with the old
 /// ones — exactly the behaviour a term rewriting system wants. Structural
-/// hashes are computed at construction, making structural equality, CSE and
-/// match deduplication cheap.
+/// hashes, sizes and depths are computed at construction, making
+/// structural equality, CSE, match deduplication and cost queries cheap.
 #pragma once
 
 #include <cstdint>
@@ -60,9 +60,10 @@ using ExprPtr = std::shared_ptr<const Expr>;
 /// One immutable IR node.
 ///
 /// Invariants: children_ arity matches op (binary ops have 2, unary 1,
-/// Rotate 1 plus a step, Vec >= 1, leaves 0); hash_ and numNodes_ are
-/// consistent with the subtree. Use the free factory functions below —
-/// the constructor is private to enforce the invariants.
+/// Rotate 1 plus a step, Vec >= 1, leaves 0); hash_, numNodes_, the
+/// height and the depths are consistent with the subtree. Use the free
+/// factory functions below — the constructor is private to enforce the
+/// invariants.
 class Expr : public std::enable_shared_from_this<Expr>
 {
   public:
@@ -89,6 +90,12 @@ class Expr : public std::enable_shared_from_this<Expr>
     /// Maximum tree height (leaf = 1).
     int height() const { return height_; }
 
+    /// Circuit depth of this subtree; see ir::circuitDepth.
+    int circuitDepth() const { return circuit_depth_; }
+
+    /// Multiplicative depth of this subtree; see ir::multiplicativeDepth.
+    int multDepth() const { return mult_depth_; }
+
     /// True if the subtree references no ciphertext variable, i.e. the
     /// whole value is known to the (untrusted) evaluator in plaintext.
     bool isPlain() const { return isPlain_; }
@@ -110,6 +117,8 @@ class Expr : public std::enable_shared_from_this<Expr>
     std::size_t hash_ = 0;
     int numNodes_ = 1;
     int height_ = 1;
+    int circuit_depth_ = 0;
+    int mult_depth_ = 0;
     bool isPlain_ = true;
 };
 
@@ -143,6 +152,7 @@ ExprPtr vecNeg(ExprPtr a);
 
 /// Deep structural equality (hash-accelerated).
 bool equal(const ExprPtr& a, const ExprPtr& b);
+bool equal(const Expr& a, const Expr& b);
 
 /// 128-bit content fingerprint of a subtree.
 ///
@@ -180,13 +190,6 @@ ExprPtr replaceAt(const ExprPtr& root, int index, const ExprPtr& replacement);
 
 /// Fetch the subtree at pre-order index \p index (0 = root).
 ExprPtr subtreeAt(const ExprPtr& root, int index);
-
-/// Replace *every* structurally identical occurrence of \p target inside
-/// \p root with \p replacement (DAG-style rewriting: the compiler treats
-/// identical subtrees as one shared node, so a rewrite applies to the
-/// shared node, not a single syntactic occurrence).
-ExprPtr replaceAll(const ExprPtr& root, const ExprPtr& target,
-                   const ExprPtr& replacement);
 
 /// Pre-order visit of every node; callback receives (node, preorder index).
 void forEachNode(const ExprPtr& root,

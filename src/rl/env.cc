@@ -8,6 +8,7 @@ RewriteEnv::RewriteEnv(const trs::Ruleset& ruleset, EnvConfig config)
     : ruleset_(&ruleset), config_(config)
 {
     match_counts_.assign(ruleset_->size() + 1, 0);
+    candidates_.resize(ruleset_->size());
 }
 
 void
@@ -24,10 +25,15 @@ RewriteEnv::reset(ir::ExprPtr program)
 void
 RewriteEnv::refreshMatches()
 {
+    const trs::SiteTable sites(program_);
     for (std::size_t r = 0; r < ruleset_->size(); ++r) {
-        match_counts_[r] = static_cast<int>(
-            (*ruleset_)[r].findMatches(program_, config_.max_locations)
-                .size());
+        std::vector<ir::ExprPtr>& candidates = candidates_[r];
+        candidates.clear();
+        for (trs::Match& match :
+             (*ruleset_)[r].matches(sites, config_.max_locations)) {
+            candidates.push_back(std::move(match.candidate));
+        }
+        match_counts_[r] = static_cast<int>(candidates.size());
     }
     match_counts_[ruleset_->size()] = 1; // END always available.
 }
@@ -57,9 +63,10 @@ RewriteEnv::step(int rule, int location)
 
     CHEHAB_ASSERT(rule >= 0 && rule < numRules(), "rule index range");
     ir::ExprPtr next;
-    if (location >= 0 && location < match_counts_[static_cast<std::size_t>(rule)]) {
-        next = (*ruleset_)[static_cast<std::size_t>(rule)].applyAt(program_,
-                                                                   location);
+    const std::vector<ir::ExprPtr>& candidates =
+        candidates_[static_cast<std::size_t>(rule)];
+    if (location >= 0 && location < static_cast<int>(candidates.size())) {
+        next = candidates[static_cast<std::size_t>(location)];
     }
     if (next) {
         const double next_cost =

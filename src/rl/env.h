@@ -76,6 +76,9 @@ class RewriteEnv
     int steps_ = 0;
     bool done_ = true;
     std::vector<int> match_counts_;
+    /// Per rule, the program each match of the current state rewrites to
+    /// (one site-table walk per state; step() takes its result from here).
+    std::vector<std::vector<ir::ExprPtr>> candidates_;
 };
 
 } // namespace chehab::rl

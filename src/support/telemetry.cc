@@ -98,15 +98,22 @@ LatencyHistogram::percentile(double p) const
     std::uint64_t rank = static_cast<std::uint64_t>(
         std::ceil(p / 100.0 * static_cast<double>(count_)));
     rank = std::clamp<std::uint64_t>(rank, 1, count_);
+    // A bucket's representative can lie outside the observed samples
+    // (a p99 above the max). Clamping to [min, max] keeps it in the
+    // rank's bucket: that bucket holds the rank sample, which lies
+    // between min and max.
+    const auto observed = [this](double seconds) {
+        return min_ <= max_ ? std::clamp(seconds, min_, max_) : seconds;
+    };
     std::uint64_t seen = 0;
     for (int i = 0; i < kBucketCount; ++i) {
         seen += buckets_[static_cast<std::size_t>(i)];
         if (seen < rank) continue;
-        if (i == 0) return kMinSeconds / 2.0;
-        if (i == kBucketCount - 1) return bucketLowerBound(i);
+        if (i == 0) return observed(kMinSeconds / 2.0);
+        if (i == kBucketCount - 1) return observed(bucketLowerBound(i));
         // Geometric midpoint: stays inside the half-open bucket, so
         // bucketIndex(percentile(p)) == bucketIndex(exact percentile).
-        return std::sqrt(bucketLowerBound(i) * bucketUpperBound(i));
+        return observed(std::sqrt(bucketLowerBound(i) * bucketUpperBound(i)));
     }
     return max_; // Unreachable: counts_ sums to count_.
 }

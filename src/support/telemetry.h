@@ -13,9 +13,10 @@
 ///     instance, so histograms merge by bucket-wise addition (shard
 ///     merging, cross-process aggregation). Percentiles are
 ///     nearest-rank over the bucket counts: the returned value is the
-///     geometric midpoint of the bucket holding the rank, so it always
-///     lands in the same bucket as the exact sorted-reference
-///     percentile (the guarantee the tests pin down). Exact min/max/
+///     geometric midpoint of the bucket holding the rank, clamped to
+///     the exact min/max, so it always lands in the same bucket as the
+///     exact sorted-reference percentile (the guarantee the tests pin
+///     down) and never outside the observed range. Exact min/max/
 ///     sum/count ride alongside the buckets.
 ///
 ///   - TraceRecorder — a mutex-sharded recorder of lifecycle spans and
@@ -118,8 +119,9 @@ class LatencyHistogram
 
     /// Nearest-rank percentile (\p p in [0, 100]): the geometric
     /// midpoint of the bucket containing the rank-ceil(p/100 * count)
-    /// sample — guaranteed to share a bucket with the exact sorted
-    /// reference. 0.0 on an empty histogram.
+    /// sample, clamped to [min(), max()] — guaranteed to share a bucket
+    /// with the exact sorted reference, and never outside the observed
+    /// range. 0.0 on an empty histogram.
     double percentile(double p) const;
 
     const std::array<std::uint64_t, kBucketCount>& buckets() const

@@ -8,12 +8,16 @@ std::vector<RuleMatches>
 enumerateActions(const Ruleset& ruleset, const ExprPtr& program,
                  int max_locations)
 {
+    const SiteTable sites(program);
     std::vector<RuleMatches> actions;
     for (std::size_t r = 0; r < ruleset.size(); ++r) {
-        std::vector<int> locations =
-            ruleset[r].findMatches(program, max_locations);
-        if (!locations.empty()) {
-            actions.push_back({static_cast<int>(r), std::move(locations)});
+        const std::vector<Match> found =
+            ruleset[r].matches(sites, max_locations);
+        if (found.empty()) continue;
+        RuleMatches& action = actions.emplace_back();
+        action.rule_index = static_cast<int>(r);
+        for (const Match& match : found) {
+            action.locations.push_back(match.index);
         }
     }
     return actions;
@@ -30,23 +34,20 @@ greedyOptimize(const Ruleset& ruleset, const ExprPtr& program,
 
     double current_cost = result.initial_cost;
     for (int step = 0; step < max_steps; ++step) {
+        const SiteTable sites(result.program);
         ExprPtr best;
         double best_cost = current_cost;
         int best_rule = -1;
         for (std::size_t r = 0; r < ruleset.size(); ++r) {
-            const std::vector<int> locations =
-                ruleset[r].findMatches(result.program, max_locations);
-            for (std::size_t ordinal = 0; ordinal < locations.size();
-                 ++ordinal) {
-                ExprPtr candidate =
-                    ruleset[r].applyAt(result.program,
-                                       static_cast<int>(ordinal));
-                if (!candidate) continue;
+            for (Match& match : ruleset[r].matches(sites, max_locations)) {
+                // A repeat is an earlier match's candidate: it costs the
+                // same, and ties keep the earlier one.
+                if (match.repeat) continue;
                 const double candidate_cost =
-                    ir::cost(candidate, weights, costs);
+                    ir::cost(match.candidate, weights, costs);
                 if (candidate_cost < best_cost) {
                     best_cost = candidate_cost;
-                    best = std::move(candidate);
+                    best = std::move(match.candidate);
                     best_rule = static_cast<int>(r);
                 }
             }

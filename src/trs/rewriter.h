@@ -4,10 +4,15 @@
 /// implements the *original* (pre-RL) CHEHAB TRS used as a baseline in
 /// Fig. 12.
 ///
+/// Both walk one SiteTable per program (per step for greedyOptimize)
+/// that every rule shares, so a rewrite step costs one pass per rule over
+/// the distinct node objects, not one over the tree expansion.
+///
 /// Thread-safety: both functions are pure — no statics, no RNG, no
-/// mutation of the ruleset or program — so any number of threads may
-/// run them concurrently against one shared Ruleset. greedyOptimize is
-/// deterministic (ties break on rule order, then match ordinal).
+/// mutation of the ruleset or program, all walk state local to the call —
+/// so any number of threads may run them concurrently against one shared
+/// Ruleset. greedyOptimize is deterministic (ties break on rule order,
+/// then match ordinal).
 #pragma once
 
 #include <vector>
@@ -43,10 +48,11 @@ struct OptimizeResult
 };
 
 /// Greedy best-improvement TRS: at every step evaluates all applicable
-/// (rule, location) pairs and applies the one with the largest strict
-/// cost decrease; stops when no rewrite improves the cost or after
-/// \p max_steps. This is deterministic and corresponds to the original
-/// CHEHAB compiler's heuristic rule application.
+/// (rule, location) pairs, the first \p max_locations of each rule, and
+/// applies the one with the largest strict cost decrease; stops when no
+/// rewrite improves the cost or after \p max_steps. This is
+/// deterministic and corresponds to the original CHEHAB compiler's
+/// heuristic rule application.
 OptimizeResult greedyOptimize(const Ruleset& ruleset,
                               const ir::ExprPtr& program,
                               const ir::CostWeights& weights = {},

@@ -1,6 +1,7 @@
 #include "trs/rule.h"
 
-#include "ir/analysis.h"
+#include <algorithm>
+
 #include "ir/parser.h"
 
 namespace chehab::trs {
@@ -35,38 +36,70 @@ RewriteRule::applyToSubtree(const ExprPtr& node) const
     return substitute(rhs_, bindings);
 }
 
+std::vector<Match>
+RewriteRule::matches(const SiteTable& sites, int max_matches) const
+{
+    std::vector<Match> found;
+    if (max_matches <= 0) return found;
+    const std::size_t limit = static_cast<std::size_t>(max_matches);
+    const std::vector<SiteTable::Visit>& visits = sites.visits();
+    // Visit 0 is the root, the only site of a root-only rule.
+    const std::size_t end = root_only_ ? 1 : visits.size();
+    SiteTable::Buffers buffers;
+    for (std::size_t v = 0; v < end && found.size() < limit; ++v) {
+        const SiteTable::Visit& visit = visits[v];
+        if (visit.first) {
+            const auto rewritten = applyToSubtree(sites.node(visit.slot));
+            if (!rewritten) continue;
+            // The rewrite must leave the whole program well typed;
+            // widening rewrites inside an enclosing operator would not.
+            ExprPtr candidate = sites.rewrite(visit.slot, *rewritten, buffers);
+            if (candidate) found.push_back({visit.index, std::move(candidate)});
+            continue;
+        }
+        // A repeated node object: its subtree's positions repeat those of
+        // the first occurrence, whose matches are all in `found` already
+        // (it lies wholly before this visit, and the cap is not reached).
+        const int first = sites.firstIndex(visit.slot);
+        const int last = first + sites.node(visit.slot)->numNodes();
+        const auto at = [&](int index) {
+            return static_cast<std::size_t>(
+                std::lower_bound(found.begin(), found.end(), index,
+                                 [](const Match& m, int i) {
+                                     return m.index < i;
+                                 }) -
+                found.begin());
+        };
+        const std::size_t hi = at(last);
+        for (std::size_t k = at(first); k < hi && found.size() < limit; ++k) {
+            Match repeat = found[k];
+            repeat.index += visit.index - first;
+            repeat.repeat = true;
+            found.push_back(std::move(repeat));
+        }
+    }
+    return found;
+}
+
 std::vector<int>
 RewriteRule::findMatches(const ExprPtr& root, int max_matches) const
 {
-    std::vector<int> matches;
-    const int limit = root_only_ ? 1 : root->numNodes();
-    for (int index = 0; index < limit; ++index) {
-        if (static_cast<int>(matches.size()) >= max_matches) break;
-        const ExprPtr node = ir::subtreeAt(root, index);
-        auto rewritten = applyToSubtree(node);
-        if (!rewritten) continue;
-        // The rewrite must leave the whole program well typed; widening
-        // rewrites inside an enclosing operator would not. Rewrites apply
-        // DAG-style: every structurally identical occurrence changes.
-        const ExprPtr candidate =
-            index == 0 ? *rewritten
-                       : ir::replaceAll(root, node, *rewritten);
-        if (ir::wellTyped(candidate)) matches.push_back(index);
+    std::vector<int> indices;
+    for (const Match& match : matches(SiteTable(root), max_matches)) {
+        indices.push_back(match.index);
     }
-    return matches;
+    return indices;
 }
 
 ir::ExprPtr
 RewriteRule::applyAt(const ExprPtr& root, int ordinal) const
 {
-    const std::vector<int> matches = findMatches(root, ordinal + 1);
-    if (ordinal >= static_cast<int>(matches.size())) return nullptr;
-    const int index = matches[ordinal];
-    const ExprPtr node = ir::subtreeAt(root, index);
-    auto rewritten = applyToSubtree(node);
-    if (!rewritten) return nullptr;
-    return index == 0 ? *rewritten
-                      : ir::replaceAll(root, node, *rewritten);
+    // A program has fewer matches than positions; this also keeps
+    // ordinal + 1 from overflowing.
+    if (ordinal < 0 || ordinal >= root->numNodes()) return nullptr;
+    std::vector<Match> found = matches(SiteTable(root), ordinal + 1);
+    if (ordinal >= static_cast<int>(found.size())) return nullptr;
+    return std::move(found[static_cast<std::size_t>(ordinal)].candidate);
 }
 
 } // namespace chehab::trs

@@ -11,8 +11,19 @@
 
 #include "ir/expr.h"
 #include "trs/pattern.h"
+#include "trs/site_table.h"
 
 namespace chehab::trs {
+
+/// One place where a rule applies.
+struct Match
+{
+    int index = 0;         ///< Pre-order position of the rewritten node.
+    ir::ExprPtr candidate; ///< The whole program after the rewrite.
+    /// The same node object sits at an earlier match, so this is that
+    /// match's candidate again.
+    bool repeat = false;
+};
 
 /// Classification used by ablations and docs.
 enum class RuleKind : std::uint8_t {
@@ -61,14 +72,22 @@ class RewriteRule
     /// Attempt to rewrite exactly the given subtree (not its descendants).
     std::optional<ir::ExprPtr> applyToSubtree(const ir::ExprPtr& node) const;
 
-    /// Pre-order indices of all nodes where the rule applies *and* the
-    /// resulting whole program stays well typed. At most \p max_matches
-    /// are returned (the location network has a fixed-width head).
+    /// Every pre-order position of \p sites' program where the rule
+    /// applies *and* the resulting whole program stays well typed, in
+    /// pre-order, with that program. At most \p max_matches are returned
+    /// (the location network has a fixed-width head). The rule is tried
+    /// once per distinct node object and each candidate is built and
+    /// typed once; a repeated node object yields its first occurrence's
+    /// candidate again, flagged as a repeat.
+    std::vector<Match> matches(const SiteTable& sites,
+                               int max_matches = 64) const;
+
+    /// The positions of matches() on \p root.
     std::vector<int> findMatches(const ir::ExprPtr& root,
                                  int max_matches = 64) const;
 
     /// Rewrite the \p ordinal -th match (0-based, pre-order). Returns the
-    /// new root, or nullptr if there are fewer matches.
+    /// new root, or nullptr if there is no such match.
     ir::ExprPtr applyAt(const ir::ExprPtr& root, int ordinal) const;
 
   private:

@@ -34,6 +34,46 @@ TEST(TypeTest, RejectsShapeErrors)
     EXPECT_THROW(typeOf(parse("(<< a 1)")), CompileError);
 }
 
+TEST(TypeTest, WellTypedAgreesWithTypeOf)
+{
+    for (const char* text :
+         {"(+ (Vec a b) c)", "(VecAdd a b)", "(VecAdd (Vec a b) (Vec c d e))",
+          "(Vec (Vec a b) c)", "(<< a 1)", "(- (Vec a b))",
+          "(VecNeg a)"}) {
+        EXPECT_FALSE(wellTyped(parse(text))) << text;
+    }
+    EXPECT_TRUE(wellTyped(parse("(VecMul (<< (Vec a b) 1) (Vec (pt w) 2))")));
+}
+
+TEST(TypeTest, ReportsFirstViolationInChildOrder)
+{
+    // A Vec rejects a vector element before typing the elements after
+    // it; other operators type every operand first.
+    try {
+        typeOf(parse("(Vec (Vec a b) (+ (Vec c d) e))"));
+        FAIL() << "ill-typed program accepted";
+    } catch (const CompileError& error) {
+        EXPECT_STREQ(error.what(), "nested vector inside Vec constructor");
+    }
+    try {
+        typeOf(parse("(VecAdd (Vec a b) (VecAdd (Vec c d) (Vec e f g)))"));
+        FAIL() << "ill-typed program accepted";
+    } catch (const CompileError& error) {
+        EXPECT_STREQ(error.what(), "vector width mismatch: 2 vs 3");
+    }
+}
+
+TEST(TypeTest, RejectsWrongArity)
+{
+    // Only hand-built (or deserialized) nodes can carry the wrong
+    // operand count; the parser rejects them.
+    const ExprPtr unary_add = makeNode(Op::Add, {var("a")}, {}, 0, 0);
+    EXPECT_THROW(typeOf(unary_add), CompileError);
+    EXPECT_FALSE(wellTyped(unary_add));
+    EXPECT_EQ(multiplicativeDepth(makeNode(Op::Mul, {var("a")}, {}, 0, 0)),
+              0);
+}
+
 TEST(TypeTest, RotatePreservesWidth)
 {
     const TypeInfo t = typeOf(parse("(<< (Vec a b c d) 2)"));

@@ -131,6 +131,28 @@ TEST(LatencyHistogramTest, PercentileMatchesSortedReferenceBucket)
     EXPECT_LE(hist.percentile(100.0), hist.max() * 1.2);
 }
 
+TEST(LatencyHistogramTest, PercentilesStayWithinObservedRange)
+{
+    // A skewed sample whose minimum sits high in its bucket and whose
+    // maximum sits low in its bucket: unclamped, p0's bucket midpoint
+    // lies below the minimum and p100's above the maximum.
+    Hist hist;
+    hist.record(1.2e-3);
+    for (int i = 0; i < 98; ++i) hist.record(2e-3);
+    hist.record(1.05);
+    for (double p : {0.0, 1.0, 50.0, 99.0, 99.9, 100.0}) {
+        EXPECT_GE(hist.percentile(p), hist.min()) << "p" << p;
+        EXPECT_LE(hist.percentile(p), hist.max()) << "p" << p;
+    }
+    EXPECT_DOUBLE_EQ(hist.percentile(100.0), hist.max());
+    EXPECT_DOUBLE_EQ(hist.percentile(0.0), hist.min());
+    // Clamping keeps each percentile in its rank's bucket.
+    EXPECT_EQ(Hist::bucketIndex(hist.percentile(100.0)),
+              Hist::bucketIndex(1.05));
+    EXPECT_EQ(Hist::bucketIndex(hist.percentile(0.0)),
+              Hist::bucketIndex(1.2e-3));
+}
+
 TEST(LatencyHistogramTest, MergeEqualsCombinedStream)
 {
     std::mt19937 rng(99);

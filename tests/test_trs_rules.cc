@@ -4,6 +4,8 @@
 /// composite rotation rules of Appendix E.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ir/analysis.h"
 #include "ir/evaluator.h"
 #include "ir/parser.h"
@@ -220,6 +222,21 @@ TEST_F(RulesetTest, LocationOrdinalSelectsMatch)
               "(Vec (+ (* a b) (* a c)) (* x (+ y z)))");
     // Out-of-range ordinal returns null.
     EXPECT_EQ(r.applyAt(program, 2), nullptr);
+}
+
+TEST_F(RulesetTest, NegativeOrdinalReturnsNull)
+{
+    // Negative ordinals name no match, on programs with and without one.
+    const RewriteRule& r = rule("comm-factor-ll");
+    EXPECT_EQ(r.applyAt(parse("(+ (* a b) (* a c))"), -1), nullptr);
+    EXPECT_EQ(r.applyAt(parse("(+ a b)"), -1), nullptr);
+    EXPECT_EQ(r.applyAt(parse("(+ (* a b) (* a c))"),
+                        std::numeric_limits<int>::min()),
+              nullptr);
+    // So do ordinals far past the end (no ordinal + 1 overflow).
+    EXPECT_EQ(r.applyAt(parse("(+ (* a b) (* a c))"),
+                        std::numeric_limits<int>::max()),
+              nullptr);
 }
 
 TEST_F(RulesetTest, MotivatingExampleSequence)
