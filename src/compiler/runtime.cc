@@ -51,23 +51,6 @@ FheRuntime::packBase(const FheInstr& instr, const ir::Env& env) const
 }
 
 std::vector<std::int64_t>
-FheRuntime::packValues(const FheInstr& instr, const ir::Env& env) const
-{
-    std::vector<std::int64_t> base = packBase(instr, env);
-    if (!instr.replicate) return base;
-    // Replicate period-w across the whole row so a single ciphertext
-    // rotation realizes the width-w cyclic rotation.
-    const int width = static_cast<int>(base.size());
-    std::vector<std::int64_t> replicated(
-        static_cast<std::size_t>(scheme_.slots()));
-    for (int i = 0; i < scheme_.slots(); ++i) {
-        replicated[static_cast<std::size_t>(i)] =
-            base[static_cast<std::size_t>(i % width)];
-    }
-    return replicated;
-}
-
-std::vector<std::int64_t>
 FheRuntime::packLaneRegion(const FheInstr& instr, const ir::Env& env,
                            int lane_stride) const
 {
@@ -96,10 +79,11 @@ FheRuntime::packLaneRegion(const FheInstr& instr, const ir::Env& env,
 }
 
 RotationKeyPlan
-effectiveKeyPlanFor(const std::vector<int>& steps, int key_budget)
+effectiveKeyPlan(const FheProgram& program, int key_budget)
 {
     // Rotation-key selection (App. B): under a budget, rotations execute
     // as NAF-component sequences.
+    const std::vector<int> steps = program.rotationSteps();
     if (key_budget > 0) return selectRotationKeys(steps, key_budget);
     RotationKeyPlan plan;
     plan.keys = steps;
@@ -107,17 +91,74 @@ effectiveKeyPlanFor(const std::vector<int>& steps, int key_budget)
     return plan;
 }
 
-RotationKeyPlan
-effectiveKeyPlan(const FheProgram& program, int key_budget)
+RowPlan
+programRow(const FheProgram& program, std::vector<const ir::Env*> lanes,
+           int lane_stride)
 {
-    return effectiveKeyPlanFor(program.rotationSteps(), key_budget);
+    RowMember member;
+    member.instr_end = static_cast<int>(program.instrs.size());
+    member.output_reg = program.output_reg;
+    member.output_width = std::min(program.output_width, lane_stride);
+    member.lanes = std::move(lanes);
+    return {lane_stride, {std::move(member)}};
 }
+
+namespace {
+
+/// Throws CompileError unless \p plan can execute every rotation of
+/// \p program on a \p slots-slot row: each step needs a decomposition,
+/// and each component that is not a whole-row rotation (zero mod slots)
+/// needs a key in plan.keys. A plan from a tampered or stale artifact
+/// would otherwise reach SealLite's missing-key assert mid-evaluation.
+void
+checkKeyPlan(const FheProgram& program, const RotationKeyPlan& plan,
+             int slots)
+{
+    const auto normalized = [slots](int step) {
+        return ((step % slots) + slots) % slots;
+    };
+    for (const FheInstr& instr : program.instrs) {
+        if (instr.op != FheOpcode::Rotate) continue;
+        const auto it = plan.decomposition.find(instr.step);
+        if (it == plan.decomposition.end()) {
+            throw CompileError(
+                "rotation-key plan has no decomposition for step " +
+                std::to_string(instr.step));
+        }
+        for (int component : it->second) {
+            const int needed = normalized(component);
+            if (needed == 0) continue;
+            const bool keyed = std::any_of(
+                plan.keys.begin(), plan.keys.end(),
+                [&](int key) { return normalized(key) == needed; });
+            if (!keyed) {
+                throw CompileError(
+                    "rotation-key plan has no Galois key for component " +
+                    std::to_string(component) + " of step " +
+                    std::to_string(instr.step));
+            }
+        }
+    }
+}
+
+} // namespace
 
 RunResult
 FheRuntime::run(const FheProgram& program, const ir::Env& env,
                 int key_budget)
 {
     return run(program, env, effectiveKeyPlan(program, key_budget));
+}
+
+RunResult
+FheRuntime::run(const FheProgram& program, const ir::Env& env,
+                const RotationKeyPlan& plan)
+{
+    RowResult row =
+        execute(program, plan, programRow(program, {&env}, slots()));
+    RunResult result = std::move(row.shared);
+    result.output = std::move(row.member_outputs.front().front());
+    return result;
 }
 
 void
@@ -329,210 +370,61 @@ FheRuntime::evaluateServer(
     return watch.elapsedSeconds();
 }
 
-RunResult
-FheRuntime::run(const FheProgram& program, const ir::Env& env,
-                const RotationKeyPlan& plan)
+RowResult
+FheRuntime::execute(const FheProgram& program, const RotationKeyPlan& plan,
+                    const RowPlan& row)
 {
-    const Stopwatch setup_watch;
-    RunResult result;
-    result.counts = program.counts();
-    result.fresh_noise_budget = scheme_.freshNoiseBudget();
-
-    scheme_.makeGaloisKeys(plan.keys);
-    result.rotation_keys = static_cast<int>(plan.keys.size());
-
-    // Client-side phase: pack, encode, encrypt.
-    std::unordered_map<int, fhe::Ciphertext> cts;
-    std::unordered_map<int, fhe::Plaintext> plains;
-    for (const FheInstr& instr : program.instrs) {
-        if (instr.op == FheOpcode::PackCipher) {
-            cts.emplace(instr.dst,
-                        scheme_.encrypt(scheme_.encode(
-                            packValues(instr, env))));
-        } else if (instr.op == FheOpcode::PackPlain) {
-            plains.emplace(instr.dst,
-                           scheme_.encode(packValues(instr, env)));
-        }
-    }
-
-    result.setup_seconds = setup_watch.elapsedSeconds();
-    result.exec_seconds =
-        evaluateServer(program, plan, cts, plains, {program.output_reg},
-                       result.fresh_noise_budget, &result.mod_switch_drops);
-    const Stopwatch decode_watch;
-
-    // Degenerate all-plaintext programs produce a plaintext output
-    // register: nothing homomorphic ever ran.
-    if (!cts.count(program.output_reg)) {
-        const std::vector<std::int64_t> values =
-            scheme_.decode(plains.at(program.output_reg));
-        result.final_noise_budget = result.fresh_noise_budget;
-        result.output.assign(
-            values.begin(),
-            values.begin() + std::min<std::size_t>(
-                                 values.size(),
-                                 static_cast<std::size_t>(
-                                     program.output_width)));
-        result.decode_seconds = decode_watch.elapsedSeconds();
-        recycleCiphertexts(cts);
-        return result;
-    }
-
-    const fhe::Ciphertext& out = cts.at(program.output_reg);
-    result.final_noise_budget = scheme_.noiseBudgetBits(out);
-    result.consumed_noise =
-        result.fresh_noise_budget - result.final_noise_budget;
-
-    const std::vector<std::int64_t> decrypted = scheme_.decrypt(out);
-    result.output.assign(
-        decrypted.begin(),
-        decrypted.begin() + std::min<std::size_t>(
-                                decrypted.size(),
-                                static_cast<std::size_t>(
-                                    program.output_width)));
-    result.decode_seconds = decode_watch.elapsedSeconds();
-    recycleCiphertexts(cts);
-    return result;
-}
-
-PackedRunResult
-FheRuntime::runPacked(const FheProgram& program,
-                      const std::vector<const ir::Env*>& lanes,
-                      const RotationKeyPlan& plan, int lane_stride)
-{
-    const int num_lanes = static_cast<int>(lanes.size());
-    if (lane_stride <= 0 || num_lanes <= 0 ||
-        scheme_.slots() % lane_stride != 0 ||
-        num_lanes * lane_stride > scheme_.slots()) {
-        throw CompileError(
-            "lane layout exceeds the batching row (" +
-            std::to_string(num_lanes) + " x " +
-            std::to_string(lane_stride) + " > " +
-            std::to_string(scheme_.slots()) + ")");
-    }
-    if (program.output_width > lane_stride) {
-        throw CompileError("output wider than the lane stride");
-    }
-    // Pad the row to full capacity with phantom copies of lane 0: a
-    // partially-used row would leave a zero zone whose content after
-    // rotations is not covered by the planner's per-region safety
-    // invariants, whereas a fully-laned row is (every region behaves
-    // like a real lane, and lane 0's wraparound neighbour is one).
-    const int num_regions = scheme_.slots() / lane_stride;
-
-    const Stopwatch setup_watch;
-    PackedRunResult packed;
-    RunResult& result = packed.shared;
-    result.counts = program.counts();
-    result.fresh_noise_budget = scheme_.freshNoiseBudget();
-
-    scheme_.makeGaloisKeys(plan.keys);
-    result.rotation_keys = static_cast<int>(plan.keys.size());
-
-    // Client-side phase: pack every lane's region, encode the shared
-    // row once per instruction, encrypt once per PackCipher.
-    std::unordered_map<int, fhe::Ciphertext> cts;
-    std::unordered_map<int, fhe::Plaintext> plains;
-    std::vector<std::vector<std::int64_t>> regions(
-        static_cast<std::size_t>(num_regions));
-    for (const FheInstr& instr : program.instrs) {
-        if (instr.op != FheOpcode::PackCipher &&
-            instr.op != FheOpcode::PackPlain) {
-            continue;
-        }
-        for (int l = 0; l < num_regions; ++l) {
-            const ir::Env& env =
-                *lanes[static_cast<std::size_t>(l < num_lanes ? l : 0)];
-            regions[static_cast<std::size_t>(l)] =
-                packLaneRegion(instr, env, lane_stride);
-        }
-        fhe::Plaintext plain = scheme_.encodeLanes(regions, lane_stride);
-        if (instr.op == FheOpcode::PackCipher) {
-            cts.emplace(instr.dst, scheme_.encrypt(plain));
-        } else {
-            plains.emplace(instr.dst, std::move(plain));
-        }
-    }
-
-    result.setup_seconds = setup_watch.elapsedSeconds();
-    result.exec_seconds =
-        evaluateServer(program, plan, cts, plains, {program.output_reg},
-                       result.fresh_noise_budget, &result.mod_switch_drops);
-    const Stopwatch decode_watch;
-
-    if (!cts.count(program.output_reg)) {
-        // All-plaintext program: mirror run()'s degenerate path.
-        result.final_noise_budget = result.fresh_noise_budget;
-        packed.lane_outputs =
-            scheme_.decodeLanes(plains.at(program.output_reg), lane_stride,
-                                program.output_width, num_lanes);
-        result.decode_seconds = decode_watch.elapsedSeconds();
-        recycleCiphertexts(cts);
-        return packed;
-    }
-
-    const fhe::Ciphertext& out = cts.at(program.output_reg);
-    result.final_noise_budget = scheme_.noiseBudgetBits(out);
-    result.consumed_noise =
-        result.fresh_noise_budget - result.final_noise_budget;
-    packed.lane_outputs = scheme_.decryptLanes(
-        out, lane_stride, program.output_width, num_lanes);
-    result.decode_seconds = decode_watch.elapsedSeconds();
-    recycleCiphertexts(cts);
-    return packed;
-}
-
-CompositeRunResult
-FheRuntime::runComposite(
-    const CompositeProgram& composite,
-    const std::vector<std::vector<const ir::Env*>>& member_lanes)
-{
-    const FheProgram& program = composite.program;
-    const int stride = composite.lane_stride;
+    const int stride = row.lane_stride;
     if (stride <= 0 || scheme_.slots() % stride != 0) {
-        throw CompileError("composite lane stride does not tile the row");
+        throw CompileError("lane stride " + std::to_string(stride) +
+                           " does not tile the " +
+                           std::to_string(scheme_.slots()) + "-slot row");
     }
     const int num_regions = scheme_.slots() / stride;
-    if (composite.members.empty() ||
-        member_lanes.size() != composite.members.size()) {
-        throw CompileError("composite member/lane-set mismatch");
-    }
-    for (std::size_t m = 0; m < composite.members.size(); ++m) {
-        const CompositeMember& member = composite.members[m];
-        if (member.lane_count <= 0 || member.lane_base < 0 ||
-            member.lane_base + member.lane_count > num_regions) {
+    if (row.members.empty()) throw CompileError("row has no members");
+    for (const RowMember& member : row.members) {
+        const int lane_count = static_cast<int>(member.lanes.size());
+        if (lane_count == 0 || member.lane_base < 0 ||
+            member.lane_base + lane_count > num_regions) {
             throw CompileError(
-                "composite lane layout exceeds the batching row");
+                "lane layout exceeds the batching row (lanes [" +
+                std::to_string(member.lane_base) + ", " +
+                std::to_string(member.lane_base + lane_count) + ") of " +
+                std::to_string(num_regions) + ")");
         }
-        if (static_cast<int>(member_lanes[m].size()) != member.lane_count) {
-            throw CompileError("composite member lane-count mismatch");
+        if (member.instr_begin < 0 || member.instr_begin > member.instr_end ||
+            member.instr_end > static_cast<int>(program.instrs.size())) {
+            throw CompileError("row member outside the instruction stream");
         }
-        if (member.output_width > stride) {
-            throw CompileError("output wider than the lane stride");
+        if (member.output_width < 0 || member.output_width > stride) {
+            throw CompileError("output width " +
+                               std::to_string(member.output_width) +
+                               " does not fit the lane stride " +
+                               std::to_string(stride));
         }
     }
+    checkKeyPlan(program, plan, scheme_.slots());
 
     const Stopwatch setup_watch;
-    CompositeRunResult composite_result;
-    RunResult& result = composite_result.shared;
+    RowResult row_result;
+    RunResult& result = row_result.shared;
     result.counts = program.counts();
     result.fresh_noise_budget = scheme_.freshNoiseBudget();
 
-    scheme_.makeGaloisKeys(composite.plan.keys);
-    result.rotation_keys = static_cast<int>(composite.plan.keys.size());
+    scheme_.makeGaloisKeys(plan.keys);
+    result.rotation_keys = static_cast<int>(plan.keys.size());
 
     // Client-side phase: every pack instruction belongs to exactly one
-    // member slice; its regions carry that member's request lanes at
-    // the member's composite-lane block and phantom copies of the
-    // member's first lane everywhere else, so each member's rows are
-    // fully laned (the shape its lane-safety certificate assumes).
+    // member slice; its regions carry that member's lanes at the
+    // member's lane block and phantom copies of its first lane
+    // everywhere else. The row is encoded once per instruction and
+    // encrypted once per PackCipher.
     std::unordered_map<int, fhe::Ciphertext> cts;
     std::unordered_map<int, fhe::Plaintext> plains;
     std::vector<std::vector<std::int64_t>> regions(
         static_cast<std::size_t>(num_regions));
-    for (std::size_t m = 0; m < composite.members.size(); ++m) {
-        const CompositeMember& member = composite.members[m];
-        const std::vector<const ir::Env*>& lanes = member_lanes[m];
+    for (const RowMember& member : row.members) {
+        const int lane_count = static_cast<int>(member.lanes.size());
         for (int i = member.instr_begin; i < member.instr_end; ++i) {
             const FheInstr& instr =
                 program.instrs[static_cast<std::size_t>(i)];
@@ -543,9 +435,9 @@ FheRuntime::runComposite(
             for (int r = 0; r < num_regions; ++r) {
                 const int lane = r - member.lane_base;
                 const ir::Env& env =
-                    (lane >= 0 && lane < member.lane_count)
-                        ? *lanes[static_cast<std::size_t>(lane)]
-                        : *lanes.front();
+                    (lane >= 0 && lane < lane_count)
+                        ? *member.lanes[static_cast<std::size_t>(lane)]
+                        : *member.lanes.front();
                 regions[static_cast<std::size_t>(r)] =
                     packLaneRegion(instr, env, stride);
             }
@@ -560,46 +452,47 @@ FheRuntime::runComposite(
 
     // Every member's output register must survive to the readout below.
     std::vector<int> protected_regs;
-    protected_regs.reserve(composite.members.size());
-    for (const CompositeMember& member : composite.members) {
+    protected_regs.reserve(row.members.size());
+    for (const RowMember& member : row.members) {
         protected_regs.push_back(member.output_reg);
     }
 
     result.setup_seconds = setup_watch.elapsedSeconds();
     result.exec_seconds =
-        evaluateServer(program, composite.plan, cts, plains, protected_regs,
+        evaluateServer(program, plan, cts, plains, protected_regs,
                        result.fresh_noise_budget, &result.mod_switch_drops);
     const Stopwatch decode_watch;
 
     // Per-member readout: each member's output lives in its own
-    // (renamed) register, so noise accounting is per member; the shared
-    // result reports the minimum so the caller's exhausted-budget
-    // fallback stays conservative.
-    result.final_noise_budget = result.fresh_noise_budget;
-    for (const CompositeMember& member : composite.members) {
-        if (cts.count(member.output_reg)) {
-            const fhe::Ciphertext& out = cts.at(member.output_reg);
-            const int budget = scheme_.noiseBudgetBits(out);
-            composite_result.member_final_budgets.push_back(budget);
-            result.final_noise_budget =
-                std::min(result.final_noise_budget, budget);
-            composite_result.member_outputs.push_back(scheme_.decryptLanes(
-                out, stride, member.output_width, member.lane_count,
+    // register, so noise accounting is per member; the shared result
+    // reports the minimum so a caller's exhausted-budget check stays
+    // conservative.
+    for (const RowMember& member : row.members) {
+        const int lane_count = static_cast<int>(member.lanes.size());
+        auto out = cts.find(member.output_reg);
+        if (out != cts.end()) {
+            row_result.member_final_budgets.push_back(
+                scheme_.noiseBudgetBits(out->second));
+            row_result.member_outputs.push_back(scheme_.decryptLanes(
+                out->second, stride, member.output_width, lane_count,
                 member.lane_base));
         } else {
             // All-plaintext member: nothing homomorphic ran for it.
-            composite_result.member_final_budgets.push_back(
+            row_result.member_final_budgets.push_back(
                 result.fresh_noise_budget);
-            composite_result.member_outputs.push_back(scheme_.decodeLanes(
+            row_result.member_outputs.push_back(scheme_.decodeLanes(
                 plains.at(member.output_reg), stride, member.output_width,
-                member.lane_count, member.lane_base));
+                lane_count, member.lane_base));
         }
     }
+    result.final_noise_budget =
+        *std::min_element(row_result.member_final_budgets.begin(),
+                          row_result.member_final_budgets.end());
     result.consumed_noise =
         result.fresh_noise_budget - result.final_noise_budget;
     result.decode_seconds = decode_watch.elapsedSeconds();
     recycleCiphertexts(cts);
-    return composite_result;
+    return row_result;
 }
 
 OpLatencies

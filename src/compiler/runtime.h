@@ -41,59 +41,52 @@ struct RunResult
     int mod_switch_drops = 0;
 };
 
-/// Outcome of executing one lane-packed program: the shared row's
-/// noise/latency accounting plus each lane's output slice. The noise
-/// fields describe the *shared* ciphertext — every lane's data rode the
-/// same row, so per-lane noise is by construction the row's noise.
-struct PackedRunResult
-{
-    RunResult shared; ///< output left empty; per-lane slices below.
-    std::vector<std::vector<std::int64_t>> lane_outputs;
-};
-
-/// One member of a cross-kernel composite: a contiguous slice of the
-/// composite instruction stream (one whole source program, registers
-/// renamed to a disjoint range) that owns a contiguous block of
-/// composite lanes. The member's real request lanes occupy composite
-/// lane indices [lane_base, lane_base + lane_count); every other
-/// region of the member's *own* ciphertexts is phantom-padded with a
-/// copy of its first lane, so each member's rows are fully laned and
-/// the per-member lane-safety certification carries over unchanged.
-struct CompositeMember
+/// One member of a row: a contiguous slice of the row's instruction
+/// stream — a whole program, or one renamed program of a cross-kernel
+/// composite — and the lanes it carries. Lane l of the member occupies
+/// row lane lane_base + l; every other region of the member's own
+/// ciphertexts is phantom-padded with a copy of its first lane, so each
+/// member's rows are fully laned (the shape the service's per-member
+/// lane-safety certificate assumes, and, for a one-lane member at
+/// stride = slots(), exactly a solo run's row).
+struct RowMember
 {
     int instr_begin = 0; ///< First instruction of this member's slice.
     int instr_end = 0;   ///< One past the last instruction.
-    int lane_base = 0;   ///< First composite lane this member owns.
-    int lane_count = 0;  ///< Request lanes this member carries.
-    int output_reg = -1; ///< Renamed output register.
-    int output_width = 1;
+    int lane_base = 0;   ///< First row lane this member owns.
+    int output_reg = -1;
+    int output_width = 1; ///< Slots read out per lane (<= the stride).
+    /// One input environment per lane; not owned.
+    std::vector<const ir::Env*> lanes;
 };
 
-/// A cross-kernel composite program: the concatenation of several
-/// members' scheduled instruction streams over one shared register
-/// space, executed as a single stream on one runtime with a merged
-/// rotation-key plan. Members never share registers (renaming keeps
-/// their ciphertexts disjoint), so the composite shares the runtime
-/// lease, Galois keygen and dispatch across kernels while each
+/// What FheRuntime::execute runs: a lane stride that tiles the row and
+/// the members sharing it. Members never share registers, so each
 /// member's values stay exactly its own.
-struct CompositeProgram
+struct RowPlan
 {
-    FheProgram program; ///< Concatenated, renamed instruction stream.
-    std::vector<CompositeMember> members;
-    RotationKeyPlan plan; ///< Merged (union) key plan, sorted keys.
-    int lane_stride = 0;  ///< Common power-of-two stride of all lanes.
+    int lane_stride = 0;
+    std::vector<RowMember> members;
 };
 
-/// Outcome of executing one composite: shared accounting (the reported
-/// final budget is the minimum over the members' output ciphertexts)
-/// plus, per member, its own final noise budget and its lanes' output
-/// slices.
-struct CompositeRunResult
+/// The row that runs all of \p program once over \p lanes (lane l at
+/// row lane l) at \p lane_stride. Each lane reads out the program's
+/// first output_width slots, cut to the stride, as a solo run at
+/// stride = slots() cuts a too-wide output to the row.
+RowPlan programRow(const FheProgram& program,
+                   std::vector<const ir::Env*> lanes, int lane_stride);
+
+/// Outcome of executing one row: shared accounting plus, per member,
+/// its own final noise budget and its lanes' output slices.
+struct RowResult
 {
-    RunResult shared; ///< output left empty; per-member slices below.
+    /// Setup/evaluate/decode timings, counts, fresh budget, rotation
+    /// keys and mod-switch drops of the whole row. Its final budget is
+    /// the minimum over the members' (consumed_noise to match); output
+    /// is left empty.
+    RunResult shared;
     /// Final noise budget of each member's output ciphertext (<= 0
-    /// means that member's outputs are not trustworthy and its lanes
-    /// must fall back to solo execution).
+    /// means that member's outputs are not trustworthy).
     std::vector<int> member_final_budgets;
     /// member_outputs[m][l] = member m's lane l output slice.
     std::vector<std::vector<std::vector<std::int64_t>>> member_outputs;
@@ -125,59 +118,46 @@ struct OpLatencies
 /// analyze the exact decomposed rotation sequence a run will execute.
 RotationKeyPlan effectiveKeyPlan(const FheProgram& program, int key_budget);
 
-/// Same, over an explicit step set (the cross-kernel composer feeds the
-/// union of its members' rotation steps through this).
-RotationKeyPlan effectiveKeyPlanFor(const std::vector<int>& steps,
-                                    int key_budget);
-
 /// Runs FheProgram instruction streams against one SealLite instance.
 class FheRuntime
 {
   public:
     explicit FheRuntime(fhe::SealLiteParams params = {});
 
-    /// Execute \p program with inputs from \p env. When
-    /// \p key_budget > 0, rotation keys are selected with the App. B NAF
-    /// pass under that budget and decomposed rotations run as sequences;
-    /// otherwise one key per distinct step is generated.
+    /// Execute \p program with inputs from \p env: a one-lane row at
+    /// stride = slots() (see execute). When \p key_budget > 0, rotation
+    /// keys are selected with the App. B NAF pass under that budget and
+    /// decomposed rotations run as sequences; otherwise one key per
+    /// distinct step is generated.
     RunResult run(const FheProgram& program, const ir::Env& env,
                   int key_budget = 0);
 
     /// Execute \p program under a precomputed rotation-key plan (e.g.
-    /// the compiler's key-select pass output). The plan must cover every
-    /// rotation step the program uses.
+    /// the compiler's key-select pass output).
     RunResult run(const FheProgram& program, const ir::Env& env,
                   const RotationKeyPlan& plan);
 
-    /// Execute \p program once with one input environment per lane,
-    /// each lane packed into its own \p lane_stride-slot region of the
-    /// shared ciphertext row, and extract every lane's first
-    /// output_width slots. The caller (the service's batch planner) is
-    /// responsible for having proven the program lane-safe at this
-    /// stride; this function only validates capacity. Replicated packs
-    /// replicate within each lane's region, non-replicated packs load
-    /// at the region base with the remainder of the region zeroed, and
-    /// plaintext masks repeat per region so every lane sees the same
-    /// mask the solo program would.
-    PackedRunResult runPacked(const FheProgram& program,
-                              const std::vector<const ir::Env*>& lanes,
-                              const RotationKeyPlan& plan,
-                              int lane_stride);
-
-    /// Execute a cross-kernel composite (see CompositeProgram) once:
-    /// the whole concatenated stream runs on this runtime under the
-    /// merged key plan, member m's pack instructions load
-    /// \p member_lanes[m]'s environments into its composite-lane block
-    /// (phantom-padding every other region of the member's ciphertexts
-    /// with its first lane), and each member's output register is
-    /// decrypted into per-lane slices. \p member_lanes[m].size() must
-    /// equal members[m].lane_count. The caller (the service's batch
-    /// planner) is responsible for having certified every member
-    /// lane-safe at the composite stride; this function only validates
-    /// the lane layout.
-    CompositeRunResult runComposite(
-        const CompositeProgram& composite,
-        const std::vector<std::vector<const ir::Env*>>& member_lanes);
+    /// The one row executor. Runs the instruction stream of \p program
+    /// once on this runtime under \p plan: each pack instruction of a
+    /// member loads that member's lane environments into their lane
+    /// regions of one shared row (replicated packs replicate within
+    /// each region, non-replicated packs load at the region base with
+    /// the rest of the region zeroed, plaintext masks repeat per
+    /// region), and each member's output register is read out as
+    /// per-lane slices. Solo runs, same-kernel packed rows and
+    /// cross-kernel composites are all rows; they differ only in the
+    /// stride and the members.
+    ///
+    /// Throws CompileError, before any key is generated, when the row
+    /// layout does not fit (stride must tile the row, members' lane
+    /// blocks and instruction ranges must lie inside it, outputs must
+    /// fit the stride) or when \p plan cannot execute a rotation of the
+    /// program (a step without a decomposition, or a component that
+    /// needs a Galois key the plan does not name). The caller (the
+    /// service's batch planner) is responsible for having certified
+    /// every member of a multi-lane row lane-safe at the stride.
+    RowResult execute(const FheProgram& program, const RotationKeyPlan& plan,
+                      const RowPlan& row);
 
     /// Microbenchmark the four op classes (median of \p reps).
     OpLatencies calibrate(int reps = 3);
@@ -212,8 +192,6 @@ class FheRuntime
     /// before any replication.
     std::vector<std::int64_t> packBase(const FheInstr& instr,
                                        const ir::Env& env) const;
-    std::vector<std::int64_t> packValues(const FheInstr& instr,
-                                         const ir::Env& env) const;
     /// Lane l's region (length \p lane_stride) for \p instr.
     std::vector<std::int64_t> packLaneRegion(const FheInstr& instr,
                                              const ir::Env& env,
@@ -223,13 +201,12 @@ class FheRuntime
     /// arena-born buffers and the next run on this runtime mints
     /// replacements, so steady state never reaches zero allocations.
     void recycleCiphertexts(std::unordered_map<int, fhe::Ciphertext>& cts);
-    /// The timed server-side phase shared by run(), runPacked() and
-    /// runComposite(). When the program carries a mod-switch plan, each
+    /// The timed server-side phase of execute(). When the program carries a mod-switch plan, each
     /// marked point runs the deterministic noise gate
     /// (compiler/modswitch.h) against \p fresh_noise_budget and, on
     /// success, switches EVERY live ciphertext down one level in
-    /// lockstep (so binary ops always see equal levels — in a composite
-    /// this includes other members' ciphertexts, which is sound because
+    /// lockstep (so binary ops always see equal levels — in a
+    /// multi-member row this includes other members' ciphertexts, which is sound because
     /// switching is exact per ciphertext). Drops taken are added to
     /// \p mod_switch_drops. Registers in \p protected_regs (the
     /// caller's output registers) are never consumed destructively;

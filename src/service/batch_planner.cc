@@ -697,16 +697,16 @@ compositeFingerprint(const BatchPlanner::Group& group)
     return static_cast<std::uint64_t>(h);
 }
 
-compiler::CompositeProgram
+CompositeProgram
 composeGroup(const BatchPlanner::Group& group)
 {
-    compiler::CompositeProgram composite;
-    composite.lane_stride = group.stride;
+    CompositeProgram composite;
+    composite.row.lane_stride = group.stride;
     composite.plan = group.merged_plan;
     int reg_base = 0;
     for (const BatchPlanner::GroupMember& member : group.members) {
         const FheProgram& source = member.compiled->program;
-        compiler::CompositeMember slice;
+        compiler::RowMember slice;
         slice.instr_begin =
             static_cast<int>(composite.program.instrs.size());
         for (const FheInstr& instr : source.instrs) {
@@ -718,10 +718,9 @@ composeGroup(const BatchPlanner::Group& group)
         }
         slice.instr_end = static_cast<int>(composite.program.instrs.size());
         slice.lane_base = member.lane_base;
-        slice.lane_count = static_cast<int>(member.lanes.size());
         slice.output_reg = source.output_reg + reg_base;
         slice.output_width = source.output_width;
-        composite.members.push_back(slice);
+        composite.row.members.push_back(slice);
         // Carry each member's mod-switch plan into the composite stream
         // (points shift by the slice offset). Drops are global barriers
         // at runtime — they switch every member's ciphertexts — so the
@@ -743,8 +742,9 @@ composeGroup(const BatchPlanner::Group& group)
     // The composite's own output fields are unused (readout happens per
     // member slice), but keep them valid: point them at the last
     // member's output.
-    composite.program.output_reg = composite.members.back().output_reg;
-    composite.program.output_width = composite.members.back().output_width;
+    composite.program.output_reg = composite.row.members.back().output_reg;
+    composite.program.output_width =
+        composite.row.members.back().output_width;
     return composite;
 }
 

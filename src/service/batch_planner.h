@@ -9,10 +9,10 @@
 /// and an effective rotation-key budget, assigns each a contiguous
 /// *lane* (a lane_stride-slot region of the row), and hands full or
 /// window-expired groups back to the service, which executes each group
-/// once — via FheRuntime::runPacked when every lane runs the same
-/// compiled artifact, via FheRuntime::runComposite when the group mixes
-/// artifacts (cross-kernel packing) — and scatters per-lane output
-/// slices into the individual responses.
+/// once as one FheRuntime::execute row — the member's own program when
+/// every lane runs the same compiled artifact, a composed program when
+/// the group mixes artifacts (cross-kernel packing) — and scatters
+/// per-lane output slices into the individual responses.
 ///
 /// Cross-kernel packing. With ServiceConfig::cross_kernel on, a row
 /// may be shared by requests running *different* compiled programs:
@@ -378,10 +378,22 @@ consolidateGroups(std::vector<BatchPlanner::Group> groups,
 /// service's composite cache keys on this.
 std::uint64_t compositeFingerprint(const BatchPlanner::Group& group);
 
+/// A cross-kernel composite: the members' scheduled instruction streams
+/// concatenated over one shared register space (registers renamed so
+/// members never share a ciphertext), executed as a single row under
+/// the merged rotation-key plan. The row carries one member per group
+/// member, mirroring its lane block; its lane environments are left
+/// empty for the executing caller to bind, so one composite serves
+/// every recurrence of the same group shape.
+struct CompositeProgram
+{
+    compiler::FheProgram program; ///< Concatenated, renamed stream.
+    compiler::RotationKeyPlan plan; ///< Merged (union) plan, sorted keys.
+    compiler::RowPlan row;         ///< Stride and member slices.
+};
+
 /// Concatenate a canonicalized (>= 1 member) group's programs into one
-/// composite: registers renamed to disjoint ranges, one CompositeMember
-/// per group member mirroring its lane block, and the group's merged
-/// key plan. Pure; the result owns copies of everything it needs.
-compiler::CompositeProgram composeGroup(const BatchPlanner::Group& group);
+/// composite. Pure; the result owns copies of everything it needs.
+CompositeProgram composeGroup(const BatchPlanner::Group& group);
 
 } // namespace chehab::service

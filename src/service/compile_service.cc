@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <exception>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -32,6 +33,35 @@ toWindow(double seconds)
     if (seconds <= 0.0) return std::chrono::nanoseconds{0};
     return std::chrono::nanoseconds{
         static_cast<std::int64_t>(seconds * 1e9)};
+}
+
+/// The rotation-key plan \p lane's run executes: the compiler's key
+/// plan when the artifact carries one, otherwise the runtime's plan for
+/// the lane's effective key budget.
+compiler::RotationKeyPlan
+lanePlan(const BatchLane& lane)
+{
+    if (lane.compiled->key_planned) return lane.compiled->key_plan;
+    return compiler::effectiveKeyPlan(lane.compiled->program,
+                                      lane.group_key.key_budget);
+}
+
+/// A one-lane row carrying \p lane alone (executeRow runs it over the
+/// whole row, seeded from its own run key).
+BatchPlanner::Group
+soloRow(BatchLane lane)
+{
+    BatchPlanner::Group row;
+    row.row_slots = lane.request.params.n / 2;
+    row.total_lanes = 1;
+    row.predicted_sum = lane.predicted;
+    BatchPlanner::GroupMember member;
+    member.compile = lane.group_key.compile;
+    member.compiled = lane.compiled;
+    member.plan = lanePlan(lane);
+    member.lanes.push_back(std::move(lane));
+    row.members.push_back(std::move(member));
+    return row;
 }
 
 } // namespace
@@ -478,8 +508,6 @@ CompileService::tryCoalesce(BatchLane& lane)
     if (row_slots <= 0) return false;
 
     const BatchGroupKey& fit_key = lane.group_key;
-    const int effective_budget = fit_key.key_budget;
-
     const int lanes_cap = config_.max_lanes > 1 ? config_.max_lanes : 0;
 
     std::optional<BatchPlanner::Group> full;
@@ -490,16 +518,10 @@ CompileService::tryCoalesce(BatchLane& lane)
         const bool memo_hit = it != fit_cache_.end();
         if (!memo_hit) {
             // Analyze the exact rotation sequences this run will
-            // execute: the compiler's key plan when present, the
-            // runtime's budget-derived plan otherwise (mirroring the
-            // solo execution path). Memoized per group identity.
+            // execute (the plan its row runs under). Memoized per
+            // group identity.
             GroupFit entry;
-            if (lane.compiled->key_planned) {
-                entry.plan = lane.compiled->key_plan;
-            } else {
-                entry.plan = compiler::effectiveKeyPlan(
-                    lane.compiled->program, effective_budget);
-            }
+            entry.plan = lanePlan(lane);
             entry.fit = analyzeLaneFit(lane.compiled->program, entry.plan,
                                        row_slots);
             // Crude bound so a churn of distinct kernels cannot grow
@@ -672,20 +694,21 @@ CompileService::dispatchGroup(BatchPlanner::Group group, bool window_flush)
             {{"lanes", static_cast<double>(group.total_lanes)},
              {"members", static_cast<double>(group.members.size())}});
     }
-    if (group.total_lanes == 1) {
-        // A group the window closed before any peer arrived: packing a
-        // single request buys nothing, run it solo.
-        submitSoloRun(std::move(group.members.front().lanes.front()));
-        return;
-    }
+    // A group the window closed before any peer arrived is a one-lane
+    // row: executeRow runs it exactly as the solo request.
+    submitRow(std::move(group));
+}
+
+void
+CompileService::submitRow(BatchPlanner::Group row)
+{
     // LPT on the row's predicted seconds (one program execution per
     // member), in the same unit compile tasks are ranked by.
-    const double priority = group.predicted_sum;
-    const std::uint64_t rid =
-        group.members.front().lanes.front().request_id;
-    auto shared = std::make_shared<BatchPlanner::Group>(std::move(group));
+    const double priority = row.predicted_sum;
+    const std::uint64_t rid = row.members.front().lanes.front().request_id;
+    auto shared = std::make_shared<BatchPlanner::Group>(std::move(row));
     pool_->submit(
-        [this, shared](int worker) { executePacked(*shared, worker); },
+        [this, shared](int worker) { executeRow(*shared, worker); },
         priority, ThreadPool::TaskTag{"dispatch", rid, priority});
 }
 
@@ -723,86 +746,7 @@ CompileService::recordExecutePhases(int worker, std::int64_t start_ns,
     telemetry_.observe(telemetry::Phase::Decode, result.decode_seconds);
 }
 
-void
-CompileService::runSoloLane(const BatchLane& lane,
-                            compiler::FheRuntime& runtime, int worker)
-{
-    const std::int64_t span_start =
-        telemetry_.enabled() ? telemetry_.nowNs() : 0;
-    const Stopwatch exec_watch;
-    try {
-        RunArtifact artifact;
-        artifact.compiled = std::shared_ptr<const compiler::Compiled>(
-            lane.compile_entry, lane.compiled);
-        artifact.compile_seconds = lane.compile_seconds;
-        artifact.predicted_seconds = lane.predicted;
-        artifact.window_wait_seconds = lane.window_wait_seconds;
-        // Per-request reseed: bit-identical noise accounting on any
-        // pooled instance (see runtime_pool.h).
-        runtime.scheme().reseedRandomness(runSeed(lane.run_key));
-        if (artifact.compiled->key_planned) {
-            artifact.result =
-                runtime.run(artifact.compiled->program, lane.request.inputs,
-                            artifact.compiled->key_plan);
-        } else {
-            artifact.result =
-                runtime.run(artifact.compiled->program, lane.request.inputs,
-                            lane.request.key_budget);
-        }
-        const double seconds = exec_watch.elapsedSeconds();
-        recordExecutePhases(worker, span_start, lane.request_id,
-                            artifact.result, seconds, /*lanes=*/1);
-        load_model_.observeRun(lane.group_key, lane.estimate, seconds,
-                               artifact.result.setup_seconds);
-        {
-            std::unique_lock<std::mutex> lock(stats_mutex_);
-            ++stats_.executed;
-            ++stats_.solo_runs;
-            stats_.total_exec_seconds += seconds;
-            stats_.mod_switch_drops += static_cast<std::uint64_t>(
-                artifact.result.mod_switch_drops);
-        }
-        load_model_.noteFinished(lane.predicted);
-        lane.entry->publishReady(std::move(artifact), seconds, worker);
-    } catch (const std::exception& e) {
-        telemetry_.instant("run_failed", worker, lane.request_id);
-        {
-            std::unique_lock<std::mutex> lock(stats_mutex_);
-            ++stats_.run_failed;
-        }
-        load_model_.noteFinished(lane.predicted);
-        lane.entry->publishFailure(e.what(), worker);
-    }
-}
-
-void
-CompileService::submitSoloRun(BatchLane lane)
-{
-    const double priority = lane.predicted;
-    const ThreadPool::TaskTag tag{"dispatch", lane.request_id,
-                                  lane.predicted};
-    auto shared = std::make_shared<BatchLane>(std::move(lane));
-    pool_->submit(
-        [this, shared](int worker) {
-            const BatchLane& lane = *shared;
-            try {
-                RuntimePool::Lease lease =
-                    poolFor(lane.request.params).acquire();
-                runSoloLane(lane, lease.runtime(), worker);
-            } catch (const std::exception& e) {
-                // Lease acquisition failed (runtime construction threw).
-                {
-                    std::unique_lock<std::mutex> lock(stats_mutex_);
-                    ++stats_.run_failed;
-                }
-                load_model_.noteFinished(lane.predicted);
-                lane.entry->publishFailure(e.what(), worker);
-            }
-        },
-        priority, tag);
-}
-
-std::shared_ptr<const compiler::CompositeProgram>
+std::shared_ptr<const CompositeProgram>
 CompileService::compositeFor(const BatchPlanner::Group& group)
 {
     const std::uint64_t fingerprint = compositeFingerprint(group);
@@ -815,7 +759,7 @@ CompileService::compositeFor(const BatchPlanner::Group& group)
             return it->second;
         }
     }
-    auto composite = std::make_shared<const compiler::CompositeProgram>(
+    auto composite = std::make_shared<const CompositeProgram>(
         composeGroup(group));
     {
         std::unique_lock<std::mutex> lock(batch_mutex_);
@@ -833,98 +777,109 @@ CompileService::compositeFor(const BatchPlanner::Group& group)
 }
 
 void
-CompileService::executePacked(BatchPlanner::Group& group, int worker)
+CompileService::executeRow(BatchPlanner::Group& row, int worker,
+                           compiler::FheRuntime* runtime)
 {
-    // The group is executed exactly once, on this worker; every lane's
-    // entry is published from here (success, fallback, or failure).
-    const std::uint64_t seed = BatchPlanner::canonicalizeAndSeed(group);
+    // The row is executed exactly once, on this worker; every lane's
+    // entry is published from here (success, fallback, or failure). A
+    // lone lane runs exactly as its solo request: over the whole row,
+    // reseeded from its own run key. A shared row is put in canonical
+    // order and seeded from its lanes' identities.
+    const bool solo = row.total_lanes == 1;
+    std::uint64_t seed = 0;
+    if (solo) {
+        row.stride = row.row_slots;
+        seed = runSeed(row.members.front().lanes.front().run_key);
+    } else {
+        seed = BatchPlanner::canonicalizeAndSeed(row);
+    }
     // Canonical flat lane order, for exception-safe publication.
     std::vector<const BatchLane*> flat;
-    flat.reserve(static_cast<std::size_t>(group.total_lanes));
-    for (const BatchPlanner::GroupMember& member : group.members) {
+    flat.reserve(static_cast<std::size_t>(row.total_lanes));
+    for (const BatchPlanner::GroupMember& member : row.members) {
         for (const BatchLane& lane : member.lanes) flat.push_back(&lane);
     }
-    const std::int64_t span_start =
-        telemetry_.enabled() ? telemetry_.nowNs() : 0;
-    const Stopwatch exec_watch;
+    const auto envsOf = [](const BatchPlanner::GroupMember& member) {
+        std::vector<const ir::Env*> envs;
+        envs.reserve(member.lanes.size());
+        for (const BatchLane& lane : member.lanes) {
+            envs.push_back(&lane.request.inputs);
+        }
+        return envs;
+    };
     std::size_t published = 0; ///< Lane entries settled so far.
     try {
-        RuntimePool::Lease lease =
-            poolFor(flat.front()->request.params).acquire();
-        lease->scheme().reseedRandomness(seed);
-
-        // Run the row: one kernel -> the packed fast path; a mix of
-        // kernels -> the composed concatenation. Both produce the same
-        // shape: per-member final budgets and per-lane output slices.
-        std::vector<int> member_budgets;
-        std::vector<std::vector<std::vector<std::int64_t>>> member_outputs;
-        compiler::RunResult shared;
-        if (group.members.size() == 1) {
-            const BatchPlanner::GroupMember& member = group.members.front();
-            std::vector<const ir::Env*> envs;
-            envs.reserve(member.lanes.size());
-            for (const BatchLane& lane : member.lanes) {
-                envs.push_back(&lane.request.inputs);
-            }
-            compiler::PackedRunResult packed =
-                lease->runPacked(member.compiled->program, envs,
-                                 member.plan, group.stride);
-            shared = std::move(packed.shared);
-            member_budgets.push_back(shared.final_noise_budget);
-            member_outputs.push_back(std::move(packed.lane_outputs));
-        } else {
-            std::shared_ptr<const compiler::CompositeProgram> composite =
-                compositeFor(group);
-            std::vector<std::vector<const ir::Env*>> member_lanes;
-            member_lanes.reserve(group.members.size());
-            for (const BatchPlanner::GroupMember& member : group.members) {
-                std::vector<const ir::Env*> envs;
-                envs.reserve(member.lanes.size());
-                for (const BatchLane& lane : member.lanes) {
-                    envs.push_back(&lane.request.inputs);
-                }
-                member_lanes.push_back(std::move(envs));
-            }
-            compiler::CompositeRunResult result =
-                lease->runComposite(*composite, member_lanes);
-            shared = std::move(result.shared);
-            member_budgets = std::move(result.member_final_budgets);
-            member_outputs = std::move(result.member_outputs);
+        std::optional<RuntimePool::Lease> lease;
+        if (runtime == nullptr) {
+            lease.emplace(poolFor(flat.front()->request.params).acquire());
+            runtime = &lease->runtime();
         }
+        const std::int64_t span_start =
+            telemetry_.enabled() ? telemetry_.nowNs() : 0;
+        const Stopwatch exec_watch;
+        // Bit-identical noise accounting on any pooled instance (see
+        // runtime_pool.h).
+        runtime->scheme().reseedRandomness(seed);
+
+        // One kernel runs its own program (no copy); a mix of kernels
+        // runs the composed concatenation. Both are one row.
+        compiler::RowResult ran;
+        if (row.members.size() == 1) {
+            const BatchPlanner::GroupMember& member = row.members.front();
+            const compiler::FheProgram& program = member.compiled->program;
+            ran = runtime->execute(
+                program, member.plan,
+                compiler::programRow(program, envsOf(member), row.stride));
+        } else {
+            std::shared_ptr<const CompositeProgram> composite =
+                compositeFor(row);
+            compiler::RowPlan layout = composite->row;
+            for (std::size_t m = 0; m < row.members.size(); ++m) {
+                layout.members[m].lanes = envsOf(row.members[m]);
+            }
+            ran = runtime->execute(composite->program, composite->plan,
+                                   layout);
+        }
+        const compiler::RunResult& shared = ran.shared;
 
         const double seconds = exec_watch.elapsedSeconds();
-        recordExecutePhases(worker, span_start,
-                            flat.front()->request_id, shared, seconds,
-                            group.total_lanes);
+        recordExecutePhases(worker, span_start, flat.front()->request_id,
+                            shared, seconds, row.total_lanes);
         // For proportional measured-time attribution per member (each
         // member's program ran exactly once on this row); equal split
         // when every prediction is zero.
         double total_pred = 0.0;
-        for (const BatchPlanner::GroupMember& member : group.members) {
+        for (const BatchPlanner::GroupMember& member : row.members) {
             total_pred += member.lanes.front().predicted;
         }
         {
             std::unique_lock<std::mutex> lock(stats_mutex_);
             ++stats_.executed;
-            ++stats_.packed_groups;
-            if (group.members.size() > 1) {
-                ++stats_.composite_groups;
-                stats_.composite_members += group.members.size();
+            if (solo) {
+                ++stats_.solo_runs;
+            } else {
+                ++stats_.packed_groups;
+                if (row.members.size() > 1) {
+                    ++stats_.composite_groups;
+                    stats_.composite_members += row.members.size();
+                }
             }
             stats_.total_exec_seconds += seconds;
             stats_.mod_switch_drops +=
                 static_cast<std::uint64_t>(shared.mod_switch_drops);
         }
 
-        for (std::size_t m = 0; m < group.members.size(); ++m) {
-            const BatchPlanner::GroupMember& member = group.members[m];
-            if (member_budgets[m] <= 0) {
+        for (std::size_t m = 0; m < row.members.size(); ++m) {
+            const BatchPlanner::GroupMember& member = row.members[m];
+            const int budget = ran.member_final_budgets[m];
+            if (!solo && budget <= 0) {
                 // This member's noise headroom ran out on the shared
                 // row (other lanes' messages fatten the multiply
                 // noise): its packed outputs are no longer
-                // trustworthy, so re-execute its lanes solo — exactly
-                // as if they had never been coalesced. Other members'
-                // outputs live in their own ciphertexts and stand.
+                // trustworthy, so re-execute its lanes as solo rows on
+                // this runtime — exactly as if they had never been
+                // coalesced. Other members' outputs live in their own
+                // ciphertexts and stand.
                 telemetry_.instant(
                     "solo_fallback", worker,
                     member.lanes.front().request_id,
@@ -935,25 +890,26 @@ CompileService::executePacked(BatchPlanner::Group& group, int worker)
                     ++stats_.packed_fallbacks;
                 }
                 for (const BatchLane& lane : member.lanes) {
-                    // runSoloLane settles the entry on success AND
+                    // A solo row settles its entry on success AND
                     // failure.
-                    runSoloLane(lane, lease.runtime(), worker);
+                    BatchPlanner::Group fallback = soloRow(lane);
+                    executeRow(fallback, worker, runtime);
                     ++published;
                 }
                 continue;
             }
             // Feed the measured row time back, attributed to this
             // member's predicted share; fallback members are skipped —
-            // their packed execution was discarded and runSoloLane just
-            // observed their true solo cost, so a diluted packed-share
-            // sample would only bias the profile low for exactly the
-            // groups that should read as expensive.
+            // their packed execution was discarded and their solo rows
+            // just observed their true solo cost, so a diluted
+            // packed-share sample would only bias the profile low for
+            // exactly the groups that should read as expensive.
             {
                 const BatchLane& first = member.lanes.front();
                 const double share =
                     total_pred > 0.0
                         ? first.predicted / total_pred
-                        : 1.0 / static_cast<double>(group.members.size());
+                        : 1.0 / static_cast<double>(row.members.size());
                 load_model_.observeRun(first.group_key, first.estimate,
                                        seconds * share,
                                        shared.setup_seconds * share);
@@ -961,39 +917,44 @@ CompileService::executePacked(BatchPlanner::Group& group, int worker)
             // packed_lanes counts per publication (not the group size
             // up front) so a mid-loop throw leaves the counters
             // consistent with what was actually delivered.
+            const compiler::FheProgram::Counts counts =
+                member.compiled->program.counts();
             for (std::size_t l = 0; l < member.lanes.size(); ++l) {
+                const BatchLane& lane = member.lanes[l];
                 RunArtifact artifact;
                 // The lane's own compile entry: a member may gather
                 // lanes from distinct (content-equal) entries.
                 artifact.compiled =
                     std::shared_ptr<const compiler::Compiled>(
-                        member.lanes[l].compile_entry,
-                        member.lanes[l].compiled);
-                artifact.compile_seconds =
-                    member.lanes[l].compile_seconds;
-                artifact.predicted_seconds = group.predicted_sum;
-                artifact.window_wait_seconds =
-                    member.lanes[l].window_wait_seconds;
+                        lane.compile_entry, lane.compiled);
+                artifact.compile_seconds = lane.compile_seconds;
+                artifact.predicted_seconds = row.predicted_sum;
+                artifact.window_wait_seconds = lane.window_wait_seconds;
                 artifact.result = shared;
-                artifact.result.counts =
-                    member.compiled->program.counts();
-                artifact.result.final_noise_budget = member_budgets[m];
+                artifact.result.counts = counts;
+                artifact.result.final_noise_budget = budget;
                 artifact.result.consumed_noise =
-                    shared.fresh_noise_budget - member_budgets[m];
-                artifact.result.output = member_outputs[m][l];
-                artifact.packed_lanes = group.total_lanes;
+                    shared.fresh_noise_budget - budget;
+                artifact.result.output =
+                    std::move(ran.member_outputs[m][l]);
+                artifact.packed_lanes = row.total_lanes;
                 artifact.lane = member.lane_base + static_cast<int>(l);
-                {
+                if (!solo) {
                     std::unique_lock<std::mutex> lock(stats_mutex_);
                     ++stats_.packed_lanes;
                 }
-                load_model_.noteFinished(member.lanes[l].predicted);
-                member.lanes[l].entry->publishReady(std::move(artifact),
-                                                    seconds, worker);
+                load_model_.noteFinished(lane.predicted);
+                lane.entry->publishReady(std::move(artifact), seconds,
+                                         worker);
                 ++published;
             }
         }
     } catch (const std::exception& e) {
+        // A solo lane that failed on its runtime marks the trace.
+        if (solo && runtime != nullptr) {
+            telemetry_.instant("run_failed", worker,
+                               flat.front()->request_id);
+        }
         // Fail only the lanes not yet published: an already-settled
         // entry must never be published twice.
         {
@@ -1125,9 +1086,7 @@ CompileService::submitRun(RunRequest request)
                 // path (solo, packed, fallback, failure) pairs this
                 // with noteFinished(lane.predicted).
                 load_model_.noteEnqueued(lane.predicted);
-                if (!tryCoalesce(lane)) {
-                    submitSoloRun(std::move(lane));
-                }
+                if (!tryCoalesce(lane)) submitRow(soloRow(std::move(lane)));
             });
     }
 

@@ -21,9 +21,10 @@
 ///        v
 ///     compile settles -- run owner --> slot-batching coalescer:
 ///        |                             lane-safe kernels wait up to
-///        |  run hit / join             batch_window for peers, then a
-///        |                             packed group (or a solo run)
-///        |                             executes on a pooled FheRuntime
+///        |  run hit / join             batch_window for peers; every
+///        |                             packed group or solo lane then
+///        |                             executes as one row on a pooled
+///        |                             FheRuntime (executeRow)
 ///        +--------------------> RunEntry settles -> futures resolve
 ///
 /// Slot batching: SealLite exposes n/2 SIMD lanes per ciphertext row,
@@ -274,39 +275,41 @@ class CompileService final : public ServiceApi
     /// when enabled, legacy stride FFD otherwise).
     ConsolidatePolicy consolidatePolicy();
 
-    /// Dispatch one flushed group onto the worker pool (solo execution
-    /// for single-lane groups).
+    /// Dispatch one flushed group onto the worker pool (a one-lane group
+    /// runs as its solo request would; see executeRow).
     void dispatchGroup(BatchPlanner::Group group, bool window_flush);
 
-    /// Submit a solo execution task for \p lane onto the pool.
-    void submitSoloRun(BatchLane lane);
+    /// Submit \p row's execution onto the pool at its predicted-seconds
+    /// priority.
+    void submitRow(BatchPlanner::Group row);
 
     /// Record the "execute" span plus its setup/evaluate/decode
     /// sub-spans (offsets derived from the RunResult's measured phase
     /// split) and the phase histogram samples for one owner execution
-    /// — solo or packed row. No-op when telemetry is disabled.
+    /// of a row. No-op when telemetry is disabled.
     void recordExecutePhases(int worker, std::int64_t start_ns,
                              std::uint64_t request_id,
                              const compiler::RunResult& result,
                              double seconds, int lanes);
 
-    /// Execute \p lane solo on \p runtime and publish its entry
-    /// (success or failure). The one solo-execution body: the pool task
-    /// and the packed-row fallback both run through here, so their
-    /// semantics (reseed scheme, stats, artifact fields, timing) cannot
-    /// diverge.
-    void runSoloLane(const BatchLane& lane, compiler::FheRuntime& runtime,
-                     int worker);
-
-    /// Execute a >= 2 lane group as one packed row (worker context):
-    /// FheRuntime::runPacked for a single-member group, the cross-kernel
-    /// composite path for a multi-member one.
-    void executePacked(BatchPlanner::Group& group, int worker);
+    /// The one execute-and-publish body (worker context): runs \p row
+    /// once as one FheRuntime::execute row and publishes every lane's
+    /// entry (success or failure) with its stats, load-model sample and
+    /// telemetry. Solo and packed are data, not separate paths: a
+    /// one-lane row runs at stride = row slots, reseeded from its run
+    /// key; a row of two or more lanes is canonicalized and seeded from
+    /// its lanes, and a member whose shared-row budget ran out re-enters
+    /// this body lane by lane as solo rows on the same runtime. Only
+    /// rows of two or more members consult the composite cache.
+    /// \p runtime, when non-null, is the runtime to run on (the
+    /// fallback's); otherwise one is leased from the params' pool.
+    void executeRow(BatchPlanner::Group& row, int worker,
+                    compiler::FheRuntime* runtime = nullptr);
 
     /// The composite program for a canonicalized multi-member group,
     /// served from the content-addressed composite cache or freshly
     /// composed.
-    std::shared_ptr<const compiler::CompositeProgram>
+    std::shared_ptr<const CompositeProgram>
     compositeFor(const BatchPlanner::Group& group);
 
     /// Background loop flushing window-expired groups.
@@ -367,7 +370,7 @@ class CompileService final : public ServiceApi
     /// kernels composes (and renames) once. Same crude churn bound as
     /// the fit memo.
     std::unordered_map<std::uint64_t,
-                       std::shared_ptr<const compiler::CompositeProgram>>
+                       std::shared_ptr<const CompositeProgram>>
         composite_cache_;
     bool batch_stop_ = false;
     std::thread flusher_;

@@ -13,7 +13,7 @@ RuntimePool::createRuntime()
     // Warm the fresh-budget cache now, while the randomness stream is
     // in its deterministic post-construction state: the cached value
     // must not depend on which request happens to run first on this
-    // instance (runJob reseeds per request, so a first-use measurement
+    // instance (executeRow reseeds per row, so a first-use measurement
     // would vary with scheduling).
     runtime->scheme().freshNoiseBudget();
     return runtime;

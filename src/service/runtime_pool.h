@@ -13,8 +13,9 @@
 /// the same parameters, so secret and relin keys are bit-identical
 /// across instances; Galois keys are bit-identical per step by the
 /// SealLite keygen contract (randomness derived from params seed +
-/// step); and runJob() reseeds the encryption randomness from the run
-/// key before executing. A given run request therefore produces
+/// step); and the service's executeRow reseeds the encryption
+/// randomness from the run key (or a packed row's group seed) before
+/// executing. A given run request therefore produces
 /// bit-identical outputs *and noise accounting* no matter which pooled
 /// instance serves it, in what order, or at what worker count —
 /// reusing key material across requests costs no reproducibility.

@@ -12,10 +12,10 @@
 /// multiplies — and for every program:
 ///
 ///   - when analyzeLaneFit certifies a stride, executes the program
-///     packed (FheRuntime::runPacked, and cross-kernel composites via
-///     runComposite) and solo, and asserts bit-identical per-lane
-///     outputs whenever both executions keep a positive noise budget
-///     (the service's own fallback guard);
+///     as a packed row (FheRuntime::execute over a programRow, and
+///     cross-kernel composites as a composed row) and solo, and asserts
+///     bit-identical per-lane outputs whenever both executions keep a
+///     positive noise budget (the service's own fallback guard);
 ///   - when it refuses, asserts the refusal reason is populated.
 ///
 /// Seeds are fixed: every run checks the same programs. The default
@@ -195,15 +195,15 @@ expectPackedMatchesSolo(const FheProgram& program,
     lanes.reserve(envs.size());
     for (const ir::Env& env : envs) lanes.push_back(&env);
     compiler::FheRuntime packed_rt(fuzzParams());
-    const compiler::PackedRunResult packed =
-        packed_rt.runPacked(program, lanes, plan, stride);
+    const compiler::RowResult packed = packed_rt.execute(
+        program, plan, compiler::programRow(program, lanes, stride));
     if (packed.shared.final_noise_budget <= 0) return false;
     for (std::size_t l = 0; l < envs.size(); ++l) {
         compiler::FheRuntime solo_rt(fuzzParams());
         const compiler::RunResult solo =
             solo_rt.run(program, envs[l], plan);
         if (solo.final_noise_budget <= 0) return false;
-        EXPECT_EQ(packed.lane_outputs[l], solo.output)
+        EXPECT_EQ(packed.member_outputs[0][l], solo.output)
             << context << " lane " << l;
     }
     return true;
@@ -342,16 +342,16 @@ fuzzCompositeVsSolo(std::uint32_t seed, int iterations)
         }
         if (group.members.size() < 2) continue;
 
-        const compiler::CompositeProgram composite = composeGroup(group);
-        std::vector<std::vector<const ir::Env*>> member_lanes;
-        for (const std::vector<ir::Env>& envs : member_envs) {
-            std::vector<const ir::Env*> ptrs;
-            for (const ir::Env& env : envs) ptrs.push_back(&env);
-            member_lanes.push_back(std::move(ptrs));
+        const CompositeProgram composite = composeGroup(group);
+        compiler::RowPlan row = composite.row;
+        for (std::size_t m = 0; m < member_envs.size(); ++m) {
+            for (const ir::Env& env : member_envs[m]) {
+                row.members[m].lanes.push_back(&env);
+            }
         }
         compiler::FheRuntime composite_rt(fuzzParams());
-        const compiler::CompositeRunResult result =
-            composite_rt.runComposite(composite, member_lanes);
+        const compiler::RowResult result =
+            composite_rt.execute(composite.program, composite.plan, row);
         ++composed;
         for (std::size_t m = 0; m < group.members.size(); ++m) {
             if (result.member_final_budgets[m] <= 0) continue;

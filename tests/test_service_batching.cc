@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <map>
 #include <string>
 #include <string_view>
@@ -374,6 +376,106 @@ TEST(ServiceBatchingTest, RowFillingKernelRunsSolo)
     EXPECT_EQ(service.stats().solo_runs, 2u);
 }
 
+// ---- packed-row solo fallback -----------------------------------------
+
+TEST(ServiceBatchingTest, FallbackLanesMatchSoloService)
+{
+    // A short modulus chain (n = 128, three 24-bit primes) leaves some
+    // shared rows without noise headroom: those members' lanes re-run
+    // as solo rows on the same runtime. Such a lane must read exactly
+    // like the solo service's response to the same request — outputs,
+    // full noise accounting and one lane — and every lane must settle
+    // exactly once (a second publication aborts the process).
+    fhe::SealLiteParams params;
+    params.n = 128;
+    params.prime_count = 3;
+    params.prime_bits = 24;
+    params.seed = 17;
+    std::vector<benchsuite::Kernel> kernels = benchsuite::porcupineSuite(8);
+    for (benchsuite::Kernel& kernel : benchsuite::coyoteSuite()) {
+        kernels.push_back(std::move(kernel));
+    }
+    auto makeBatch = [&] {
+        std::vector<RunRequest> batch;
+        for (const benchsuite::Kernel& kernel : kernels) {
+            for (int copy = 0; copy < 4; ++copy) {
+                RunRequest request;
+                request.name = kernel.name + "#" + std::to_string(copy);
+                request.source = kernel.program;
+                request.pipeline = compiler::DriverConfig::greedy({}, 20);
+                request.inputs = benchsuite::syntheticInputs(kernel.program);
+                for (auto& [name, value] : request.inputs) value += copy;
+                request.params = params;
+                batch.push_back(std::move(request));
+            }
+        }
+        return batch;
+    };
+
+    std::map<std::string, RunResponse> solo;
+    {
+        CompileService service(batchedConfig(2, /*max_lanes=*/1, 0.0));
+        for (RunResponse& response : service.runBatch(makeBatch())) {
+            solo.emplace(response.name, std::move(response));
+        }
+    }
+
+    CompileService service(batchedConfig(2, /*max_lanes=*/4, 1.0));
+    std::vector<std::future<RunResponse>> futures;
+    for (RunRequest& request : makeBatch()) {
+        futures.push_back(service.submitRun(std::move(request)));
+    }
+    std::uint64_t solo_rows = 0;
+    for (std::future<RunResponse>& future : futures) {
+        ASSERT_EQ(future.wait_for(std::chrono::seconds(120)),
+                  std::future_status::ready);
+        const RunResponse response = future.get();
+        const RunResponse& reference = solo.at(response.name);
+        ASSERT_EQ(response.ok, reference.ok) << response.name;
+        if (!response.ok) {
+            EXPECT_EQ(response.error, reference.error) << response.name;
+            continue;
+        }
+        if (response.packed_lanes > 1) {
+            // A lane that stayed on its shared row decodes like its solo
+            // run whenever that run decodes at all.
+            if (reference.result.final_noise_budget > 0) {
+                EXPECT_EQ(response.result.output, reference.result.output)
+                    << response.name;
+            }
+            continue;
+        }
+        // Solo rows — never-coalesced lanes and fallback lanes alike —
+        // are the solo run, bit for bit.
+        ++solo_rows;
+        const compiler::RunResult& got = response.result;
+        const compiler::RunResult& want = reference.result;
+        EXPECT_EQ(got.output, want.output) << response.name;
+        EXPECT_EQ(got.fresh_noise_budget, want.fresh_noise_budget)
+            << response.name;
+        EXPECT_EQ(got.final_noise_budget, want.final_noise_budget)
+            << response.name;
+        EXPECT_EQ(got.consumed_noise, want.consumed_noise) << response.name;
+        EXPECT_EQ(got.mod_switch_drops, want.mod_switch_drops)
+            << response.name;
+        EXPECT_EQ(got.rotation_keys, want.rotation_keys) << response.name;
+        EXPECT_EQ(got.counts.ct_ct_mul, want.counts.ct_ct_mul)
+            << response.name;
+        EXPECT_EQ(got.counts.rotations, want.counts.rotations)
+            << response.name;
+        EXPECT_EQ(response.lane, 0) << response.name;
+    }
+    service.drain();
+    const ServiceStats stats = service.stats();
+    EXPECT_GT(stats.packed_fallbacks, 0u);
+    EXPECT_GT(stats.packed_groups, stats.packed_fallbacks);
+    // Fallback lanes publish as solo runs, so every solo row above is
+    // one solo_runs count and nothing else is.
+    EXPECT_EQ(stats.solo_runs, solo_rows);
+    EXPECT_EQ(checkStatsInvariants(stats, /*quiescent=*/true),
+              std::string());
+}
+
 // ---- the lane-safety analysis directly --------------------------------
 
 TEST(ServiceBatchingTest, LaneFitCertifiesRotateReduceKernels)
@@ -437,16 +539,16 @@ TEST(ServiceBatchingTest, RotatedAperiodicConstantPackIsNotCertified)
     std::vector<ir::Env> envs(2);
     std::vector<const ir::Env*> lanes = {&envs[0], &envs[1]};
     compiler::FheRuntime packed_rt(smallParams());
-    const compiler::PackedRunResult packed =
-        packed_rt.runPacked(program, lanes, plan, fit.stride);
+    const compiler::RowResult packed = packed_rt.execute(
+        program, plan, compiler::programRow(program, lanes, fit.stride));
     compiler::FheRuntime solo_rt(smallParams());
     const compiler::RunResult solo = solo_rt.run(program, envs[0], plan);
-    EXPECT_EQ(packed.lane_outputs[0], solo.output);
-    EXPECT_EQ(packed.lane_outputs[1], solo.output);
+    EXPECT_EQ(packed.member_outputs[0][0], solo.output);
+    EXPECT_EQ(packed.member_outputs[0][1], solo.output);
     EXPECT_EQ(solo.output, (std::vector<std::int64_t>{7, 9, 0, 0}));
 }
 
-TEST(ServiceBatchingTest, RunPackedMatchesSoloRunsDirectly)
+TEST(ServiceBatchingTest, PackedRowMatchesSoloRunsDirectly)
 {
     // Runtime-level check, bypassing the service: three lanes packed in
     // one row equal three solo runs, output for output.
@@ -467,9 +569,10 @@ TEST(ServiceBatchingTest, RunPackedMatchesSoloRunsDirectly)
     for (const ir::Env& env : envs) lanes.push_back(&env);
 
     compiler::FheRuntime packed_rt(smallParams());
-    const compiler::PackedRunResult packed =
-        packed_rt.runPacked(compiled.program, lanes, plan, fit.stride);
-    ASSERT_EQ(packed.lane_outputs.size(), 3u);
+    const compiler::RowResult packed = packed_rt.execute(
+        compiled.program, plan,
+        compiler::programRow(compiled.program, lanes, fit.stride));
+    ASSERT_EQ(packed.member_outputs[0].size(), 3u);
     EXPECT_GT(packed.shared.final_noise_budget, 0);
 
     for (int i = 0; i < 3; ++i) {
@@ -477,7 +580,7 @@ TEST(ServiceBatchingTest, RunPackedMatchesSoloRunsDirectly)
         const compiler::RunResult solo =
             solo_rt.run(compiled.program, envs[static_cast<std::size_t>(i)],
                         plan);
-        EXPECT_EQ(packed.lane_outputs[static_cast<std::size_t>(i)],
+        EXPECT_EQ(packed.member_outputs[0][static_cast<std::size_t>(i)],
                   solo.output)
             << "lane " << i;
     }

@@ -28,6 +28,9 @@
 #include <vector>
 
 #include "benchsuite/kernels.h"
+#include "compiler/driver.h"
+#include "compiler/passes.h"
+#include "compiler/runtime.h"
 #include "compiler/serialize.h"
 #include "ir/evaluator.h"
 #include "ir/parser.h"
@@ -479,6 +482,64 @@ TEST_F(PersistTest, CorruptedStoreFallsBackToColdCompiles)
               static_cast<std::uint64_t>(corrupted));
     EXPECT_EQ(fallback.stats.compiled, 3u);
     expectBitIdentical(cold, fallback);
+}
+
+TEST_F(PersistTest, ArtifactMissingARotationKeyFailsTyped)
+{
+    // A checksum-valid stored artifact whose key plan names no key for
+    // one of its rotations (stale or tampered) used to abort the whole
+    // process on its first run. Now that run fails with a typed error,
+    // the service stays up, and the next good request succeeds.
+    const benchsuite::Kernel blur = benchsuite::boxBlur(3);
+    const compiler::DriverConfig pipeline =
+        compiler::DriverConfig::greedy({}, 12);
+    const ir::ExprPtr canonical = compiler::canonicalize(blur.program);
+    const trs::Ruleset ruleset = trs::buildChehabRuleset();
+    compiler::Compiled tampered =
+        compiler::CompilerDriver(&ruleset).compile(canonical, pipeline);
+    ASSERT_FALSE(tampered.program.rotationSteps().empty());
+    tampered.key_plan = compiler::effectiveKeyPlan(tampered.program, 0);
+    const int dropped = tampered.key_plan.keys.back();
+    tampered.key_plan.keys.pop_back();
+    tampered.key_planned = true;
+    ASSERT_TRUE(PersistStore(dir()).storeArtifact(
+        makeCacheKey(canonical, pipeline), tampered));
+
+    ServiceConfig config;
+    config.num_workers = 2;
+    config.cache_dir = dir();
+    config.max_lanes = 1;
+    CompileService service(config);
+
+    const auto request = [&](const benchsuite::Kernel& kernel) {
+        RunRequest run;
+        run.name = kernel.name;
+        run.source = kernel.program;
+        run.pipeline = pipeline;
+        run.params.n = 128;
+        run.params.prime_count = 4;
+        run.params.seed = 17;
+        run.inputs = benchsuite::syntheticInputs(kernel.program);
+        return run;
+    };
+    const RunResponse bad = service.submitRun(request(blur)).get();
+    EXPECT_FALSE(bad.ok);
+    EXPECT_NE(bad.error.find("no Galois key for component " +
+                             std::to_string(dropped)),
+              std::string::npos)
+        << bad.error;
+
+    const RunRequest good_request = request(benchsuite::dotProduct(4));
+    const RunResponse good = service.submitRun(good_request).get();
+    EXPECT_TRUE(good.ok) << good.error;
+    EXPECT_TRUE(outputMatchesReference(good_request, good));
+
+    service.drain();
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.persist.hits, 1u);
+    EXPECT_EQ(stats.run_failed, 1u);
+    EXPECT_EQ(checkStatsInvariants(stats, /*quiescent=*/true),
+              std::string());
 }
 
 } // namespace
