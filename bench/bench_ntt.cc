@@ -204,9 +204,8 @@ main()
         });
 
         // Full negacyclic product: two forwards, a pointwise multiply,
-        // one inverse — the shape sealite.cc's mulPoly executes per
-        // prime. Old pointwise = generic 128-bit division mulMod; new
-        // pointwise = the tables' Barrett reducer.
+        // one inverse per prime. Old pointwise = generic 128-bit
+        // division mulMod; new pointwise = the tables' Barrett reducer.
         const fhe::Barrett& barrett = tables->reducer();
         BenchRow mul{n, "polymul"};
         mul.old_s = secondsPerOp(window_s, [&] {

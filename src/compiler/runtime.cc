@@ -61,6 +61,11 @@ FheRuntime::packLaneRegion(const FheInstr& instr, const ir::Env& env,
                            std::to_string(width) + " > " +
                            std::to_string(lane_stride) + ")");
     }
+    if (instr.replicate && width == 0) {
+        // Artifact data can carry this; the period-w fill below would
+        // divide by zero.
+        throw CompileError("replicated pack has no slots");
+    }
     std::vector<std::int64_t> region(static_cast<std::size_t>(lane_stride),
                                      0);
     if (instr.replicate) {

@@ -27,6 +27,16 @@ validated(SealLiteParams params)
     return params;
 }
 
+/// v mod p for |v| < 2^63 without a division: Barrett reduces the
+/// magnitude m, and a negative v maps to p - m unless m is 0.
+std::uint64_t
+reduceSigned(std::int64_t v, const Barrett& reducer)
+{
+    if (v >= 0) return reducer.reduce(static_cast<std::uint64_t>(v));
+    const std::uint64_t m = reducer.reduce(static_cast<std::uint64_t>(-v));
+    return m == 0 ? 0 : reducer.modulus - m;
+}
+
 } // namespace
 
 std::string
@@ -136,22 +146,28 @@ SealLite::SealLite(SealLiteParams params)
     // prime the rescale factor q_l^{-1} folded with the centered scalar
     // φ ≡ q_l (mod t) that restores the plaintext scaling (see header).
     inv_prime_mod_t_.assign(primes_.size(), 0);
+    inv_prime_mod_t_shoup_.assign(primes_.size(), 0);
     switch_factor_.resize(primes_.size());
+    switch_factor_shoup_.resize(primes_.size());
     for (std::size_t l = 1; l < primes_.size(); ++l) {
         const std::uint64_t ql = primes_[l];
         const std::uint64_t ql_mod_t = ql % t;
         CHEHAB_ASSERT(ql_mod_t != 0, "chain prime divisible by t");
         inv_prime_mod_t_[l] = invMod(ql_mod_t, t);
+        inv_prime_mod_t_shoup_[l] = shoupPrecompute(inv_prime_mod_t_[l], t);
         const bool phi_negative = ql_mod_t > t / 2;
         const std::uint64_t phi_abs = phi_negative ? t - ql_mod_t : ql_mod_t;
         auto& factors = switch_factor_[l];
+        auto& factors_shoup = switch_factor_shoup_[l];
         factors.resize(l);
+        factors_shoup.resize(l);
         for (std::size_t i = 0; i < l; ++i) {
             const std::uint64_t qi = primes_[i];
             const std::uint64_t inv_ql = invMod(ql % qi, qi);
             std::uint64_t phi_mod = phi_abs % qi;
             if (phi_negative && phi_mod != 0) phi_mod = qi - phi_mod;
             factors[i] = mulMod(inv_ql, phi_mod, qi);
+            factors_shoup[i] = shoupPrecompute(factors[i], qi);
         }
     }
 
@@ -181,7 +197,7 @@ SealLite::SealLite(SealLiteParams params)
     secret_ = sampleTernary();
     secret_rns_ = liftSmall(secret_);
     secret_ntt_ = toNttForm(secret_rns_);
-    relin_key_ = makeKeySwitchKey(mulPoly(secret_rns_, secret_rns_));
+    relin_key_ = makeKeySwitchKey(mulPolyNtt(secret_rns_, secret_ntt_));
 }
 
 int
@@ -305,37 +321,6 @@ SealLite::negateInPlace(RnsPoly& a) const
         std::uint64_t* x = a.component(i);
         for (int j = 0; j < a.n; ++j) x[j] = x[j] == 0 ? 0 : p - x[j];
     }
-}
-
-RnsPoly
-SealLite::mulPoly(const RnsPoly& a, const RnsPoly& b) const
-{
-    CHEHAB_ASSERT(a.k == b.k, "RNS multiply across mismatched levels");
-    RnsPoly result = zeroPoly(a.k);
-    std::vector<std::uint64_t> fa =
-        arena_.acquire(static_cast<std::size_t>(params_.n));
-    std::vector<std::uint64_t> fb =
-        arena_.acquire(static_cast<std::size_t>(params_.n));
-    for (int i = 0; i < result.k; ++i) {
-        const NttTables& tables = *ntt_[static_cast<std::size_t>(i)];
-        const Barrett& reducer = tables.reducer();
-        const std::uint64_t* x = a.component(i);
-        const std::uint64_t* y = b.component(i);
-        std::copy(x, x + params_.n, fa.begin());
-        std::copy(y, y + params_.n, fb.begin());
-        tables.forward(fa.data());
-        tables.forward(fb.data());
-        for (int j = 0; j < params_.n; ++j) {
-            fa[static_cast<std::size_t>(j)] =
-                reducer.mulMod(fa[static_cast<std::size_t>(j)],
-                               fb[static_cast<std::size_t>(j)]);
-        }
-        tables.inverse(fa.data());
-        std::copy(fa.begin(), fa.end(), result.component(i));
-    }
-    arena_.release(std::move(fa));
-    arena_.release(std::move(fb));
-    return result;
 }
 
 RnsPoly
@@ -483,19 +468,24 @@ SealLite::modSwitchPolyDown(RnsPoly& poly) const
 {
     CHEHAB_ASSERT(poly.k >= 2, "cannot drop the last chain prime");
     const int l = poly.k - 1;
-    const std::uint64_t ql = primes_[static_cast<std::size_t>(l)];
+    const auto li = static_cast<std::size_t>(l);
+    const std::uint64_t ql = primes_[li];
     const std::uint64_t t = params_.plain_modulus;
-    const std::uint64_t inv_ql_t = inv_prime_mod_t_[static_cast<std::size_t>(l)];
-    const auto& factors = switch_factor_[static_cast<std::size_t>(l)];
+    const Barrett& t_reducer = plain_ntt_->reducer();
+    const std::uint64_t inv_ql_t = inv_prime_mod_t_[li];
+    const std::uint64_t inv_ql_t_shoup = inv_prime_mod_t_shoup_[li];
+    const auto& factors = switch_factor_[li];
+    const auto& factors_shoup = switch_factor_shoup_[li];
     const std::uint64_t* last = poly.component(l);
     const auto half_ql = static_cast<std::int64_t>(ql / 2);
 
     // δ per coefficient: δ ≡ c (mod q_l) and δ ≡ 0 (mod t), built as the
     // centered residue δ0 of c mod q_l plus q_l times the centered lift
-    // of -δ0·q_l^{-1} mod t, so |δ| <= q_l(t+1)/2 (fits int64: validate()
-    // keeps q_l below 2^31 and t below 2^30). The signed values
-    // ride in an arena buffer as two's-complement bit patterns so drops
-    // stay allocation-free too.
+    // of -δ0·q_l^{-1} mod t, so |δ| <= q_l(t+1)/2 < 2^61 (validate()
+    // keeps q_l below 2^31 and t below 2^30): inside Barrett's domain,
+    // so no reduction below divides. The signed values ride in an arena
+    // buffer as two's-complement bit patterns so drops stay
+    // allocation-free too.
     std::vector<std::uint64_t> delta_buf =
         arena_.acquire(static_cast<std::size_t>(poly.n));
     std::int64_t* delta =
@@ -504,11 +494,9 @@ SealLite::modSwitchPolyDown(RnsPoly& poly) const
         const auto r = static_cast<std::int64_t>(last[x]);
         const std::int64_t delta0 =
             r > half_ql ? r - static_cast<std::int64_t>(ql) : r;
-        const std::uint64_t d0_mod_t =
-            delta0 >= 0
-                ? static_cast<std::uint64_t>(delta0) % t
-                : (t - static_cast<std::uint64_t>(-delta0) % t) % t;
-        const std::uint64_t u = mulMod((t - d0_mod_t) % t, inv_ql_t, t);
+        const std::uint64_t u =
+            mulModShoup(reduceSigned(-delta0, t_reducer), inv_ql_t,
+                        inv_ql_t_shoup, t);
         const std::int64_t uc =
             u > t / 2 ? static_cast<std::int64_t>(u - t)
                       : static_cast<std::int64_t>(u);
@@ -519,15 +507,17 @@ SealLite::modSwitchPolyDown(RnsPoly& poly) const
     // Surviving components: c' = (c - δ) * q_l^{-1} * φ mod q_i with the
     // two scalars folded into one precomputed factor.
     for (int i = 0; i < l; ++i) {
-        const std::uint64_t qi = primes_[static_cast<std::size_t>(i)];
-        const std::uint64_t factor = factors[static_cast<std::size_t>(i)];
+        const auto pi = static_cast<std::size_t>(i);
+        const std::uint64_t qi = primes_[pi];
+        const Barrett& reducer = ntt_[pi]->reducer();
+        const std::uint64_t factor = factors[pi];
+        const std::uint64_t factor_shoup = factors_shoup[pi];
         std::uint64_t* c = poly.component(i);
         for (int x = 0; x < poly.n; ++x) {
-            const std::int64_t d = delta[static_cast<std::size_t>(x)];
             const std::uint64_t d_mod =
-                d >= 0 ? static_cast<std::uint64_t>(d) % qi
-                       : (qi - static_cast<std::uint64_t>(-d) % qi) % qi;
-            c[x] = mulMod(subMod(c[x], d_mod, qi), factor, qi);
+                reduceSigned(delta[static_cast<std::size_t>(x)], reducer);
+            c[x] = mulModShoup(subMod(c[x], d_mod, qi), factor, factor_shoup,
+                               qi);
         }
     }
     arena_.release(std::move(delta_buf));
@@ -914,8 +904,23 @@ SealLite::makeKeySwitchKey(const RnsPoly& target)
     const int k = static_cast<int>(primes_.size());
     const int digits = digitsPerPrime();
     const auto t = static_cast<int>(params_.plain_modulus);
+    // Transform every component in place and keep the fully reduced
+    // words, which fit 32 bits (see the static_assert on KeySwitchKey).
+    const auto key_words = [this](RnsPoly&& poly) {
+        std::vector<std::uint32_t> words(poly.data.size());
+        for (int j = 0; j < poly.k; ++j) {
+            ntt_[static_cast<std::size_t>(j)]->forward(poly.component(j));
+        }
+        std::transform(poly.data.begin(), poly.data.end(), words.begin(),
+                       [](std::uint64_t w) {
+                           return static_cast<std::uint32_t>(w);
+                       });
+        recycle(std::move(poly));
+        return words;
+    };
     for (int i = 0; i < k; ++i) {
         const std::uint64_t p_i = primes_[static_cast<std::size_t>(i)];
+        const Barrett& reducer = ntt_[static_cast<std::size_t>(i)]->reducer();
         for (int d = 0; d < digits; ++d) {
             RnsPoly a_id = uniformPoly();
             RnsPoly b_id = mulPolyNtt(a_id, secret_ntt_);
@@ -931,11 +936,11 @@ SealLite::makeKeySwitchKey(const RnsPoly& target)
             std::uint64_t* dst = b_id.component(i);
             const std::uint64_t* src = target.component(i);
             for (int j = 0; j < params_.n; ++j) {
-                dst[j] = addMod(dst[j], mulMod(src[j], base_power, p_i),
+                dst[j] = addMod(dst[j], reducer.mulMod(src[j], base_power),
                                 p_i);
             }
-            key.a.push_back(toNttForm(a_id));
-            key.b.push_back(toNttForm(b_id));
+            key.a.push_back(key_words(std::move(a_id)));
+            key.b.push_back(key_words(std::move(b_id)));
         }
     }
     return key;
@@ -986,29 +991,23 @@ SealLite::keySwitch(const RnsPoly& poly, const KeySwitchKey& key,
             any_digit = true;
             const std::size_t idx =
                 static_cast<std::size_t>(i) * digits + d;
-            const NttForm& key_b = key.b[idx];
-            const NttForm& key_a = key.a[idx];
             // One forward transform of the digit per prime serves both
             // key components (the seed path re-transformed it for each).
             for (int j = 0; j < k; ++j) {
                 const std::uint64_t p = primes_[static_cast<std::size_t>(j)];
                 const NttTables& tables = *ntt_[static_cast<std::size_t>(j)];
+                const Barrett& reducer = tables.reducer();
                 std::copy(digit.begin(), digit.end(), transformed.begin());
                 tables.forward(transformed.data());
                 const std::uint64_t* tx = transformed.data();
-                const std::uint64_t* bw = key_b.component(j);
-                const std::uint64_t* bs = key_b.shoupComponent(j);
-                const std::uint64_t* aw = key_a.component(j);
-                const std::uint64_t* as = key_a.shoupComponent(j);
-                std::uint64_t* a0 =
-                    acc0.data() + static_cast<std::size_t>(j) * n;
-                std::uint64_t* a1 =
-                    acc1.data() + static_cast<std::size_t>(j) * n;
+                const std::size_t offset = static_cast<std::size_t>(j) * n;
+                const std::uint32_t* bw = key.b[idx].data() + offset;
+                const std::uint32_t* aw = key.a[idx].data() + offset;
+                std::uint64_t* a0 = acc0.data() + offset;
+                std::uint64_t* a1 = acc1.data() + offset;
                 for (int x = 0; x < n; ++x) {
-                    a0[x] = addMod(
-                        a0[x], mulModShoup(tx[x], bw[x], bs[x], p), p);
-                    a1[x] = addMod(
-                        a1[x], mulModShoup(tx[x], aw[x], as[x], p), p);
+                    a0[x] = addMod(a0[x], reducer.mulMod(tx[x], bw[x]), p);
+                    a1[x] = addMod(a1[x], reducer.mulMod(tx[x], aw[x]), p);
                 }
             }
         }
@@ -1040,17 +1039,47 @@ SealLite::keySwitch(const RnsPoly& poly, const KeySwitchKey& key,
 Ciphertext
 SealLite::multiply(const Ciphertext& a, const Ciphertext& b) const
 {
-    // Tensor product (degree 2), then relinearize with the RNS key.
-    RnsPoly e0 = mulPoly(a.c0, b.c0);
-    RnsPoly e1 = mulPoly(a.c0, b.c1);
-    RnsPoly cross = mulPoly(a.c1, b.c0);
-    addInPlace(e1, cross);
-    recycle(std::move(cross));
-    RnsPoly e2 = mulPoly(a.c1, b.c1);
-
+    CHEHAB_ASSERT(a.c0.k == b.c0.k, "RNS multiply across mismatched levels");
+    // Tensor product (degree 2), then relinearize with the RNS key. Each
+    // operand component is forward-transformed once per prime in place
+    // of a copy (A0 into out.c0, B1 into out.c1, A1 into e2, B0 into
+    // scratch); e0 = A0·B0, e1 = A0·B1 + A1·B0 and e2 = A1·B1 are formed
+    // pointwise over them and inverse-transformed once each. Summing e1
+    // in the NTT domain is exact: the inverse NTT is linear mod p and
+    // fully reduces.
     Ciphertext out;
-    out.c0 = std::move(e0);
-    out.c1 = std::move(e1);
+    out.c0 = clonePoly(a.c0);
+    out.c1 = clonePoly(b.c1);
+    RnsPoly e2 = clonePoly(a.c1);
+    std::vector<std::uint64_t> fb0 =
+        arena_.acquire(static_cast<std::size_t>(params_.n));
+    for (int i = 0; i < e2.k; ++i) {
+        const std::uint64_t p = primes_[static_cast<std::size_t>(i)];
+        const NttTables& tables = *ntt_[static_cast<std::size_t>(i)];
+        const Barrett& reducer = tables.reducer();
+        std::uint64_t* x0 = out.c0.component(i);
+        std::uint64_t* x1 = out.c1.component(i);
+        std::uint64_t* x2 = e2.component(i);
+        const std::uint64_t* y = b.c0.component(i);
+        std::copy(y, y + params_.n, fb0.begin());
+        tables.forward(x0);
+        tables.forward(x1);
+        tables.forward(x2);
+        tables.forward(fb0.data());
+        for (int j = 0; j < params_.n; ++j) {
+            const std::uint64_t a0 = x0[j];
+            const std::uint64_t b1 = x1[j];
+            const std::uint64_t a1 = x2[j];
+            const std::uint64_t b0 = fb0[static_cast<std::size_t>(j)];
+            x0[j] = reducer.mulMod(a0, b0);
+            x1[j] = addMod(reducer.mulMod(a0, b1), reducer.mulMod(a1, b0), p);
+            x2[j] = reducer.mulMod(a1, b1);
+        }
+        tables.inverse(x0);
+        tables.inverse(x1);
+        tables.inverse(x2);
+    }
+    arena_.release(std::move(fb0));
     keySwitch(e2, relin_key_, out.c0, out.c1);
     recycle(std::move(e2));
     return out;

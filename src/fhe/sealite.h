@@ -40,6 +40,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -73,7 +74,8 @@ struct SealLiteParams
     /// stack limbs sized for this many primes of at most 31 bits.
     static constexpr int kMaxPrimeCount = 16;
     /// Pointwise NTT products use single-word Barrett multiplies, whose
-    /// 64-bit product bound needs p^2 < 2^64.
+    /// 64-bit product bound needs p^2 < 2^64, and key-switching keys
+    /// keep their NTT words in 32 bits.
     static constexpr int kMaxPrimeBits = 31;
     static constexpr int kMaxErrorStddevX10 = 1000;
     /// @}
@@ -113,9 +115,9 @@ struct RnsPoly
 /// A polynomial cached in per-prime NTT (evaluation) form with a Shoup
 /// companion per slot: multiplying a variable coefficient-form operand
 /// against a cached form costs one forward + pointwise Shoup multiplies
-/// + one inverse (key-switch keys, the secret, and repeated plaintext
-/// constants all qualify). Always built at the full level; a level-k
-/// consumer reads the first k components (RNS primes are independent).
+/// + one inverse (the secret and repeated plaintext constants qualify).
+/// Always built at the full level; a level-k consumer reads the first k
+/// components (RNS primes are independent).
 struct NttForm
 {
     std::vector<std::uint64_t> values; ///< Prime-major, k * n words.
@@ -244,7 +246,10 @@ class SealLite
     Ciphertext negate(const Ciphertext& a) const;
     Ciphertext addPlain(const Ciphertext& a, const Plaintext& plain) const;
     Ciphertext mulPlain(const Ciphertext& a, const Plaintext& plain) const;
-    /// Ciphertext-ciphertext multiply with relinearization.
+    /// Ciphertext-ciphertext multiply with relinearization. The tensor
+    /// product forward-transforms each of a.c0, a.c1, b.c0, b.c1 once
+    /// per prime, forms e0 = A0·B0, e1 = A0·B1 + A1·B0 and e2 = A1·B1
+    /// pointwise, and inverse-transforms each once: 4 + 3 NTTs per prime.
     Ciphertext multiply(const Ciphertext& a, const Ciphertext& b) const;
     /// Cyclic left rotation of the batching row by \p step slots
     /// (negative = right). Requires the matching Galois key.
@@ -314,14 +319,20 @@ class SealLite
     /// @}
 
   private:
+    static_assert((std::uint64_t{1} << SealLiteParams::kMaxPrimeBits) - 1 <=
+                      std::numeric_limits<std::uint32_t>::max(),
+                  "every chain prime, hence every key word, fits 32 bits");
+
     struct KeySwitchKey
     {
         // One (b, a) pair per (RNS prime, base-2^w digit) combination:
-        // entry i*digits+d encrypts T_i * B^d * target. Stored in NTT
-        // form (with Shoup companions) — key switching only ever
-        // multiplies them against freshly decomposed digit polynomials.
-        std::vector<NttForm> b;
-        std::vector<NttForm> a;
+        // entry i*digits+d encrypts T_i * B^d * target. Each entry is
+        // the full-level NTT form, prime-major (k * n words), kept as
+        // bare 32-bit words with no Shoup companions: key switching
+        // multiplies them against freshly transformed digits, both
+        // operands below p, with the prime's Barrett mulMod.
+        std::vector<std::vector<std::uint32_t>> b;
+        std::vector<std::vector<std::uint32_t>> a;
     };
 
     /// Little-endian fixed-width integer wide enough for
@@ -369,8 +380,6 @@ class SealLite
     void negateInPlace(RnsPoly& a) const;
     /// Arena-backed deep copy of one poly.
     RnsPoly clonePoly(const RnsPoly& a) const;
-    /// Negacyclic product via per-prime NTT (operands at equal levels).
-    RnsPoly mulPoly(const RnsPoly& a, const RnsPoly& b) const;
     /// Negacyclic product against a cached NTT form: one forward, n
     /// Shoup pointwise multiplies, one inverse per prime. Result at
     /// a's level (the form is full-level).
@@ -391,7 +400,9 @@ class SealLite
     std::shared_ptr<const NttForm> plainNttForm(const Plaintext& plain) const;
 
     /// Drop the last RNS prime of \p poly (the rescale + folded
-    /// t-correction described in the header notes).
+    /// t-correction described in the header notes). Division-free:
+    /// Barrett reductions for δ mod t and δ mod q_i, Shoup multiplies
+    /// by q_l^{-1} mod t and by the folded factor.
     void modSwitchPolyDown(RnsPoly& poly) const;
 
     /// Key-switch digit count per RNS prime.
@@ -425,9 +436,12 @@ class SealLite
     /// Modulus-switch precomputation for dropping prime index l
     /// (level l+1 -> l): q_l^{-1} mod t, and per surviving prime i the
     /// folded factor (q_l^{-1} mod q_i) * (φ mod q_i) with φ the
-    /// centered representative of q_l mod t.
+    /// centered representative of q_l mod t; each with its Shoup
+    /// companion.
     std::vector<std::uint64_t> inv_prime_mod_t_;
+    std::vector<std::uint64_t> inv_prime_mod_t_shoup_;
     std::vector<std::vector<std::uint64_t>> switch_factor_;
+    std::vector<std::vector<std::uint64_t>> switch_factor_shoup_;
     /// Negacyclic NTT mod t behind encode/decode, and the NTT index of
     /// each row-0 slot (evaluation point ζ^(3^j mod 2n)).
     std::shared_ptr<const NttTables> plain_ntt_;

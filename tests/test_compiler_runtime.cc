@@ -252,6 +252,35 @@ TEST(RuntimeTest, IncompleteKeyPlanIsTypedError)
     EXPECT_GT(run.final_noise_budget, 0);
 }
 
+TEST(RuntimeTest, ZeroWidthReplicatedPackIsTypedError)
+{
+    // A replicated PackCipher with no slots (which a deserialized
+    // artifact can carry) would divide by zero filling the row: it must
+    // be a CompileError, and the runtime must stay usable.
+    FheProgram program;
+    FheInstr pack;
+    pack.op = FheOpcode::PackCipher;
+    pack.dst = 0;
+    pack.replicate = true;
+    program.instrs.push_back(pack);
+    program.num_regs = 1;
+    program.output_reg = 0;
+    program.output_width = 1;
+    FheRuntime runtime(smallParams());
+    try {
+        runtime.run(program, {});
+        ADD_FAILURE() << "a zero-width replicated pack ran";
+    } catch (const CompileError& e) {
+        EXPECT_NE(std::string(e.what()).find("replicated pack has no slots"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    const ir::Env env = {{"a", 1}, {"b", 2}, {"c", 3}, {"d", 4}};
+    const RunResult run = runtime.run(rotateByOne(), env);
+    EXPECT_EQ(run.output, (std::vector<std::int64_t>{2, 3, 4, 1}));
+}
+
 // ---- accounting goldens ------------------------------------------------
 //
 // Outputs and noise accounting of every porcupineSuite(8) + coyoteSuite

@@ -3,11 +3,13 @@
 /// BigInt, batching encode/decode, encryption round-trips, every
 /// homomorphic operation against plaintext semantics, rotation/Galois
 /// behaviour, noise-budget monotonicity (App. H.1), parameter
-/// validation, and differential checks of the NTT batching and the
-/// fixed-limb decryption against the O(n^2) transform and the BigInt
-/// recomposition they replaced.
+/// validation, differential checks of the NTT batching, the fixed-limb
+/// decryption and the division-free mod switch against the O(n^2)
+/// transform, the BigInt recomposition and the `%`/mulMod drop they
+/// replaced, and golden hashes of the evaluator's ciphertext words.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <limits>
 #include <stdexcept>
 
@@ -741,6 +743,248 @@ TEST(SealLiteDifferentialTest, DecryptionMatchesBigIntOnBoundaryPhases)
         }
     }
     expectDecryptionMatchesAtEveryLevel(s, ct);
+}
+
+// -- differential: division-free mod switch vs. the `%`/mulMod drop ----------
+
+/// The mod-switch drop with a `%` or a 128-bit mulMod per coefficient,
+/// rebuilt from the public chain, kept as the word-level reference:
+/// δ ≡ c (mod q_l), δ ≡ 0 (mod t), then c' = (c - δ)·q_l^{-1}·φ mod q_i
+/// with φ the centered representative of q_l mod t.
+void
+referenceDrop(const SealLite& s, RnsPoly& poly)
+{
+    const std::vector<std::uint64_t>& primes = s.primeChain();
+    const std::uint64_t t = s.params().plain_modulus;
+    const int l = poly.k - 1;
+    const std::uint64_t ql = primes[static_cast<std::size_t>(l)];
+    const std::uint64_t ql_mod_t = ql % t;
+    const std::uint64_t inv_ql_t = invMod(ql_mod_t, t);
+    const bool phi_negative = ql_mod_t > t / 2;
+    const std::uint64_t phi_abs = phi_negative ? t - ql_mod_t : ql_mod_t;
+    const auto half_ql = static_cast<std::int64_t>(ql / 2);
+
+    std::vector<std::int64_t> delta(static_cast<std::size_t>(poly.n));
+    const std::uint64_t* last = poly.component(l);
+    for (int x = 0; x < poly.n; ++x) {
+        const auto r = static_cast<std::int64_t>(last[x]);
+        const std::int64_t delta0 =
+            r > half_ql ? r - static_cast<std::int64_t>(ql) : r;
+        const std::uint64_t d0_mod_t =
+            delta0 >= 0
+                ? static_cast<std::uint64_t>(delta0) % t
+                : (t - static_cast<std::uint64_t>(-delta0) % t) % t;
+        const std::uint64_t u = mulMod((t - d0_mod_t) % t, inv_ql_t, t);
+        const std::int64_t uc = u > t / 2 ? static_cast<std::int64_t>(u - t)
+                                          : static_cast<std::int64_t>(u);
+        delta[static_cast<std::size_t>(x)] =
+            delta0 + static_cast<std::int64_t>(ql) * uc;
+    }
+    for (int i = 0; i < l; ++i) {
+        const std::uint64_t qi = primes[static_cast<std::size_t>(i)];
+        std::uint64_t phi_mod = phi_abs % qi;
+        if (phi_negative && phi_mod != 0) phi_mod = qi - phi_mod;
+        const std::uint64_t factor =
+            mulMod(invMod(ql % qi, qi), phi_mod, qi);
+        std::uint64_t* c = poly.component(i);
+        for (int x = 0; x < poly.n; ++x) {
+            const std::int64_t d = delta[static_cast<std::size_t>(x)];
+            const std::uint64_t d_mod =
+                d >= 0 ? static_cast<std::uint64_t>(d) % qi
+                       : (qi - static_cast<std::uint64_t>(-d) % qi) % qi;
+            c[x] = mulMod(subMod(c[x], d_mod, qi), factor, qi);
+        }
+    }
+    poly.k = l;
+    poly.data.resize(static_cast<std::size_t>(l) * poly.n);
+}
+
+/// A level-\p level ciphertext whose coefficients walk every pairing of
+/// a last residue in {0, 1, ⌊q_l/2⌋, ⌊q_l/2⌋+1, q_l-1, uniform} with
+/// surviving residues in {0, q_i-1, uniform}; the rest are uniform.
+Ciphertext
+craftedCiphertext(const SealLite& s, int level, Rng& rng)
+{
+    const std::vector<std::uint64_t>& primes = s.primeChain();
+    const int n = s.params().n;
+    const std::uint64_t ql = primes[static_cast<std::size_t>(level) - 1];
+    const std::vector<std::uint64_t> last_edges = {0, 1, ql / 2, ql / 2 + 1,
+                                                   ql - 1};
+    const int pairings = static_cast<int>(last_edges.size() + 1) * 3;
+    Ciphertext ct;
+    for (RnsPoly* poly : {&ct.c0, &ct.c1}) {
+        poly->k = level;
+        poly->n = n;
+        poly->data.assign(static_cast<std::size_t>(level) * n, 0);
+        for (int x = 0; x < n; ++x) {
+            // c1 shifts the walk so its pairings sit at other indices.
+            const int walk = (poly == &ct.c1 ? x + 7 : x) % (2 * pairings);
+            for (int i = 0; i < level; ++i) {
+                const std::uint64_t p = primes[static_cast<std::size_t>(i)];
+                std::uint64_t v = rng.uniformInt(p);
+                if (walk < pairings) {
+                    const auto edge = static_cast<std::size_t>(walk / 3);
+                    if (i == level - 1) {
+                        if (edge < last_edges.size()) v = last_edges[edge];
+                    } else if (walk % 3 == 0) {
+                        v = 0;
+                    } else if (walk % 3 == 1) {
+                        v = p - 1;
+                    }
+                }
+                poly->component(i)[x] = v;
+            }
+        }
+    }
+    return ct;
+}
+
+TEST(SealLiteDifferentialTest, ModSwitchMatchesModuloReferenceWordForWord)
+{
+    const SimdRestore restore;
+    for (const RingCase& ring : ringCases()) {
+        for (int prime_count = 2; prime_count <= 8; ++prime_count) {
+            SCOPED_TRACE("n=" + std::to_string(ring.n) + " t=" +
+                         std::to_string(ring.t) +
+                         " k=" + std::to_string(prime_count));
+            const SealLite s(ringParams(ring, prime_count));
+            Rng rng(static_cast<std::uint64_t>(prime_count) * 131 + ring.t);
+            // One crafted ciphertext per level, so every chain prime
+            // meets the edge residues as the dropped q_l.
+            std::vector<Ciphertext> inputs;
+            for (int level = prime_count; level >= 2; --level) {
+                inputs.push_back(craftedCiphertext(s, level, rng));
+            }
+            for (bool simd : {true, false}) {
+                SCOPED_TRACE(simd ? "simd on" : "simd off");
+                setSimdEnabled(simd);
+                for (const Ciphertext& input : inputs) {
+                    const int level = s.level(input);
+                    SCOPED_TRACE("drop from level " + std::to_string(level));
+                    Ciphertext want = s.clone(input);
+                    referenceDrop(s, want.c0);
+                    referenceDrop(s, want.c1);
+                    Ciphertext got = s.clone(input);
+                    s.modSwitchTo(got, level - 1);
+                    ASSERT_EQ(got.c0.k, level - 1);
+                    EXPECT_EQ(got.c0.data, want.c0.data);
+                    EXPECT_EQ(got.c1.data, want.c1.data);
+                }
+                // The full chain walked down one drop at a time, from
+                // level k to 1, matches the reference at every level.
+                Ciphertext got = s.clone(inputs.front());
+                Ciphertext want = s.clone(inputs.front());
+                while (want.c0.k > 1) {
+                    referenceDrop(s, want.c0);
+                    referenceDrop(s, want.c1);
+                    s.modSwitchTo(got, want.c0.k);
+                    EXPECT_EQ(got.c0.data, want.c0.data) << want.c0.k;
+                    EXPECT_EQ(got.c1.data, want.c1.data) << want.c0.k;
+                }
+            }
+        }
+    }
+}
+
+// -- golden ciphertext words ---------------------------------------------------
+
+/// FNV-1a over every word of both components. Each step is a bijection
+/// of the running state, so changing any single word changes the hash.
+std::uint64_t
+wordHash(const Ciphertext& ct)
+{
+    std::uint64_t hash = 1469598103934665603ULL;
+    for (const RnsPoly* poly : {&ct.c0, &ct.c1}) {
+        for (std::uint64_t word : poly->data) {
+            hash ^= word;
+            hash *= 1099511628211ULL;
+        }
+    }
+    return hash;
+}
+
+struct GoldenCase
+{
+    int n;
+    int decomp_bits;
+    /// multiply(a, b), multiply(a, a), rotate(a, +1), rotate(a, -3),
+    /// mulPlain(a, p), and multiply(a, b) after both drop to level k-2.
+    std::array<std::uint64_t, 6> hashes;
+};
+
+TEST(SealLiteGoldenTest, CiphertextWordsMatchRecordedHashes)
+{
+    // Recorded from the formulation with two forward transforms per
+    // tensor operand, `%`/mulMod mod-switch drops and 64-bit Shoup
+    // key-switching keys. Those hashes pin every word the tensor
+    // product, relinearization, rotation key switch, plaintext multiply
+    // and the drop produce, which the decoded-output tests cannot see.
+    const std::vector<GoldenCase> cases = {
+        {1024, 15,
+         {0xf332acdc2f032ddd, 0x060b5191b7498a07,
+          0xa02d6a47b17f1907, 0x995f957f41953cdc,
+          0x0c2d90c4a02378a7, 0x84330512efa3af15}},
+        {1024, 10,
+         {0x49fac61a502ff214, 0x8759090f3669e7fb,
+          0xbac8f59a2f106ea4, 0x34c448d9ad88596a,
+          0x9cdf31d8d7750ba3, 0xbf75f1e31114fe3b}},
+        {1024, 30,
+         {0x74efd2141800aa97, 0x1c5bf33e79f90b46,
+          0xeb93535a665a86a9, 0x7e22d9067fcff7e0,
+          0x4beaeaa177419cce, 0x27639f000deb6319}},
+        {4096, 15,
+         {0x5d9531e884204fb8, 0xafcf25fcdc6c7567,
+          0xfc8ae48229f2eeb2, 0x2ba4d6bea4727067,
+          0xf4895d023e13ba33, 0x7b19eab4ffe6fa79}},
+        {4096, 10,
+         {0xa220c3286968b102, 0x2ecc74ae00af245b,
+          0x274c5e278e72cdba, 0xe4ea291e5274486e,
+          0x96383bb00589877f, 0x923bb219d89da0b8}},
+        {4096, 30,
+         {0x79e906b1ea1c107e, 0x31ff26cf569b178e,
+          0x4da7f592bf77bf07, 0xcc68d522d1db34fc,
+          0xd12a791af33cf62e, 0xaab040d4b2857a87}},
+    };
+    const SimdRestore restore;
+    for (const GoldenCase& golden : cases) {
+        SCOPED_TRACE("n=" + std::to_string(golden.n) +
+                     " decomp_bits=" + std::to_string(golden.decomp_bits));
+        SealLiteParams params;
+        params.n = golden.n;
+        params.prime_bits = 30;
+        params.prime_count = 6;
+        params.decomp_bits = golden.decomp_bits;
+        params.seed = 0x901d + static_cast<std::uint64_t>(golden.decomp_bits);
+        SealLite s(params);
+        s.makeGaloisKeys({1, -3});
+        Rng rng(static_cast<std::uint64_t>(golden.n) + golden.decomp_bits);
+        const auto row = [&] {
+            std::vector<std::int64_t> values(
+                static_cast<std::size_t>(s.slots()));
+            for (std::int64_t& v : values) v = rng.uniformRange(0, 65536);
+            return values;
+        };
+        const Ciphertext a = s.encrypt(s.encode(row()));
+        const Ciphertext b = s.encrypt(s.encode(row()));
+        const Plaintext plain = s.encode(row());
+        for (bool simd : {true, false}) {
+            SCOPED_TRACE(simd ? "simd on" : "simd off");
+            setSimdEnabled(simd);
+            Ciphertext a_low = s.clone(a);
+            Ciphertext b_low = s.clone(b);
+            s.modSwitchTo(a_low, s.levels() - 2);
+            s.modSwitchTo(b_low, s.levels() - 2);
+            const std::array<std::uint64_t, 6> got = {
+                wordHash(s.multiply(a, b)),    wordHash(s.multiply(a, a)),
+                wordHash(s.rotate(a, 1)),      wordHash(s.rotate(a, -3)),
+                wordHash(s.mulPlain(a, plain)),
+                wordHash(s.multiply(a_low, b_low))};
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                EXPECT_EQ(got[i], golden.hashes[i])
+                    << "op " << i << ": 0x" << std::hex << got[i];
+            }
+        }
+    }
 }
 
 } // namespace
