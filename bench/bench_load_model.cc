@@ -1,29 +1,21 @@
 /// \file
 /// Timer-augmented load model throughput benchmark: jobs/sec on a
 /// *skewed* kernel mix — a few heavy kernels buried in many light ones
-/// — with the full adaptive scheduler (measured-EWMA LPT dispatch,
-/// cost-driven consolidation, arrival-rate-adaptive batch windows)
-/// against the static baseline (static-cost LPT, stride-FFD
-/// consolidation, fixed windows), at each lane cap.
+/// — under the service's scheduler (measured-EWMA LPT dispatch,
+/// cost-driven consolidation, fixed batch window), at each lane cap.
 ///
 /// The skew is the point: with uniform costs any order and any row
 /// assignment works. Once a handful of kernels dominate the wall
-/// time, the static scheduler (a) bin-packs by stride alone, happily
-/// serializing two heavy kernels onto one shared row while workers
-/// idle, and (b) sits out the full fixed window even when the arrival
-/// burst is long over. The load model prices both decisions in
-/// measured seconds: heavy (execution-dominated) groups get their own
-/// rows while workers are free, light (overhead-dominated) groups
-/// keep sharing, and groups flush as soon as the arrival-rate
-/// estimate says no more peers are coming.
+/// time, the load model prices row sharing in measured seconds: heavy
+/// (execution-dominated) groups get their own rows while workers are
+/// free, and light (overhead-dominated) groups keep sharing.
 ///
-/// Each configuration runs warmup rounds first (compiles cached,
-/// EWMA profiles and arrival estimators trained), then measures
-/// repeated rounds of the same batch with distinct inputs per round
-/// (so rounds coalesce instead of hitting the run cache).
-/// Correctness gate: every response's outputs are checked against the
-/// plaintext evaluator — packed/composite outputs stay bit-identical
-/// to solo under every scheduler.
+/// Each lane cap runs warmup rounds first (compiles cached, EWMA
+/// profiles trained), then measures repeated rounds of the same batch
+/// with distinct inputs per round (so rounds coalesce instead of
+/// hitting the run cache). Correctness gate: every response's outputs
+/// are checked against the plaintext evaluator — packed/composite
+/// outputs stay bit-identical to solo.
 ///
 /// Usage:
 ///   bench_load_model [LANES...]   lane caps to sweep (default 1 8 16;
@@ -32,15 +24,15 @@
 /// Environment knobs (see bench/common.h):
 ///   CHEHAB_BENCH_FAST=1     smaller batch and rewrite budget
 ///   CHEHAB_BENCH_TRACE=PATH write a Chrome trace-event JSON of the
-///                           adaptive sweep at the last lane cap
-///                           (nightly CI uploads it as an artifact)
+///                           sweep at the last lane cap (nightly CI
+///                           uploads it as an artifact)
 ///
 /// Writes results/load_model.csv — including the per-phase latency
 /// percentile columns (qwait/exec p50/p99, window-wait p99) from the
-/// service's telemetry histograms — and prints a summary table with
-/// the adaptive-over-static speedup per lane cap. Telemetry is on for
-/// every sweep; its overhead is part of what this bench keeps honest
-/// (the recorder must stay invisible next to FHE execution).
+/// service's telemetry histograms — and prints a summary table per
+/// lane cap. Telemetry is on for every sweep; its overhead is part of
+/// what this bench keeps honest (the recorder must stay invisible next
+/// to FHE execution).
 #include <algorithm>
 #include <cstddef>
 #include <cstdio>
@@ -97,12 +89,12 @@ struct Outcome
     service::ServiceStats stats;
 };
 
-/// Run \p rounds measured rounds of \p round_jobs requests on one
-/// service configured with \p adaptive scheduling on or off.
+/// Run \p rounds measured rounds of the mix on one service packing at
+/// most \p lanes lanes per row.
 Outcome
 runSweep(const std::vector<benchsuite::Kernel>& mix, int requests_per_kernel,
-         int lanes, bool adaptive, int workers, int warmup_rounds,
-         int rounds, int max_steps, const std::string& trace_path)
+         int lanes, int workers, int warmup_rounds, int rounds,
+         int max_steps, const std::string& trace_path)
 {
     service::ServiceConfig config;
     config.num_workers = workers;
@@ -111,22 +103,10 @@ runSweep(const std::vector<benchsuite::Kernel>& mix, int requests_per_kernel,
     // throughput measurement with the recorder live is the regression
     // gate on its overhead.
     config.telemetry = true;
-    // A service-shaped safety window (tens of ms — sized so a late
-    // straggler can still catch its row): the fixed-window baseline
-    // sits it out on every partial group; the adaptive scheduler
-    // flushes as soon as the arrival-rate estimate says the burst is
-    // over, which is what makes a generous ceiling affordable.
+    // A service-shaped window (tens of ms), sized so a late straggler
+    // can still catch its row.
     config.batch_window_seconds = 0.05;
     config.cross_kernel = lanes != 1;
-    config.adaptive_window = adaptive;
-    config.load_model.enabled = adaptive;
-    // Closed-loop rounds give few arrivals per group key; let the
-    // estimator reach confidence within the warmup budget, and keep a
-    // floor generous enough that submission-time compile/canonicalize
-    // stagger does not split lane pairs (a quarter of the ceiling still
-    // returns three quarters of every fixed-window wait).
-    config.load_model.min_arrival_samples = 3;
-    config.load_model.window_floor_fraction = 0.125;
     service::CompileService service(config);
 
     auto makeRound = [&](int round) {
@@ -144,7 +124,7 @@ runSweep(const std::vector<benchsuite::Kernel>& mix, int requests_per_kernel,
     // Concurrent clients: several submitter threads, each owning a
     // contiguous slice of the round (a kernel's requests stay on one
     // client, as one tenant's burst would). Serializing submission on
-    // one thread would hide the fixed window behind the caller's own
+    // one thread would hide the batch window behind the caller's own
     // canonicalize time.
     const int clients = 4;
     const auto submitSlice = [&service](
@@ -190,10 +170,9 @@ runSweep(const std::vector<benchsuite::Kernel>& mix, int requests_per_kernel,
         for (int f : slice_failures) *failures += f;
     };
 
-    // Warmup: caches the compiles for both configurations and — for
-    // the adaptive one — trains the EWMA profiles and arrival
-    // estimators the scheduler dispatches on, under the same client
-    // concurrency the measurement uses.
+    // Warmup: caches the compiles and trains the EWMA profiles the
+    // scheduler dispatches on, under the same client concurrency the
+    // measurement uses.
     Outcome outcome;
     for (int w = 0; w < warmup_rounds; ++w) {
         int ignored = 0;
@@ -219,7 +198,7 @@ runSweep(const std::vector<benchsuite::Kernel>& mix, int requests_per_kernel,
     // Correctness gate on a final round: packed/composite outputs must
     // equal the plaintext evaluator's solo semantics — modulo the
     // plaintext modulus, which is what the scheme computes in —
-    // whatever the scheduler decided.
+    // however the scheduler grouped and ordered the work.
     std::vector<service::RunRequest> check = makeRound(rounds);
     std::vector<service::RunRequest> reference = check;
     std::vector<service::RunResponse> responses =
@@ -298,8 +277,8 @@ main(int argc, char** argv)
     // long instruction streams, multi-step rotation plans, execution
     // times an order of magnitude above the rest) buried in 12 light
     // ones. All are lane-safe on the 128-slot row, so every scheduling
-    // decision — order, row assignment, window — is the difference
-    // under measurement.
+    // decision — dispatch order, row assignment — shows in the
+    // measurement.
     std::vector<benchsuite::Kernel> mix = {
         // Heavy tail.
         benchsuite::dotProduct(32),     benchsuite::l2Distance(32),
@@ -318,12 +297,11 @@ main(int argc, char** argv)
 
     std::filesystem::create_directories("results");
     std::vector<std::string> header = {
-        "lanes",           "scheduler",        "jobs_per_sec",
-        "wall_s",          "packed_groups",    "packed_lanes",
-        "composite_groups", "solo_runs",       "packed_fallbacks",
-        "window_flushes",  "window_shrinks",   "warm_predictions",
-        "cold_predictions", "share_preferred", "solo_preferred",
-        "wrong_outputs",   "speedup_vs_static"};
+        "lanes",           "jobs_per_sec",     "wall_s",
+        "packed_groups",   "packed_lanes",     "composite_groups",
+        "solo_runs",       "packed_fallbacks", "window_flushes",
+        "warm_predictions", "cold_predictions", "share_preferred",
+        "solo_preferred",  "wrong_outputs"};
     benchcommon::appendLatencyColumns(header);
     CsvWriter csv("results/load_model.csv", header);
 
@@ -331,68 +309,39 @@ main(int argc, char** argv)
                 "rounds on %d workers (max_steps=%d)\n\n",
                 mix.size(), requests_per_kernel, rounds, workers,
                 max_steps);
-    std::printf("%5s  %22s  %22s  %8s\n", "lanes",
-                "static jobs/s (LPT+FFD)", "adaptive jobs/s (model)",
-                "speedup");
+    std::printf("%5s  %10s  %s\n", "lanes", "jobs/s", "latency");
 
     bool correct = true;
     for (int lanes : lane_caps) {
-        // The trace artifact (when requested) captures the adaptive
-        // sweep at the last lane cap — the configuration the nightly
-        // wants a span-level look at.
+        // The trace artifact (when requested) captures the sweep at the
+        // last lane cap — the configuration the nightly wants a
+        // span-level look at.
         const bool trace_this =
             !trace_path.empty() && lanes == lane_caps.back();
-        const Outcome fixed =
-            runSweep(mix, requests_per_kernel, lanes, /*adaptive=*/false,
-                     workers, warmup_rounds, rounds, max_steps, "");
-        const Outcome adaptive =
-            runSweep(mix, requests_per_kernel, lanes, /*adaptive=*/true,
-                     workers, warmup_rounds, rounds, max_steps,
+        const Outcome outcome =
+            runSweep(mix, requests_per_kernel, lanes, workers,
+                     warmup_rounds, rounds, max_steps,
                      trace_this ? trace_path : "");
-        const double speedup =
-            fixed.jobs_per_second > 0.0
-                ? adaptive.jobs_per_second / fixed.jobs_per_second
-                : 0.0;
-        correct = correct && fixed.wrong_outputs == 0 &&
-                  adaptive.wrong_outputs == 0;
-        std::printf("%5d  %22.1f  %22.1f  %7.2fx\n", lanes,
-                    fixed.jobs_per_second, adaptive.jobs_per_second,
-                    speedup);
-        const auto latencyLine = [](const char* name,
-                                    const Outcome& outcome) {
-            const benchcommon::LatencySummary lat =
-                benchcommon::latencySummary(outcome.stats.telemetry);
-            std::printf("       [%s] qwait p50/p99 %.2f/%.2f ms, "
-                        "exec p50/p99 %.2f/%.2f ms, window p99 %.2f ms\n",
-                        name, lat.qwait_p50 * 1e3, lat.qwait_p99 * 1e3,
-                        lat.exec_p50 * 1e3, lat.exec_p99 * 1e3,
-                        lat.window_wait_p99 * 1e3);
-        };
-        latencyLine("static  ", fixed);
-        latencyLine("adaptive", adaptive);
-        const auto writeRow = [&](const char* name,
-                                  const Outcome& outcome,
-                                  double vs_static) {
-            const benchcommon::LatencySummary lat =
-                benchcommon::latencySummary(outcome.stats.telemetry);
-            csv.writeRow(
-                lanes, name, outcome.jobs_per_second,
-                outcome.wall_seconds, outcome.stats.packed_groups,
-                outcome.stats.packed_lanes,
-                outcome.stats.composite_groups, outcome.stats.solo_runs,
-                outcome.stats.packed_fallbacks,
-                outcome.stats.window_flushes,
-                outcome.stats.load_model.window_shrinks,
-                outcome.stats.load_model.warm_predictions,
-                outcome.stats.load_model.cold_predictions,
-                outcome.stats.load_model.share_preferred,
-                outcome.stats.load_model.solo_preferred,
-                outcome.wrong_outputs, vs_static, lat.qwait_p50,
-                lat.qwait_p99, lat.compile_p50, lat.compile_p99,
-                lat.exec_p50, lat.exec_p99, lat.window_wait_p99);
-        };
-        writeRow("static", fixed, 1.0);
-        writeRow("adaptive", adaptive, speedup);
+        correct = correct && outcome.wrong_outputs == 0;
+        const benchcommon::LatencySummary lat =
+            benchcommon::latencySummary(outcome.stats.telemetry);
+        std::printf("%5d  %10.1f  qwait p50/p99 %.2f/%.2f ms, "
+                    "exec p50/p99 %.2f/%.2f ms, window p99 %.2f ms\n",
+                    lanes, outcome.jobs_per_second, lat.qwait_p50 * 1e3,
+                    lat.qwait_p99 * 1e3, lat.exec_p50 * 1e3,
+                    lat.exec_p99 * 1e3, lat.window_wait_p99 * 1e3);
+        csv.writeRow(lanes, outcome.jobs_per_second, outcome.wall_seconds,
+                     outcome.stats.packed_groups, outcome.stats.packed_lanes,
+                     outcome.stats.composite_groups, outcome.stats.solo_runs,
+                     outcome.stats.packed_fallbacks,
+                     outcome.stats.window_flushes,
+                     outcome.stats.load_model.warm_predictions,
+                     outcome.stats.load_model.cold_predictions,
+                     outcome.stats.load_model.share_preferred,
+                     outcome.stats.load_model.solo_preferred,
+                     outcome.wrong_outputs, lat.qwait_p50, lat.qwait_p99,
+                     lat.compile_p50, lat.compile_p99, lat.exec_p50,
+                     lat.exec_p99, lat.window_wait_p99);
     }
     std::printf("\nwrote results/load_model.csv\n");
     if (!correct) {

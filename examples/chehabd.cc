@@ -48,12 +48,9 @@
 ///                   coalescible requests into one ciphertext row
 ///                   (default 1 = off, 0 = as many as the row allows)
 ///   --batch-window-us X  how long a pending run waits for row-mates
-///                   before a partial batch flushes (default 500;
-///                   fractional values allowed, e.g. 62.5)
-///   --adaptive-window N  1 (default) derives each group's flush
-///                   deadline from the load model's arrival-rate
-///                   estimate (ceiling-bounded by --batch-window-us);
-///                   0 keeps the fixed window
+///                   before a partial batch flushes, counted from the
+///                   batch's first arrival (default 500; fractional
+///                   values allowed, e.g. 62.5)
 ///   --cross-kernel  let runs of *different* kernels share a ciphertext
 ///                   row (program concatenation on disjoint lanes; needs
 ///                   --batch-lanes != 1)
@@ -80,21 +77,15 @@
 ///                   and reloaded on cache misses — a second chehabd
 ///                   run with the same --cache-dir warm-starts instead
 ///                   of recompiling (persist_hits in the footer and
-///                   stats-json). Crash-safe and shareable between
-///                   concurrent processes; corrupt/truncated/
-///                   version-mismatched entries are skipped and
-///                   counted, never trusted
-///   --persist-load-model 0|1  with --cache-dir, also snapshot the
-///                   load model's measured EWMA profiles at exit and
-///                   reload them as scheduling priors at boot
-///                   (default 1)
-///   --hot-factor X  run traffic abandons its affinity shard when that
-///                   shard's predicted load exceeds X times the
-///                   least-loaded shard's (default 2.0; needs
-///                   --shards > 1)
-///   --hot-slack-ms X  absolute slack added to the hot-shard test so
-///                   millisecond-scale loads keep cache affinity
-///                   (default 10)
+///                   stats-json), and the load model's measured EWMA
+///                   profiles are snapshotted at exit and reloaded as
+///                   scheduling priors at boot. Crash-safe and
+///                   shareable between concurrent processes; corrupt/
+///                   truncated/version-mismatched entries are skipped
+///                   and counted, never trusted
+///
+/// Any other argument starting with "-" (except a lone "-", which reads
+/// a kernel from stdin) is a usage error: exit status 2.
 ///
 /// With --run and --batch-lanes > 1 the report gains packed-vs-solo
 /// latency columns: `lanes` (how many requests shared the executed
@@ -166,7 +157,6 @@ struct Options
     int poly_n = 256;
     int batch_lanes = 1;
     double batch_window_us = 500.0;
-    int adaptive_window = 1;
     bool cross_kernel = false;
     bool distinct_inputs = false;
     std::string csv_path;
@@ -177,12 +167,9 @@ struct Options
     int telemetry = -1;
     std::string trace_path;
     std::string stats_json_path;
-    /// Empty = no persistence tier; set = artifacts (and, with
-    /// persist_load_model, load-model snapshots) survive restarts.
+    /// Empty = no persistence tier; set = artifacts and load-model
+    /// snapshots survive restarts.
     std::string cache_dir;
-    int persist_load_model = 1;
-    double hot_factor = 2.0;
-    double hot_slack_ms = 10.0;
     std::vector<std::string> files;
 };
 
@@ -196,14 +183,12 @@ usage(const char* argv0)
                  "[--cache-cap N]\n"
                  "       [--run] [--key-budget N] [--mod-switch 0|1] "
                  "[--simd 0|1] [--poly-n N] [--batch-lanes N]\n"
-                 "       [--batch-window-us N] [--adaptive-window 0|1] "
-                 "[--cross-kernel] [--distinct-inputs]\n"
+                 "       [--batch-window-us N] [--cross-kernel] "
+                 "[--distinct-inputs]\n"
                  "       [--csv PATH] [--json PATH] [--dump] "
                  "[--telemetry 0|1]\n"
                  "       [--trace-out PATH] [--stats-json PATH] "
                  "[--cache-dir PATH]\n"
-                 "       [--persist-load-model 0|1] [--hot-factor X] "
-                 "[--hot-slack-ms X]\n"
                  "       [kernel-file | -] ...\n",
                  argv0);
 }
@@ -291,8 +276,6 @@ parseArgs(int argc, char** argv, Options& options)
             if (!intArg(i, options.batch_lanes)) return false;
         } else if (arg == "--batch-window-us") {
             if (!doubleArg(i, options.batch_window_us)) return false;
-        } else if (arg == "--adaptive-window") {
-            if (!intArg(i, options.adaptive_window)) return false;
         } else if (arg == "--cross-kernel") {
             options.cross_kernel = true;
         } else if (arg == "--distinct-inputs") {
@@ -311,13 +294,13 @@ parseArgs(int argc, char** argv, Options& options)
             if (!strArg(i, options.stats_json_path)) return false;
         } else if (arg == "--cache-dir") {
             if (!strArg(i, options.cache_dir)) return false;
-        } else if (arg == "--persist-load-model") {
-            if (!intArg(i, options.persist_load_model)) return false;
-        } else if (arg == "--hot-factor") {
-            if (!doubleArg(i, options.hot_factor)) return false;
-        } else if (arg == "--hot-slack-ms") {
-            if (!doubleArg(i, options.hot_slack_ms)) return false;
         } else if (arg == "--help" || arg == "-h") {
+            return false;
+        } else if (arg.size() > 1 && arg[0] == '-') {
+            // An unknown option is a usage error, never a kernel path
+            // to read.
+            std::fprintf(stderr, "chehabd: unknown option '%s'\n",
+                         arg.c_str());
             return false;
         } else {
             options.files.push_back(arg);
@@ -451,8 +434,6 @@ writeStatsJson(std::ostream& out, const Options& options,
         << stats.load_model.compile_observations
         << ", \"run_observations\": "
         << stats.load_model.run_observations
-        << ", \"window_shrinks\": " << stats.load_model.window_shrinks
-        << ", \"window_ceilings\": " << stats.load_model.window_ceilings
         << ", \"share_preferred\": " << stats.load_model.share_preferred
         << ", \"solo_preferred\": " << stats.load_model.solo_preferred
         << "},\n";
@@ -544,21 +525,6 @@ main(int argc, char** argv)
                      "be non-negative\n");
         return 2;
     }
-    if (options.persist_load_model < 0 ||
-        options.persist_load_model > 1) {
-        std::fprintf(stderr,
-                     "chehabd: --persist-load-model must be 0 or 1\n");
-        return 2;
-    }
-    if (options.hot_factor <= 0.0) {
-        std::fprintf(stderr, "chehabd: --hot-factor must be > 0\n");
-        return 2;
-    }
-    if (options.hot_slack_ms < 0.0) {
-        std::fprintf(stderr,
-                     "chehabd: --hot-slack-ms must be non-negative\n");
-        return 2;
-    }
     if (options.telemetry < -1 || options.telemetry > 1) {
         std::fprintf(stderr, "chehabd: --telemetry must be 0 or 1\n");
         return 2;
@@ -644,11 +610,9 @@ main(int argc, char** argv)
         static_cast<std::size_t>(options.cache_cap);
     config.max_lanes = options.batch_lanes;
     config.batch_window_seconds = options.batch_window_us * 1e-6;
-    config.adaptive_window = options.adaptive_window != 0;
     config.cross_kernel = options.cross_kernel;
     config.telemetry = telemetry_on;
     config.cache_dir = options.cache_dir;
-    config.persist_load_model = options.persist_load_model != 0;
     // Reject nonsense configurations here, where the error reads as a
     // usage problem, instead of letting the service constructor throw.
     if (const std::string problem = config.validate(); !problem.empty()) {
@@ -677,16 +641,12 @@ main(int argc, char** argv)
     // responses are adapted into the same reporting shape. Always the
     // sharded front end: at --shards 1 it routes everything to its
     // single shard and behaves exactly like a plain CompileService.
-    service::RouterConfig router_config;
-    router_config.hot_factor = options.hot_factor;
-    router_config.hot_slack_seconds = options.hot_slack_ms * 1e-3;
     // An unusable --cache-dir (permission denied, path is a file)
     // surfaces as std::invalid_argument from the shard constructors;
     // report it as the usage error it is instead of terminating.
     std::unique_ptr<service::ShardedService> service_holder;
     try {
-        service_holder = std::make_unique<service::ShardedService>(
-            config, router_config);
+        service_holder = std::make_unique<service::ShardedService>(config);
     } catch (const std::invalid_argument& e) {
         std::fprintf(stderr, "chehabd: %s\n", e.what());
         return 2;
@@ -873,14 +833,6 @@ main(int argc, char** argv)
                     100.0 * error_sum / error_count);
     }
     std::printf("\n");
-    if (options.run && options.batch_lanes != 1) {
-        std::printf("adaptive window: %llu shrunk / %llu ceiling "
-                    "deadlines\n",
-                    static_cast<unsigned long long>(
-                        stats.load_model.window_shrinks),
-                    static_cast<unsigned long long>(
-                        stats.load_model.window_ceilings));
-    }
     if (options.run) {
         std::printf("run path: %llu executed, %llu run-cache hits, "
                     "%llu run joins, %llu runtimes pooled, %llu failed\n",

@@ -146,6 +146,86 @@ checkKeyPlan(const FheProgram& program, const RotationKeyPlan& plan,
     }
 }
 
+/// Throws CompileError unless every register \p row reads is defined
+/// when it is read: each register lies in [0, num_regs); a ciphertext
+/// operand is the destination of a PackCipher inside a member's slice
+/// (packs run before evaluation) or of an earlier op; an
+/// AddPlain/MulPlain plaintext operand is the destination of a
+/// PackPlain inside a member's slice; and every member's output
+/// register is defined. The evaluator's register maps assume all of
+/// this, and a tampered or stale artifact would otherwise reach them —
+/// consuming an undefined dying operand is undefined behaviour.
+void
+checkRegisters(const FheProgram& program, const RowPlan& row)
+{
+    const int num_regs = program.num_regs;
+    const auto inRange = [num_regs](int reg) {
+        return reg >= 0 && reg < num_regs;
+    };
+    const auto fail = [num_regs](std::size_t idx, const std::string& what,
+                                 int reg) {
+        throw CompileError("instruction " + std::to_string(idx) + ": " +
+                           what + " r" + std::to_string(reg) + " (" +
+                           std::to_string(num_regs) + " registers)");
+    };
+    // Sets, not num_regs-sized tables: num_regs is artifact data.
+    std::unordered_set<int> cipher;
+    std::unordered_set<int> plain;
+    for (const RowMember& member : row.members) {
+        for (int i = member.instr_begin; i < member.instr_end; ++i) {
+            const FheInstr& instr =
+                program.instrs[static_cast<std::size_t>(i)];
+            if (instr.op != FheOpcode::PackCipher &&
+                instr.op != FheOpcode::PackPlain) {
+                continue;
+            }
+            if (!inRange(instr.dst)) {
+                fail(static_cast<std::size_t>(i), "pack writes", instr.dst);
+            }
+            (instr.op == FheOpcode::PackCipher ? cipher : plain)
+                .insert(instr.dst);
+        }
+    }
+    for (std::size_t idx = 0; idx < program.instrs.size(); ++idx) {
+        const FheInstr& instr = program.instrs[idx];
+        switch (instr.op) {
+          case FheOpcode::PackCipher:
+          case FheOpcode::PackPlain:
+            if (!inRange(instr.dst)) fail(idx, "pack writes", instr.dst);
+            continue;
+          case FheOpcode::Add:
+          case FheOpcode::Sub:
+          case FheOpcode::Mul:
+            if (!cipher.count(instr.b)) {
+                fail(idx, "reads undefined ciphertext", instr.b);
+            }
+            break;
+          case FheOpcode::AddPlain:
+          case FheOpcode::MulPlain:
+            if (!plain.count(instr.b)) {
+                fail(idx, "reads undefined plaintext", instr.b);
+            }
+            break;
+          case FheOpcode::Negate:
+          case FheOpcode::Rotate:
+            break;
+        }
+        if (!cipher.count(instr.a)) {
+            fail(idx, "reads undefined ciphertext", instr.a);
+        }
+        if (!inRange(instr.dst)) fail(idx, "writes", instr.dst);
+        cipher.insert(instr.dst);
+    }
+    for (const RowMember& member : row.members) {
+        const int out = member.output_reg;
+        if (!cipher.count(out) && !plain.count(out)) {
+            throw CompileError("output register r" + std::to_string(out) +
+                               " is never defined (" +
+                               std::to_string(num_regs) + " registers)");
+        }
+    }
+}
+
 } // namespace
 
 RunResult
@@ -408,6 +488,7 @@ FheRuntime::execute(const FheProgram& program, const RotationKeyPlan& plan,
                                std::to_string(stride));
         }
     }
+    checkRegisters(program, row);
     checkKeyPlan(program, plan, scheme_.slots());
 
     const Stopwatch setup_watch;

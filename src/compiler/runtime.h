@@ -151,9 +151,13 @@ class FheRuntime
     /// Throws CompileError, before any key is generated, when the row
     /// layout does not fit (stride must tile the row, members' lane
     /// blocks and instruction ranges must lie inside it, outputs must
-    /// fit the stride) or when \p plan cannot execute a rotation of the
-    /// program (a step without a decomposition, or a component that
-    /// needs a Galois key the plan does not name). The caller (the
+    /// fit the stride), when a register is read before anything defines
+    /// it (out of [0, num_regs), a ciphertext operand no earlier op or
+    /// in-slice PackCipher writes, a plaintext operand no in-slice
+    /// PackPlain writes, an undefined member output), or when \p plan
+    /// cannot execute a rotation of the program (a step without a
+    /// decomposition, or a component that needs a Galois key the plan
+    /// does not name). The caller (the
     /// service's batch planner) is responsible for having certified
     /// every member of a multi-lane row lane-safe at the stride.
     RowResult execute(const FheProgram& program, const RotationKeyPlan& plan,

@@ -180,13 +180,32 @@ safeAtStride(const FheProgram& program, const RotationKeyPlan& plan,
     // no provable zeros): a register read before any instruction
     // writes it must not pass for all-zero, or the mask-cleaning rule
     // could certify an unsound packing. (Such programs fail at
-    // execution anyway — the runtime's register maps throw — but the
-    // analysis is a public API and must stay conservative on its own.)
+    // execution anyway — FheRuntime::execute refuses them with a
+    // CompileError — but the analysis is a public API and must stay
+    // conservative on its own.)
     RegState unknown;
     unknown.zero_from = stride;
     std::vector<RegState> regs(
         static_cast<std::size_t>(std::max(program.num_regs, 1)), unknown);
+    const auto inFile = [&regs](int reg) {
+        return reg >= 0 && static_cast<std::size_t>(reg) < regs.size();
+    };
     for (const FheInstr& instr : program.instrs) {
+        // An artifact can name registers outside the program's register
+        // file; refuse it here (the runtime reports it as a typed
+        // error) rather than index past the dataflow state.
+        const bool reads_b = instr.op == FheOpcode::Add ||
+                             instr.op == FheOpcode::Sub ||
+                             instr.op == FheOpcode::Mul ||
+                             instr.op == FheOpcode::AddPlain ||
+                             instr.op == FheOpcode::MulPlain;
+        const bool reads_a = reads_b || instr.op == FheOpcode::Negate ||
+                             instr.op == FheOpcode::Rotate;
+        if (!inFile(instr.dst) || (reads_a && !inFile(instr.a)) ||
+            (reads_b && !inFile(instr.b))) {
+            if (reason) *reason = "register outside the register file";
+            return false;
+        }
         RegState st;
         switch (instr.op) {
           case FheOpcode::PackCipher:
@@ -396,9 +415,9 @@ wasteAfter(const BatchPlanner::Group& row,
            (row.total_lanes + group.total_lanes);
 }
 
-/// Total order on rows for cost-driven tie-breaks: compile-key content
-/// of the first member, so row choice is a pure function of the
-/// flushed set, never of row creation order alone.
+/// Total order on rows for tie-breaks: compile-key content of the
+/// first member, so row choice is a pure function of the flushed set,
+/// never of row creation order alone.
 bool
 rowContentLess(const BatchPlanner::Group& a, const BatchPlanner::Group& b)
 {
@@ -415,9 +434,8 @@ struct Seat
 
 /// The row in \p rows that \p group should join under \p policy, or
 /// nullopt when no row is feasible (or the cost rule prefers an own
-/// row). Cost-driven choice minimizes the resulting predicted row
-/// seconds (the makespan objective), then wasted lanes, then row
-/// content; legacy choice is first fit.
+/// row). The choice minimizes the resulting predicted row seconds (the
+/// makespan objective), then wasted lanes, then row content.
 std::optional<Seat>
 chooseRow(std::vector<BatchPlanner::Group>& rows,
           const BatchPlanner::Group& group, const ConsolidatePolicy& policy,
@@ -427,9 +445,8 @@ chooseRow(std::vector<BatchPlanner::Group>& rows,
     for (std::size_t r = 0; r < rows.size(); ++r) {
         std::optional<MergePlan> plan = planMerge(rows[r], group);
         if (!plan) continue;
-        if (!policy.cost_driven || !best) {
+        if (!best) {
             best = Seat{r, std::move(*plan)};
-            if (!policy.cost_driven) break; // First fit.
             continue;
         }
         const auto score = [&](std::size_t idx, const MergePlan& p) {
@@ -447,8 +464,7 @@ chooseRow(std::vector<BatchPlanner::Group>& rows,
         }
     }
     if (!best) return std::nullopt;
-    if (policy.cost_driven && allow_new_row && policy.shareable &&
-        policy.parallelism > 0 &&
+    if (allow_new_row && policy.shareable && policy.parallelism > 0 &&
         static_cast<int>(rows.size()) < policy.parallelism &&
         !policy.shareable(group)) {
         // Execution-dominated group with worker slots still free:
@@ -464,7 +480,7 @@ chooseRow(std::vector<BatchPlanner::Group>& rows,
 std::optional<BatchPlanner::Group>
 BatchPlanner::add(const BatchGroupKey& key, const MemberSpec& member,
                   BatchLane lane, int row_slots, int lanes_cap,
-                  Clock::time_point now, double adaptive_wait_seconds)
+                  Clock::time_point now)
 {
     auto it = pending_.find(key);
     if (it == pending_.end()) {
@@ -474,8 +490,7 @@ BatchPlanner::add(const BatchGroupKey& key, const MemberSpec& member,
         group.row_slots = row_slots;
         group.lanes_cap = lanes_cap;
         group.stride = member.min_stride;
-        group.hard_deadline = now + window_;
-        group.deadline = group.hard_deadline;
+        group.deadline = now + window_;
         group.merged_plan = *member.plan;
         // One program execution per member, however many lanes ride it:
         // the group's predicted seconds count each member once.
@@ -496,17 +511,6 @@ BatchPlanner::add(const BatchGroupKey& key, const MemberSpec& member,
         Group full = std::move(group);
         pending_.erase(it);
         return full;
-    }
-    if (adaptive_wait_seconds >= 0.0) {
-        // Recompute the effective deadline from the arrival-rate
-        // estimate on every arrival, ceiling-bounded by the fixed
-        // window. The caller must notify its flusher afterwards: the
-        // new deadline may be earlier than the one it sleeps on.
-        const auto wait = std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double>(adaptive_wait_seconds));
-        group.deadline = std::min(group.hard_deadline, now + wait);
-    } else {
-        group.deadline = group.hard_deadline;
     }
     return std::nullopt;
 }
@@ -538,14 +542,6 @@ BatchPlanner::takeDue(Clock::time_point now)
     return due;
 }
 
-std::size_t
-BatchPlanner::pendingLanesFor(const BatchGroupKey& key) const
-{
-    auto it = pending_.find(key);
-    if (it == pending_.end()) return 0;
-    return static_cast<std::size_t>(it->second.total_lanes);
-}
-
 std::vector<BatchPlanner::Group>
 BatchPlanner::consolidateDue(std::vector<Group> due,
                              const ConsolidatePolicy& policy)
@@ -553,13 +549,12 @@ BatchPlanner::consolidateDue(std::vector<Group> due,
     std::vector<Group> rows = consolidateGroups(std::move(due), policy);
     for (auto it = pending_.begin(); it != pending_.end();) {
         // A pending row-mate is pulled forward only when it joins a row
-        // — and, under the cost rule, only when it is overhead-
-        // dominated: pulling an execution-dominated mate would
-        // serialize its work early when letting it keep its window (and
-        // likely its own row) costs nothing.
+        // — and only when it is overhead-dominated: pulling an
+        // execution-dominated mate would serialize its work early when
+        // letting it keep its window (and likely its own row) costs
+        // nothing.
         bool joined = false;
-        if (!policy.cost_driven || !policy.shareable ||
-            policy.shareable(it->second)) {
+        if (!policy.shareable || policy.shareable(it->second)) {
             std::optional<Seat> seat = chooseRow(rows, it->second, policy,
                                                  /*allow_new_row=*/false);
             if (seat) {
@@ -599,18 +594,15 @@ consolidateGroups(std::vector<BatchPlanner::Group> groups,
 {
     // Sorting first makes the consolidation a pure function of the
     // flushed set (arrival interleaving must not leak into row
-    // composition). Cost-driven mode places the heaviest-predicted
-    // groups first — the makespan analogue of longest-processing-time
-    // scheduling — while the legacy mode keeps first-fit decreasing
-    // over the certified strides (widest members seed rows, narrower
-    // ones fill the remaining lanes). Every input group keeps its
-    // lanes in one member, so each program still executes exactly
-    // once.
+    // composition). The heaviest-predicted groups go first — the
+    // makespan analogue of longest-processing-time scheduling — with
+    // ties broken by wider stride, more lanes, then compile-key
+    // content. Every input group keeps its lanes in one member, so
+    // each program still executes exactly once.
     std::sort(groups.begin(), groups.end(),
-              [&policy](const BatchPlanner::Group& a,
-                        const BatchPlanner::Group& b) {
-                  if (policy.cost_driven &&
-                      a.predicted_sum != b.predicted_sum) {
+              [](const BatchPlanner::Group& a,
+                 const BatchPlanner::Group& b) {
+                  if (a.predicted_sum != b.predicted_sum) {
                       return a.predicted_sum > b.predicted_sum;
                   }
                   if (a.stride != b.stride) return a.stride > b.stride;

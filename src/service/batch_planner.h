@@ -26,8 +26,8 @@
 /// program execution, which is where packing's compute saving lives —
 /// and only at *flush* time are window-expired partial groups that
 /// share a row identity consolidated (consolidateGroups — cost-driven
-/// row assignment under the load model, legacy first-fit decreasing
-/// over the certified strides otherwise) into composite rows, so a
+/// row assignment on the load model's predictions) into composite rows,
+/// so a
 /// mixed workload of small distinct kernels shares the runtime lease,
 /// the merged Galois keygen and the dispatch instead of paying them
 /// once per kernel. Groups that fill on their own dispatch untouched:
@@ -201,13 +201,12 @@ mergeKeyPlans(const compiler::RotationKeyPlan& a,
 struct ConsolidatePolicy;
 
 /// Groups pending coalescible runs and decides when each group is ready
-/// to execute. Window semantics: a group's *hard* deadline is fixed
-/// when its first lane arrives (first arrival + window); the adaptive
-/// window may pull the effective deadline earlier — never later — on
-/// each arrival, and the group flushes early the moment it reaches
-/// capacity. Pending groups are strictly per artifact (one open group
-/// per BatchGroupKey); cross-kernel rows only form when the service
-/// consolidates window-flushed partial groups (consolidateGroups).
+/// to execute. Window semantics: a group's deadline is fixed when its
+/// first lane arrives (first arrival + window), and the group flushes
+/// early the moment it reaches capacity. Pending groups are strictly
+/// per artifact (one open group per BatchGroupKey); cross-kernel rows
+/// only form when the service consolidates window-flushed partial
+/// groups (consolidateGroups).
 class BatchPlanner
 {
   public:
@@ -252,12 +251,9 @@ class BatchPlanner
         /// runs once however many lanes it carries). Dispatch priority
         /// and the consolidation makespan objective both read this.
         double predicted_sum = 0.0;
-        /// Effective flush deadline (what the flusher sleeps on). The
-        /// adaptive window may move it earlier than hard_deadline and
-        /// recomputes it on every arrival; it never passes the ceiling.
+        /// First arrival + the configured batch window: when the
+        /// flusher takes the group if it has not filled by then.
         Clock::time_point deadline;
-        /// First arrival + the configured batch window: the ceiling.
-        Clock::time_point hard_deadline;
 
         /// Lanes the row can hold at \p stride (row bound under the
         /// configured lane cap) — the one source of truth for both
@@ -279,26 +275,13 @@ class BatchPlanner
     /// capacity, nullopt otherwise. Precondition: min_stride divides
     /// row_slots and allows >= 2 lanes under \p lanes_cap (the service
     /// refuses such lanes upstream).
-    ///
-    /// \p adaptive_wait_seconds, when non-negative, is the load model's
-    /// estimate of how long the remaining lanes will take to arrive:
-    /// the group's effective deadline becomes min(hard ceiling, now +
-    /// wait), recomputed on every arrival. Negative means fixed-window
-    /// semantics (deadline = hard ceiling). Whenever the effective
-    /// deadline may have moved earlier, the caller must notify its
-    /// flusher so it re-derives its wait_until target instead of
-    /// sleeping out the stale deadline.
     std::optional<Group> add(const BatchGroupKey& key,
                              const MemberSpec& member, BatchLane lane,
                              int row_slots, int lanes_cap,
-                             Clock::time_point now,
-                             double adaptive_wait_seconds = -1.0);
+                             Clock::time_point now);
 
     /// Deadline of the oldest pending group, if any.
     std::optional<Clock::time_point> earliestDeadline() const;
-
-    /// Lanes currently pending for \p key (0 when no open group).
-    std::size_t pendingLanesFor(const BatchGroupKey& key) const;
 
     /// Remove and return every group whose deadline has passed.
     std::vector<Group> takeDue(Clock::time_point now);
@@ -334,19 +317,15 @@ class BatchPlanner
     std::unordered_map<BatchGroupKey, Group, BatchGroupKeyHash> pending_;
 };
 
-/// How consolidateGroups assigns flushed groups to rows.
+/// What consolidateGroups needs to know beyond the groups themselves.
+/// Groups are placed heaviest-predicted first onto the feasible row
+/// that minimizes the resulting predicted row seconds, then wasted
+/// lanes (best-fit by makespan); execution-dominated groups (the
+/// \c shareable callback answers false) seed their own rows while
+/// fewer than \c parallelism rows exist, so a few heavy kernels spread
+/// across workers instead of serializing on one shared row.
 struct ConsolidatePolicy
 {
-    /// Cost-driven row assignment (the load model's mode): groups are
-    /// placed heaviest-predicted first onto the feasible row that
-    /// minimizes the resulting predicted row seconds, then wasted
-    /// lanes (best-fit by makespan); execution-dominated groups (the
-    /// \c shareable callback answers false) seed their own rows while
-    /// fewer than \c parallelism rows exist, so a few heavy kernels
-    /// spread across workers instead of serializing on one shared row.
-    /// When false: the legacy first-fit-decreasing over certified
-    /// strides, blind to cost.
-    bool cost_driven = false;
     /// Worker parallelism available to execute rows; 0 disables the
     /// own-row rule (always pack as tightly as rows allow).
     int parallelism = 0;
@@ -359,11 +338,10 @@ struct ConsolidatePolicy
 /// Consolidate flushed groups that share a row identity (RowKey) into
 /// cross-kernel composite rows, growing each row's common stride as
 /// members join and respecting its lane cap and key-plan
-/// compatibility. Row assignment follows \p policy: cost-driven
-/// (minimize predicted composite makespan, then wasted lanes, ties
-/// broken by compile-key content so row composition stays a pure
-/// function of the flushed set) or the legacy first-fit decreasing
-/// over certified strides. Input groups are single-artifact (as the
+/// compatibility. Row assignment is cost-driven (see
+/// ConsolidatePolicy): minimize predicted composite makespan, then
+/// wasted lanes, ties broken by compile-key content so row composition
+/// stays a pure function of the flushed set. Input groups are single-artifact (as the
 /// planner produces them); each either seeds a row or joins one, so no
 /// program ever executes more than once per flush. Deterministic for a
 /// fixed input set and fixed predictions — independent of input order,

@@ -114,42 +114,6 @@ ServiceConfig::validate() const
                std::to_string(shard_id) + " with " +
                std::to_string(shards) + " shards)";
     }
-    const LoadModelConfig& lm = load_model;
-    if (!std::isfinite(lm.alpha) || lm.alpha <= 0.0 || lm.alpha > 1.0) {
-        return "load_model.alpha must be in (0, 1] (got " +
-               std::to_string(lm.alpha) + ")";
-    }
-    if (!std::isfinite(lm.arrival_alpha) || lm.arrival_alpha <= 0.0 ||
-        lm.arrival_alpha > 1.0) {
-        return "load_model.arrival_alpha must be in (0, 1] (got " +
-               std::to_string(lm.arrival_alpha) + ")";
-    }
-    if (lm.min_arrival_samples < 0) {
-        return "load_model.min_arrival_samples must be >= 0 (got " +
-               std::to_string(lm.min_arrival_samples) + ")";
-    }
-    if (!std::isfinite(lm.window_safety) || lm.window_safety <= 0.0) {
-        return "load_model.window_safety must be finite and > 0 (got " +
-               std::to_string(lm.window_safety) + ")";
-    }
-    if (!std::isfinite(lm.window_floor_fraction) ||
-        lm.window_floor_fraction < 0.0 || lm.window_floor_fraction > 1.0) {
-        return "load_model.window_floor_fraction must be in [0, 1] "
-               "(got " +
-               std::to_string(lm.window_floor_fraction) + ")";
-    }
-    if (!std::isfinite(lm.merge_cost_factor) ||
-        lm.merge_cost_factor <= 0.0) {
-        return "load_model.merge_cost_factor must be finite and > 0 "
-               "(got " +
-               std::to_string(lm.merge_cost_factor) + ")";
-    }
-    if (!std::isfinite(lm.seed_seconds_per_cost) ||
-        lm.seed_seconds_per_cost <= 0.0) {
-        return "load_model.seed_seconds_per_cost must be finite and > 0 "
-               "(got " +
-               std::to_string(lm.seed_seconds_per_cost) + ")";
-    }
     return {};
 }
 
@@ -175,7 +139,6 @@ CompileService::CompileService(ServiceConfig config)
     : config_(validated(config)), ruleset_(trs::buildChehabRuleset()),
       cache_(config.kernel_cache_capacity),
       run_cache_(config.run_cache_capacity),
-      load_model_(config.load_model),
       telemetry_(config.telemetry),
       planner_(toWindow(config.batch_window_seconds)),
       pool_(std::make_unique<ThreadPool>(config.num_workers, &telemetry_))
@@ -196,12 +159,10 @@ CompileService::CompileService(ServiceConfig config)
             throw std::invalid_argument(std::string("ServiceConfig: ") +
                                         error.what());
         }
-        if (config_.persist_load_model) {
-            // Warm scheduling priors: measured EWMA profiles from the
-            // previous incarnation of this shard, if a usable snapshot
-            // exists.
-            persist_->loadLoadModelInto(load_model_);
-        }
+        // Warm scheduling priors: measured EWMA profiles from the
+        // previous incarnation of this shard, if a usable snapshot
+        // exists.
+        persist_->loadLoadModelInto(load_model_);
     }
     if (config_.max_lanes != 1) {
         flusher_ = std::thread([this] { flusherLoop(); });
@@ -233,7 +194,7 @@ CompileService::~CompileService()
             dispatchGroup(std::move(group), /*window_flush=*/true);
         }
     }
-    if (persist_ && config_.persist_load_model) {
+    if (persist_) {
         // Snapshot the load model once every in-flight observation has
         // landed (the pool still exists — pool_ is declared last, so
         // it destructs after this body runs).
@@ -547,47 +508,19 @@ CompileService::tryCoalesce(BatchLane& lane)
         member.compiled = lane.compiled;
         member.plan = &group_fit.plan;
         member.min_stride = group_fit.fit.stride;
-        // Feed the arrival estimator, then derive how much longer the
-        // group should keep its seat open: the expected fill time of
-        // the remaining lanes, ceiling-bounded by the fixed window
-        // (fixed-window semantics until the estimator has confidence,
-        // or when adaptive windows are opted out).
-        const BatchPlanner::Clock::time_point now =
-            BatchPlanner::Clock::now();
-        double adaptive_wait = -1.0;
-        if (config_.adaptive_window) {
-            // The arrival tracker only feeds the adaptive window, so
-            // the fixed-window configuration skips it entirely.
-            load_model_.observeArrival(fit_key, now,
-                                       config_.batch_window_seconds);
-            const int remaining =
-                capacity -
-                (static_cast<int>(planner_.pendingLanesFor(fit_key)) + 1);
-            adaptive_wait = load_model_.adaptiveWaitSeconds(
-                fit_key, remaining, config_.batch_window_seconds);
-        }
         if (telemetry_.enabled()) {
             // Stamp the coalescer arrival: dispatchGroup turns it into
             // the lane's window-wait measurement at flush time.
             lane.coalesce_ns = telemetry_.nowNs();
-            if (adaptive_wait >= 0.0 &&
-                adaptive_wait < config_.batch_window_seconds) {
-                telemetry_.instant("window_shrink",
-                                   telemetry::TraceRecorder::clientTid(),
-                                   lane.request_id,
-                                   {{"wait_s", adaptive_wait}});
-            }
         }
         full = planner_.add(fit_key, member, std::move(lane), row_slots,
-                            lanes_cap, now, adaptive_wait);
+                            lanes_cap, BatchPlanner::Clock::now());
     }
     if (full) {
         dispatchGroup(std::move(*full), /*window_flush=*/false);
     } else {
-        // The add may have created a new earliest deadline OR — under
-        // the adaptive window — shortened an existing one: wake the
-        // flusher so it re-derives its wait_until target instead of
-        // sleeping out the stale deadline.
+        // The add may have created a new earliest deadline: wake the
+        // flusher so it re-derives its wait_until target.
         batch_cv_.notify_one();
     }
     return true;
@@ -597,16 +530,13 @@ ConsolidatePolicy
 CompileService::consolidatePolicy()
 {
     ConsolidatePolicy policy;
-    policy.cost_driven = load_model_.enabled();
     policy.parallelism = pool_->size();
-    if (policy.cost_driven) {
-        // The model never locks back into the service, so this
-        // callback is safe under batch_mutex_.
-        policy.shareable = [this](const BatchPlanner::Group& group) {
-            return load_model_.preferRowShare(group.key.params_hash,
-                                              group.predicted_sum);
-        };
-    }
+    // The model never locks back into the service, so this callback is
+    // safe under batch_mutex_.
+    policy.shareable = [this](const BatchPlanner::Group& group) {
+        return load_model_.preferRowShare(group.key.params_hash,
+                                          group.predicted_sum);
+    };
     return policy;
 }
 
@@ -615,12 +545,9 @@ CompileService::flusherLoop()
 {
     std::unique_lock<std::mutex> lock(batch_mutex_);
     while (!batch_stop_) {
-        // Re-derive the wait target on every pass: the adaptive window
-        // recomputes group deadlines on each arrival — possibly
-        // *earlier* than what this thread last slept on — and every
-        // such update notifies batch_cv_, so waking here and re-reading
-        // earliestDeadline() is what keeps a shortened window from
-        // being slept out at its old fixed deadline.
+        // Re-derive the wait target on every pass: every add notifies
+        // batch_cv_, and a group opened since this thread last slept
+        // may be the new earliest deadline.
         const std::optional<BatchPlanner::Clock::time_point> deadline =
             planner_.earliestDeadline();
         if (!deadline) {

@@ -48,11 +48,9 @@
 /// profiles when warm, the §5.3.1 static estimate scaled into seconds
 /// when cold), which minimizes batch makespan when job costs are
 /// heterogeneous. The same model drives cost-based consolidation of
-/// window-flushed groups and arrival-rate-adaptive batch windows
-/// (ServiceConfig::adaptive_window). Identical concurrent requests
-/// compile (and execute) once: single-flight on both caches. Both
-/// caches take an optional LRU capacity so long-running processes stay
-/// bounded.
+/// window-flushed groups. Identical concurrent requests compile (and
+/// execute) once: single-flight on both caches. Both caches take an
+/// optional LRU capacity so long-running processes stay bounded.
 ///
 /// Thread-safety contract: every public member function may be called
 /// concurrently from any thread. Determinism: the driver pipelines are
@@ -110,8 +108,9 @@ struct ServiceConfig
     /// any other value caps the lanes packed into one row.
     int max_lanes = 1;
     /// How long a pending coalescible run waits for peers before its
-    /// (possibly partial) group flushes. Groups that reach their lane
-    /// capacity flush immediately.
+    /// (possibly partial) group flushes, counted from the group's first
+    /// arrival. Groups that reach their lane capacity flush
+    /// immediately.
     double batch_window_seconds = 0.0005;
     /// Cross-kernel packing: when true (and max_lanes allows packing),
     /// runs of *different* compiled artifacts that share SealLite
@@ -120,19 +119,6 @@ struct ServiceConfig
     /// blocks and executes the composite once (see batch_planner.h).
     /// When false (default) only runs of the same artifact coalesce.
     bool cross_kernel = false;
-    /// Adaptive batch windows: when true (default) a pending group's
-    /// flush deadline is derived from the load model's arrival-rate
-    /// estimate for its group key — the expected time for the
-    /// remaining lanes to arrive — bounded by batch_window_seconds as
-    /// a ceiling, and recomputed (only ever earlier) on each arrival.
-    /// Until the estimator has confidence (min_arrival_samples) the
-    /// fixed window applies unchanged. False opts out: fixed windows
-    /// always.
-    bool adaptive_window = true;
-    /// Timer-augmented load model knobs; load_model.enabled = false
-    /// restores the fully static scheduler (static-cost LPT dispatch,
-    /// stride-FFD consolidation, fixed windows) for A/B comparison.
-    LoadModelConfig load_model;
     /// Request-lifecycle telemetry (support/telemetry.h): spans for
     /// enqueue/dispatch/compile/execute (with setup/evaluate/decode
     /// sub-phases), per-phase latency histograms, cache-hit and
@@ -146,15 +132,11 @@ struct ServiceConfig
     /// load from disk, fresh compiles are stored back
     /// (content-addressed, crash-safe temp-file + rename, so the
     /// directory is safely shared by every shard and by concurrent
-    /// service *processes*), and the load model snapshots/restores its
-    /// measured profiles across restarts. Construction throws
+    /// service *processes*), and the load model snapshots its measured
+    /// profiles at shutdown and re-imports them as priors at boot (the
+    /// warm-scheduling half of a warm start). Construction throws
     /// std::invalid_argument when the directory cannot be created.
     std::string cache_dir;
-    /// When persistence is on, also snapshot the load model's EWMA
-    /// profiles at shutdown and re-import them as priors at boot (the
-    /// warm-scheduling half of a warm start). No effect with an empty
-    /// cache_dir.
-    bool persist_load_model = true;
     /// Shard count for ShardedService (service/shard_router.h): the
     /// fleet builds this many CompileService shards, each with this
     /// config (num_workers is *per shard*). A plain CompileService
@@ -179,7 +161,7 @@ struct ServiceConfig
     /// lanes as the row allows") — both are long-standing semantics
     /// with in-tree users, so validate() only rejects values that no
     /// semantics is assigned to (negative counts, non-finite windows,
-    /// out-of-range model fractions).
+    /// out-of-range shard ids).
     std::string validate() const;
 };
 
@@ -271,8 +253,8 @@ class CompileService final : public ServiceApi
     /// planner.
     bool tryCoalesce(BatchLane& lane);
 
-    /// The consolidation policy the load model prescribes (cost-driven
-    /// when enabled, legacy stride FFD otherwise).
+    /// The consolidation policy: worker parallelism plus the load
+    /// model's share advice.
     ConsolidatePolicy consolidatePolicy();
 
     /// Dispatch one flushed group onto the worker pool (a one-lane group
@@ -322,9 +304,9 @@ class CompileService final : public ServiceApi
     /// On-disk persistence tier; null when config_.cache_dir is empty.
     /// Declared before pool_ so workers may touch it until they drain.
     std::unique_ptr<PersistStore> persist_;
-    /// Timer-augmented cost model behind dispatch priorities, adaptive
-    /// windows and cost-driven consolidation. Internally synchronized;
-    /// may be queried under batch_mutex_ (it never calls back out).
+    /// Timer-augmented cost model behind dispatch priorities and
+    /// cost-driven consolidation. Internally synchronized; may be
+    /// queried under batch_mutex_ (it never calls back out).
     LoadModel load_model_;
 
     mutable std::mutex pools_mutex_;

@@ -5,17 +5,22 @@
 
 namespace chehab::service {
 
-LoadModel::LoadModel(LoadModelConfig config)
-    : config_(config), compile_ratio_(config.seed_seconds_per_cost),
-      run_ratio_(config.seed_seconds_per_cost)
+const double kLoadModelAlpha = 0.3;
+const double kLoadModelMergeCostFactor = 4.0;
+const double kLoadModelSeedSecondsPerCost = 1e-6;
+const std::size_t kLoadModelMaxProfiles = 65536;
+
+LoadModel::LoadModel()
+    : compile_ratio_(kLoadModelSeedSecondsPerCost),
+      run_ratio_(kLoadModelSeedSecondsPerCost)
 {}
 
 double
-LoadModel::ewma(double current, double sample, double alpha,
+LoadModel::ewma(double current, double sample,
                 std::uint64_t samples_before)
 {
     if (samples_before == 0) return sample;
-    return alpha * sample + (1.0 - alpha) * current;
+    return kLoadModelAlpha * sample + (1.0 - kLoadModelAlpha) * current;
 }
 
 double
@@ -24,12 +29,10 @@ LoadModel::predictCompileSeconds(const CacheKey& key,
 {
     const double floor_cost = std::max(static_cost, 1.0);
     std::unique_lock<std::mutex> lock(mutex_);
-    if (config_.enabled) {
-        auto it = compile_.find(key);
-        if (it != compile_.end() && it->second.samples > 0) {
-            ++counters_.warm_predictions;
-            return it->second.seconds_ewma;
-        }
+    auto it = compile_.find(key);
+    if (it != compile_.end() && it->second.samples > 0) {
+        ++counters_.warm_predictions;
+        return it->second.seconds_ewma;
     }
     ++counters_.cold_predictions;
     return floor_cost * compile_ratio_;
@@ -41,12 +44,10 @@ LoadModel::predictRunSeconds(const BatchGroupKey& key,
 {
     const double floor_cost = std::max(static_cost, 1.0);
     std::unique_lock<std::mutex> lock(mutex_);
-    if (config_.enabled) {
-        auto it = run_.find(key);
-        if (it != run_.end() && it->second.samples > 0) {
-            ++counters_.warm_predictions;
-            return it->second.seconds_ewma;
-        }
+    auto it = run_.find(key);
+    if (it != run_.end() && it->second.samples > 0) {
+        ++counters_.warm_predictions;
+        return it->second.seconds_ewma;
     }
     ++counters_.cold_predictions;
     return floor_cost * run_ratio_;
@@ -59,14 +60,13 @@ LoadModel::observeCompile(const CacheKey& key, double static_cost,
     if (measured_seconds < 0.0) return; // Clock hiccup: ignore.
     std::unique_lock<std::mutex> lock(mutex_);
     ++counters_.compile_observations;
-    if (compile_.size() >= config_.max_profiles) compile_.clear();
+    if (compile_.size() >= kLoadModelMaxProfiles) compile_.clear();
     Profile& profile = compile_[key];
-    profile.seconds_ewma = ewma(profile.seconds_ewma, measured_seconds,
-                                config_.alpha, profile.samples);
+    profile.seconds_ewma =
+        ewma(profile.seconds_ewma, measured_seconds, profile.samples);
     ++profile.samples;
     const double ratio = measured_seconds / std::max(static_cost, 1.0);
-    compile_ratio_ = ewma(compile_ratio_, ratio, config_.alpha,
-                          compile_ratio_samples_);
+    compile_ratio_ = ewma(compile_ratio_, ratio, compile_ratio_samples_);
     ++compile_ratio_samples_;
 }
 
@@ -77,84 +77,24 @@ LoadModel::observeRun(const BatchGroupKey& key, double static_cost,
     if (measured_seconds < 0.0) return;
     std::unique_lock<std::mutex> lock(mutex_);
     ++counters_.run_observations;
-    if (run_.size() >= config_.max_profiles) {
+    if (run_.size() >= kLoadModelMaxProfiles) {
         run_.clear();
         cheapest_run_.clear();
     }
     Profile& profile = run_[key];
-    profile.seconds_ewma = ewma(profile.seconds_ewma, measured_seconds,
-                                config_.alpha, profile.samples);
+    profile.seconds_ewma =
+        ewma(profile.seconds_ewma, measured_seconds, profile.samples);
     profile.setup_ewma = ewma(profile.setup_ewma,
-                              std::max(setup_seconds, 0.0), config_.alpha,
-                              profile.samples);
+                              std::max(setup_seconds, 0.0), profile.samples);
     ++profile.samples;
     const double ratio = measured_seconds / std::max(static_cost, 1.0);
-    run_ratio_ =
-        ewma(run_ratio_, ratio, config_.alpha, run_ratio_samples_);
+    run_ratio_ = ewma(run_ratio_, ratio, run_ratio_samples_);
     ++run_ratio_samples_;
     auto [floor_it, inserted] =
         cheapest_run_.emplace(key.params_hash, measured_seconds);
     if (!inserted && measured_seconds < floor_it->second) {
         floor_it->second = measured_seconds;
     }
-}
-
-void
-LoadModel::observeArrival(const BatchGroupKey& key, Clock::time_point now,
-                          double window_ceiling)
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (arrivals_.size() >= config_.max_profiles) arrivals_.clear();
-    ArrivalTrack& track = arrivals_[key];
-    if (track.has_last) {
-        const double gap =
-            std::chrono::duration<double>(now - track.last).count();
-        if (gap >= 0.0 && gap <= std::max(window_ceiling, 0.0)) {
-            // An intra-burst gap: fold it into the rate estimate. A
-            // longer gap means the previous group flushed long ago —
-            // this arrival opens a new burst, and averaging the idle
-            // period in would drown the signal the window needs.
-            track.gap_ewma = ewma(track.gap_ewma, gap,
-                                  config_.arrival_alpha, track.samples);
-            ++track.samples;
-        }
-    }
-    track.last = now;
-    track.has_last = true;
-}
-
-double
-LoadModel::adaptiveWaitSeconds(const BatchGroupKey& key,
-                               int remaining_lanes,
-                               double ceiling_seconds) const
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (!config_.enabled) {
-        ++counters_.window_ceilings;
-        return ceiling_seconds;
-    }
-    auto it = arrivals_.find(key);
-    if (it == arrivals_.end() ||
-        it->second.samples <
-            static_cast<std::uint64_t>(
-                std::max(config_.min_arrival_samples, 1))) {
-        ++counters_.window_ceilings;
-        return ceiling_seconds;
-    }
-    const double expected_fill = it->second.gap_ewma *
-                                 config_.window_safety *
-                                 std::max(remaining_lanes, 1);
-    const double floor =
-        ceiling_seconds * std::clamp(config_.window_floor_fraction, 0.0,
-                                     1.0);
-    const double wait =
-        std::clamp(expected_fill, floor, ceiling_seconds);
-    if (wait < ceiling_seconds) {
-        ++counters_.window_shrinks;
-    } else {
-        ++counters_.window_ceilings;
-    }
-    return wait;
 }
 
 void
@@ -191,14 +131,11 @@ LoadModel::preferRowShare(std::uint64_t params_hash,
                           double predicted_seconds) const
 {
     std::unique_lock<std::mutex> lock(mutex_);
-    if (config_.enabled) {
-        auto it = cheapest_run_.find(params_hash);
-        if (it != cheapest_run_.end() &&
-            predicted_seconds >
-                config_.merge_cost_factor * it->second) {
-            ++counters_.solo_preferred;
-            return false;
-        }
+    auto it = cheapest_run_.find(params_hash);
+    if (it != cheapest_run_.end() &&
+        predicted_seconds > kLoadModelMergeCostFactor * it->second) {
+        ++counters_.solo_preferred;
+        return false;
     }
     ++counters_.share_preferred;
     return true;
@@ -257,21 +194,21 @@ LoadModel::importState(const LoadModelState& state)
 {
     std::unique_lock<std::mutex> lock(mutex_);
     for (const auto& [key, profile] : state.compile) {
-        if (compile_.size() >= config_.max_profiles) break;
+        if (compile_.size() >= kLoadModelMaxProfiles) break;
         Profile& slot = compile_[key];
         slot.seconds_ewma = profile.seconds_ewma;
         slot.setup_ewma = profile.setup_ewma;
         slot.samples = profile.samples;
     }
     for (const auto& [key, profile] : state.run) {
-        if (run_.size() >= config_.max_profiles) break;
+        if (run_.size() >= kLoadModelMaxProfiles) break;
         Profile& slot = run_[key];
         slot.seconds_ewma = profile.seconds_ewma;
         slot.setup_ewma = profile.setup_ewma;
         slot.samples = profile.samples;
     }
     for (const auto& [params_hash, floor] : state.cheapest_run) {
-        if (cheapest_run_.size() >= config_.max_profiles) break;
+        if (cheapest_run_.size() >= kLoadModelMaxProfiles) break;
         auto [it, inserted] = cheapest_run_.emplace(params_hash, floor);
         if (!inserted && floor < it->second) it->second = floor;
     }

@@ -1,16 +1,14 @@
 /// \file
-/// Timer-augmented load model: the one adaptive scheduling layer behind
-/// dispatch, consolidation and batch-window sizing.
+/// Timer-augmented load model: the one scheduling layer behind dispatch
+/// and consolidation.
 ///
-/// Every scheduling decision the service makes used to be driven by a
-/// *static* a-priori estimate: thread-pool dispatch ranked tasks by
-/// ir::cost(), consolidation bin-packed rows by stride alone, and the
-/// coalescer flushed on a fixed window. Once per-task cost is uneven,
-/// measured-runtime feedback beats any static cost function (cf. the
-/// timer-augmented DSMC load-balancing literature in PAPERS.md), so the
-/// LoadModel keeps online EWMA profiles of *measured* compile and run
-/// wall times — keyed by the same content-addressed fingerprints the
-/// caches use — and an arrival-rate estimator per coalescer group key:
+/// A *static* a-priori estimate (ir::cost() for dispatch, the certified
+/// stride for row packing) is blind to uneven per-task cost, and once
+/// cost is uneven, measured-runtime feedback beats any static cost
+/// function (cf. the timer-augmented DSMC load-balancing literature in
+/// PAPERS.md). So the LoadModel keeps online EWMA profiles of
+/// *measured* compile and run wall times, keyed by the same
+/// content-addressed fingerprints the caches use:
 ///
 ///   - Compile profiles (per CacheKey): EWMA of the owner compile's
 ///     wall seconds. Cold start falls back to the static ir::cost()
@@ -24,29 +22,25 @@
 ///     amortizes. The cheapest observed execution per parameter family
 ///     doubles as the row-overhead floor consolidation prices merges
 ///     against.
-///   - Arrival estimator (per BatchGroupKey): EWMA over intra-burst
-///     inter-arrival gaps. Gaps longer than the batch window mark a new
-///     burst (the previous group has long flushed) and reset the
-///     tracker instead of polluting the average.
 ///
-/// The three consumers:
+/// The two consumers:
 ///   1. Dispatch — the thread pool runs one two-level priority queue:
 ///      compile tasks and run tasks are both ranked by *predicted
 ///      seconds* (longest-processing-time first), so a heavy compile
 ///      outranks a light run and vice versa — the units are finally
 ///      comparable.
 ///   2. Consolidation — cost-driven row assignment minimizes the
-///      predicted composite makespan and wasted lanes instead of
-///      first-fit-decreasing over stride alone (see
-///      consolidateGroups).
-///   3. Batch windows — the flusher derives each group's deadline from
-///      the estimated arrival rate (expected time for the remaining
-///      lanes to show up), bounded by ServiceConfig's
-///      batch_window_seconds as a ceiling.
+///      predicted composite makespan and wasted lanes (see
+///      consolidateGroups), and execution-dominated groups keep their
+///      own rows while workers are idle (preferRowShare).
 ///
-/// Adaptivity never changes outputs: packed/composite/solo results stay
-/// bit-identical at any worker count — the model only reorders,
-/// regroups and retimes work (see README, "Adaptive scheduling").
+/// Batch windows are not the model's business: a pending group flushes
+/// at capacity or at first arrival + ServiceConfig's
+/// batch_window_seconds, whichever comes first.
+///
+/// The model never changes outputs: packed/composite/solo results stay
+/// bit-identical at any worker count — it only reorders and regroups
+/// work (see README, "Adaptive scheduling").
 ///
 /// Thread-safety: every member function may be called concurrently
 /// from any thread; all state lives behind one internal mutex and the
@@ -54,7 +48,7 @@
 /// service, so it can be queried under the service's coalescer lock.
 #pragma once
 
-#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
@@ -66,45 +60,25 @@
 
 namespace chehab::service {
 
-/// LoadModel knobs (embedded in ServiceConfig::load_model).
-struct LoadModelConfig
-{
-    /// Master switch. When false every prediction degrades to the
-    /// static estimate scaled by the seed ratio (pure static LPT), the
-    /// adaptive window always returns its ceiling, and consolidation
-    /// falls back to first-fit decreasing over stride — the pre-model
-    /// scheduler, kept for A/B benchmarking (bench_load_model).
-    bool enabled = true;
-    /// EWMA smoothing for measured compile/run seconds: profile ewma =
-    /// alpha * sample + (1 - alpha) * ewma.
-    double alpha = 0.3;
-    /// EWMA smoothing for inter-arrival gaps.
-    double arrival_alpha = 0.3;
-    /// Arrival-gap observations required per group key before the
-    /// adaptive window may shorten below its ceiling. Below this the
-    /// estimator has no confidence and the fixed window wins — which
-    /// keeps small deterministic test batches grouping exactly as they
-    /// would under the fixed window.
-    int min_arrival_samples = 8;
-    /// Safety multiplier on the expected remaining-lane fill time.
-    double window_safety = 2.0;
-    /// The adaptive window never shrinks below this fraction of the
-    /// ceiling, so a just-finished burst still collects stragglers.
-    double window_floor_fraction = 1.0 / 16.0;
-    /// Consolidation prices a merge against the cheapest measured
-    /// execution of the row's parameter family (≈ one row's fixed
-    /// overhead: lease + keygen + encrypt/decrypt). A group predicted
-    /// to cost more than merge_cost_factor times that floor is
-    /// execution-dominated: sharing a row would serialize real work,
-    /// so it prefers its own row while idle workers remain.
-    double merge_cost_factor = 4.0;
-    /// Seed seconds-per-static-cost-unit ratio used before any
-    /// observation calibrates the global ratios.
-    double seed_seconds_per_cost = 1e-6;
-    /// Churn bound on each profile map (cleared when exceeded,
-    /// mirroring the service's fit memo).
-    std::size_t max_profiles = 65536;
-};
+/// \name Model constants (defined in load_model.cc)
+/// @{
+/// EWMA smoothing for measured compile/run seconds: profile ewma =
+/// alpha * sample + (1 - alpha) * ewma.
+extern const double kLoadModelAlpha;
+/// Consolidation prices a merge against the cheapest measured
+/// execution of the row's parameter family (≈ one row's fixed
+/// overhead: lease + keygen + encrypt/decrypt). A group predicted to
+/// cost more than this factor times that floor is execution-dominated:
+/// sharing a row would serialize real work, so it prefers its own row
+/// while idle workers remain.
+extern const double kLoadModelMergeCostFactor;
+/// Seconds-per-static-cost-unit ratio used before any observation
+/// calibrates the global ratios.
+extern const double kLoadModelSeedSecondsPerCost;
+/// Bound on each profile map (cleared when exceeded, mirroring the
+/// service's fit memo; imports stop at it).
+extern const std::size_t kLoadModelMaxProfiles;
+/// @}
 
 /// Monotonic counters describing the model's activity; snapshot via
 /// LoadModel::snapshot() (also embedded in ServiceStats::load_model).
@@ -118,9 +92,6 @@ struct LoadModelSnapshot
     /// static-estimate cold-start fallback.
     std::uint64_t warm_predictions = 0;
     std::uint64_t cold_predictions = 0;
-    /// Adaptive-window queries answered below the ceiling vs. at it.
-    std::uint64_t window_shrinks = 0;
-    std::uint64_t window_ceilings = 0;
     /// Consolidation share queries answered "share a row" vs. "prefer
     /// an own row" (execution-dominated groups).
     std::uint64_t share_preferred = 0;
@@ -148,10 +119,7 @@ struct ProfileState
 /// the per-parameter-family execution floors and the globally
 /// calibrated seconds-per-cost ratios. Exported at shutdown and
 /// re-imported as priors at boot (service/persist.{h,cc}), so a warm
-/// restart schedules with measured truth from the first request. The
-/// arrival-rate trackers are deliberately absent: they hold
-/// steady_clock time points that are meaningless in another process,
-/// and the estimator re-converges within one burst anyway.
+/// restart schedules with measured truth from the first request.
 struct LoadModelState
 {
     std::vector<std::pair<CacheKey, ProfileState>> compile;
@@ -166,9 +134,7 @@ struct LoadModelState
 class LoadModel
 {
   public:
-    using Clock = std::chrono::steady_clock;
-
-    explicit LoadModel(LoadModelConfig config = {});
+    LoadModel();
 
     /// \name Timer-augmented cost predictions (seconds)
     /// Warm: the key's EWMA of measured wall seconds. Cold: the static
@@ -192,22 +158,6 @@ class LoadModel
                     double measured_seconds, double setup_seconds);
     /// @}
 
-    /// Record one coalescible arrival for \p key. \p window_ceiling
-    /// (seconds) bounds what counts as an intra-burst gap: longer gaps
-    /// reset the tracker (the previous group has already flushed).
-    void observeArrival(const BatchGroupKey& key, Clock::time_point now,
-                        double window_ceiling);
-
-    /// How long a group for \p key should keep waiting for its
-    /// remaining \p remaining_lanes peers: the expected fill time under
-    /// the estimated arrival rate (with safety margin), clamped to
-    /// [floor_fraction, 1] x \p ceiling_seconds. Returns the ceiling
-    /// until min_arrival_samples gaps have been observed (or when the
-    /// model is disabled).
-    double adaptiveWaitSeconds(const BatchGroupKey& key,
-                               int remaining_lanes,
-                               double ceiling_seconds) const;
-
     /// \name Per-shard load signal
     /// The service calls noteEnqueued(predicted) when it admits a unit
     /// of owner work (a compile task or a run lane) and
@@ -216,10 +166,8 @@ class LoadModel
     /// times the predicted seconds of queued + in-flight work on this
     /// shard. The ShardRouter (service/shard_router.h) routes run
     /// traffic to the least-loaded feasible shard on this signal.
-    /// Tracked even when the model is disabled (static predictions
-    /// still carry LPT-comparable units). Enqueue/finish pairs carry
-    /// the same value, so the sum returns to exactly zero when the
-    /// shard drains.
+    /// Enqueue/finish pairs carry the same value, so the sum returns to
+    /// exactly zero when the shard drains.
     /// @{
     void noteEnqueued(double predicted_seconds);
     void noteFinished(double predicted_seconds);
@@ -231,12 +179,9 @@ class LoadModel
     /// overhead-dominated and should share a row whenever one fits;
     /// false when it is execution-dominated and deserves its own row
     /// while idle workers remain. Always true while the model is cold
-    /// (no measured floor yet) or disabled.
+    /// (no measured floor yet).
     bool preferRowShare(std::uint64_t params_hash,
                         double predicted_seconds) const;
-
-    bool enabled() const { return config_.enabled; }
-    const LoadModelConfig& config() const { return config_; }
 
     LoadModelSnapshot snapshot() const;
 
@@ -246,9 +191,9 @@ class LoadModel
     /// equal snapshots); importState seeds them back as boot-time
     /// priors. Import replaces any same-key profile and both global
     /// ratios (it is meant for a freshly constructed model), leaves the
-    /// arrival trackers and in-flight signal untouched, and respects
-    /// max_profiles. Counters (compile_profiles, run_profiles) reflect
-    /// imported entries, so a warm boot is visible in snapshot().
+    /// in-flight signal untouched, and respects kLoadModelMaxProfiles.
+    /// Counters (compile_profiles, run_profiles) reflect imported
+    /// entries, so a warm boot is visible in snapshot().
     /// @{
     LoadModelState exportState() const;
     void importState(const LoadModelState& state);
@@ -262,25 +207,13 @@ class LoadModel
         std::uint64_t samples = 0;
     };
 
-    struct ArrivalTrack
-    {
-        Clock::time_point last{};
-        bool has_last = false;
-        double gap_ewma = 0.0;
-        std::uint64_t samples = 0;
-    };
-
     /// EWMA update helper: first sample seeds the average.
-    static double ewma(double current, double sample, double alpha,
+    static double ewma(double current, double sample,
                        std::uint64_t samples_before);
-
-    LoadModelConfig config_;
 
     mutable std::mutex mutex_;
     std::unordered_map<CacheKey, Profile, CacheKeyHash> compile_;
     std::unordered_map<BatchGroupKey, Profile, BatchGroupKeyHash> run_;
-    std::unordered_map<BatchGroupKey, ArrivalTrack, BatchGroupKeyHash>
-        arrivals_;
     /// Cheapest measured full execution per parameter family: the
     /// row-overhead floor consolidation prices merges against.
     std::unordered_map<std::uint64_t, double> cheapest_run_;

@@ -68,8 +68,6 @@ ServiceStats::merge(const ServiceStats& other)
     load_model.run_observations += other.load_model.run_observations;
     load_model.warm_predictions += other.load_model.warm_predictions;
     load_model.cold_predictions += other.load_model.cold_predictions;
-    load_model.window_shrinks += other.load_model.window_shrinks;
-    load_model.window_ceilings += other.load_model.window_ceilings;
     load_model.share_preferred += other.load_model.share_preferred;
     load_model.solo_preferred += other.load_model.solo_preferred;
     load_model.inflight_jobs += other.load_model.inflight_jobs;

@@ -13,6 +13,17 @@ namespace chehab::service {
 
 namespace {
 
+/// Virtual nodes per shard on the consistent-hash ring. More vnodes
+/// flatten the key distribution (the classic variance reduction) at
+/// O(shards x vnodes) ring size; 64 keeps the per-shard share within a
+/// few percent of uniform.
+constexpr int kVnodes = 64;
+/// A run request abandons its affinity shard when that shard's
+/// predicted load exceeds kHotFactor x the minimum shard load plus
+/// kHotSlackSeconds.
+constexpr double kHotFactor = 2.0;
+constexpr double kHotSlackSeconds = 0.010;
+
 /// splitmix64 finalizer: the ring needs well-spread 64-bit points from
 /// sequential (shard, vnode) pairs, and key lookups need the CacheKey
 /// hash whitened the same way so arcs and keys land in one space.
@@ -33,23 +44,17 @@ ringPoint(const CacheKey& key)
 
 } // namespace
 
-ShardRouter::ShardRouter(int shards, RouterConfig config)
-    : shards_(shards), config_(config)
+ShardRouter::ShardRouter(int shards) : shards_(shards)
 {
     if (shards < 1) {
         throw std::invalid_argument("ShardRouter: shards must be >= 1 "
                                     "(got " +
                                     std::to_string(shards) + ")");
     }
-    if (config.vnodes < 1) {
-        throw std::invalid_argument("ShardRouter: vnodes must be >= 1 "
-                                    "(got " +
-                                    std::to_string(config.vnodes) + ")");
-    }
     ring_.reserve(static_cast<std::size_t>(shards) *
-                  static_cast<std::size_t>(config.vnodes));
+                  static_cast<std::size_t>(kVnodes));
     for (int shard = 0; shard < shards; ++shard) {
-        for (int vnode = 0; vnode < config.vnodes; ++vnode) {
+        for (int vnode = 0; vnode < kVnodes; ++vnode) {
             // A shard's vnode points depend only on (shard, vnode) —
             // never on the total shard count — which is what makes the
             // mapping stable under growth: shard N+1's points are
@@ -116,9 +121,8 @@ ShardRouter::routeRun(const CacheKey& key,
         predicted_loads[static_cast<std::size_t>(coolest)];
     // Hot test: relative to the idlest shard, with absolute slack so
     // near-empty fleets never trade cache affinity for microseconds.
-    const bool hot = affinity_load >
-                     config_.hot_factor * min_load +
-                         config_.hot_slack_seconds;
+    const bool hot =
+        affinity_load > kHotFactor * min_load + kHotSlackSeconds;
     const int target = hot ? coolest : affinity;
     {
         std::unique_lock<std::mutex> lock(stats_mutex_);
@@ -138,9 +142,8 @@ ShardRouter::stats() const
     return stats_;
 }
 
-ShardedService::ShardedService(ServiceConfig config,
-                               RouterConfig router_config)
-    : router_(std::max(config.shards, 1), router_config)
+ShardedService::ShardedService(ServiceConfig config)
+    : router_(std::max(config.shards, 1))
 {
     const std::string problem = config.validate();
     if (!problem.empty()) {

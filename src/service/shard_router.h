@@ -17,7 +17,7 @@
 ///     consistent-hashes onto a vnode ring, so one kernel always lands
 ///     on one shard — its compile cache hits, its single-flight dedupe
 ///     collapses concurrent identical compiles, and no artifact is
-///     compiled N times. The ring (vnodes per shard, sorted hash
+///     compiled N times. The ring (64 vnodes per shard, sorted hash
 ///     points) keeps the mapping stable under shard-count changes:
 ///     growing N -> N+1 shards only remaps the ~1/(N+1) of keys the
 ///     new shard's vnodes capture; every other key keeps its shard and
@@ -27,13 +27,15 @@
 ///     (that is where the kernel cache and run cache for its key are
 ///     warm). Only when that shard is *hot* — its predicted in-flight
 ///     seconds (LoadModel::inflightPredictedSeconds, the per-shard
-///     load signal) exceed hot_factor x the least-loaded shard's plus
-///     hot_slack_seconds — does the router re-route to the
-///     least-loaded shard. This is the work-stealing hook: a skewed
-///     mix that piles onto one shard spills its overflow to idle
-///     shards instead of queueing, at the price of a cold compile
-///     cache on the stealing shard (single-flight still collapses the
-///     duplicates there).
+///     load signal) exceed twice the least-loaded shard's plus 10 ms of
+///     slack — does the router re-route to the least-loaded shard. The
+///     factor makes the test relative; the slack keeps tiny loads from
+///     triggering re-routes, since when every shard holds milliseconds
+///     of work, cache affinity is worth more than perfect balance.
+///     This is the work-stealing hook: a skewed mix that piles onto
+///     one shard spills its overflow to idle shards instead of
+///     queueing, at the price of a cold compile cache on the stealing
+///     shard (single-flight still collapses the duplicates there).
 ///
 /// Determinism: routing only selects *where* a request executes.
 /// Pipelines are deterministic and runtimes reseed per request, so
@@ -55,25 +57,6 @@
 
 namespace chehab::service {
 
-/// ShardRouter knobs (embedded in ShardedService's constructor).
-struct RouterConfig
-{
-    /// Virtual nodes per shard on the consistent-hash ring. More
-    /// vnodes flatten the key distribution (the classic variance
-    /// reduction) at O(shards x vnodes) ring size; 64 keeps the
-    /// per-shard share within a few percent of uniform.
-    int vnodes = 64;
-    /// A run request abandons its affinity shard when that shard's
-    /// predicted load exceeds hot_factor x the minimum shard load plus
-    /// hot_slack_seconds. The factor makes the test relative (a shard
-    /// twice as loaded as the idlest is hot) ...
-    double hot_factor = 2.0;
-    /// ... and the absolute slack keeps tiny loads from triggering
-    /// re-routes: when every shard holds milliseconds of work, cache
-    /// affinity is worth more than perfect balance.
-    double hot_slack_seconds = 0.010;
-};
-
 /// Monotonic routing counters (snapshot via ShardRouter::stats()).
 struct RouterStats
 {
@@ -90,12 +73,10 @@ class ShardRouter
 {
   public:
     /// Builds the vnode ring for \p shards shards. \p shards must be
-    /// >= 1 and \p config.vnodes >= 1 (throws std::invalid_argument
-    /// otherwise).
-    explicit ShardRouter(int shards, RouterConfig config = {});
+    /// >= 1 (throws std::invalid_argument otherwise).
+    explicit ShardRouter(int shards);
 
     int shards() const { return shards_; }
-    const RouterConfig& config() const { return config_; }
 
     /// The shard whose ring arc \p key hashes into: where compile
     /// traffic for this key always goes, and where run traffic
@@ -107,8 +88,8 @@ class ShardRouter
     int routeCompile(const CacheKey& key);
 
     /// Route one run request: the affinity shard unless it is hot
-    /// relative to the least-loaded one (see RouterConfig), in which
-    /// case the least-loaded shard steals the work.
+    /// relative to the least-loaded one (see the file comment), in
+    /// which case the least-loaded shard steals the work.
     /// \p predicted_loads holds each shard's predicted in-flight
     /// seconds, indexed by shard id; it must have shards() entries.
     int routeRun(const CacheKey& key,
@@ -124,7 +105,6 @@ class ShardRouter
     };
 
     int shards_;
-    RouterConfig config_;
     std::vector<VNode> ring_; ///< Sorted by point; immutable after ctor.
 
     mutable std::mutex stats_mutex_;
@@ -142,8 +122,7 @@ class ShardedService final : public ServiceApi
     /// shard_id = i, which groups its telemetry tracks under "shard i"
     /// in exported traces). Throws std::invalid_argument when
     /// config.validate() rejects the configuration.
-    explicit ShardedService(ServiceConfig config,
-                            RouterConfig router_config = {});
+    explicit ShardedService(ServiceConfig config);
 
     /// Routes by cache affinity on the request's CacheKey.
     std::future<CompileResponse> submit(CompileRequest request) override;

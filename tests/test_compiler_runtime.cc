@@ -281,6 +281,95 @@ TEST(RuntimeTest, ZeroWidthReplicatedPackIsTypedError)
     EXPECT_EQ(run.output, (std::vector<std::int64_t>{2, 3, 4, 1}));
 }
 
+TEST(RuntimeTest, UndefinedRegisterIsTypedError)
+{
+    // A register read before anything defines it is refused before
+    // keygen with a CompileError. Unchecked, a dying undefined operand
+    // is consumed through an empty node handle (a crash), and an
+    // undefined second operand or output register escapes as an
+    // untyped std::out_of_range.
+    const ir::Env env = {{"a", 1}, {"b", 2}, {"c", 3}, {"d", 4}};
+    FheRuntime runtime(smallParams());
+    const auto op = [](FheOpcode code, int dst, int a, int b = -1) {
+        FheInstr instr;
+        instr.op = code;
+        instr.dst = dst;
+        instr.a = a;
+        instr.b = b;
+        instr.step = 1;
+        return instr;
+    };
+    // r0 = the replicated pack of rotateByOne(), then \p ops.
+    const auto program = [](std::vector<FheInstr> ops, int output) {
+        FheProgram built = rotateByOne();
+        built.instrs.resize(1);
+        built.instrs.insert(built.instrs.end(), ops.begin(), ops.end());
+        built.num_regs = 3;
+        built.output_reg = output;
+        return built;
+    };
+    const auto error = [&](const FheProgram& built) -> std::string {
+        try {
+            runtime.run(built, env);
+        } catch (const CompileError& e) {
+            return e.what();
+        }
+        return "";
+    };
+    const auto rejects = [&](const FheProgram& built,
+                             const std::string& message) {
+        const std::string what = error(built);
+        EXPECT_NE(what.find(message), std::string::npos)
+            << "got '" << what << "', want '" << message << "'";
+    };
+
+    // A ciphertext operand nothing defines, dying at its only read.
+    rejects(program({op(FheOpcode::Add, 2, 1, 0)}, 2),
+            "instruction 1: reads undefined ciphertext r1");
+    rejects(program({op(FheOpcode::Rotate, 2, 1)}, 2),
+            "instruction 1: reads undefined ciphertext r1");
+    // Defined only by a later instruction is not defined yet.
+    rejects(program({op(FheOpcode::Add, 1, 0, 2),
+                     op(FheOpcode::Negate, 2, 0)},
+                    1),
+            "instruction 1: reads undefined ciphertext r2");
+    // An undefined second operand: ciphertext, and a plaintext operand
+    // naming a PackCipher register.
+    rejects(program({op(FheOpcode::Add, 2, 0, 1)}, 2),
+            "instruction 1: reads undefined ciphertext r1");
+    rejects(program({op(FheOpcode::MulPlain, 2, 0, 0)}, 2),
+            "instruction 1: reads undefined plaintext r0");
+    // Registers outside [0, num_regs).
+    rejects(program({op(FheOpcode::Negate, 3, 0)}, 2),
+            "instruction 1: writes r3 (3 registers)");
+    rejects(program({op(FheOpcode::Negate, 1, -1)}, 1),
+            "instruction 1: reads undefined ciphertext r-1");
+    // An output register nothing defines.
+    rejects(program({op(FheOpcode::Negate, 1, 0)}, 2),
+            "output register r2 is never defined");
+
+    // A pack outside every member's slice never runs, so it defines
+    // nothing for the slice that reads its register.
+    const FheProgram negated = program({op(FheOpcode::Negate, 1, 0)}, 1);
+    RowPlan row = programRow(negated, {&env}, runtime.slots());
+    row.members.front().instr_begin = 1;
+    try {
+        runtime.execute(negated, effectiveKeyPlan(negated, 0), row);
+        ADD_FAILURE() << "a row read a register its slice never packs";
+    } catch (const CompileError& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "instruction 1: reads undefined ciphertext r0"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    // The runtime stays usable, and the checks pass what they should:
+    // the hand-built pieces above, well-formed.
+    EXPECT_EQ(error(negated), "");
+    const RunResult run = runtime.run(rotateByOne(), env);
+    EXPECT_EQ(run.output, (std::vector<std::int64_t>{2, 3, 4, 1}));
+}
+
 // ---- accounting goldens ------------------------------------------------
 //
 // Outputs and noise accounting of every porcupineSuite(8) + coyoteSuite

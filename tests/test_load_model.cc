@@ -1,9 +1,7 @@
 /// \file
-/// Tests for the timer-augmented load model and the adaptive
-/// scheduling layer it drives: EWMA update math, cold-start fallback
-/// to the static estimate, arrival-rate-derived adaptive windows
-/// (confidence gating, floor/ceiling clamps, burst resets),
-/// consolidation share advice, determinism of cost-driven
+/// Tests for the timer-augmented load model and the scheduling it
+/// drives: EWMA update math, cold-start fallback to the static
+/// estimate, consolidation share advice, determinism of cost-driven
 /// consolidation (input-order invariance, heavy-group spreading, and
 /// 1-vs-8-worker bit-identical outputs at the service level), and the
 /// model's counter-consistency invariants under concurrent hammering
@@ -11,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <string>
 #include <thread>
@@ -46,13 +43,10 @@ groupKey(std::uint64_t id, std::uint64_t params_hash = 0x50u)
     return key;
 }
 
-using Clock = LoadModel::Clock;
-
 TEST(LoadModelTest, EwmaUpdateMath)
 {
-    LoadModelConfig config;
-    config.alpha = 0.5;
-    LoadModel model(config);
+    const double alpha = kLoadModelAlpha;
+    LoadModel model;
     const CacheKey key = compileKey(1);
 
     // First observation seeds the average; later ones blend with
@@ -60,11 +54,11 @@ TEST(LoadModelTest, EwmaUpdateMath)
     model.observeCompile(key, 100.0, 2.0);
     EXPECT_DOUBLE_EQ(model.predictCompileSeconds(key, 100.0), 2.0);
     model.observeCompile(key, 100.0, 4.0);
-    EXPECT_DOUBLE_EQ(model.predictCompileSeconds(key, 100.0),
-                     0.5 * 4.0 + 0.5 * 2.0);
+    const double second = alpha * 4.0 + (1.0 - alpha) * 2.0;
+    EXPECT_DOUBLE_EQ(model.predictCompileSeconds(key, 100.0), second);
     model.observeCompile(key, 100.0, 2.0);
     EXPECT_DOUBLE_EQ(model.predictCompileSeconds(key, 100.0),
-                     0.5 * 2.0 + 0.5 * 3.0);
+                     alpha * 2.0 + (1.0 - alpha) * second);
 
     // Run profiles are independent of compile profiles.
     const BatchGroupKey run = groupKey(1);
@@ -72,22 +66,20 @@ TEST(LoadModelTest, EwmaUpdateMath)
     EXPECT_DOUBLE_EQ(model.predictRunSeconds(run, 100.0), 1.0);
     model.observeRun(run, 100.0, 3.0, 0.25);
     EXPECT_DOUBLE_EQ(model.predictRunSeconds(run, 100.0),
-                     0.5 * 3.0 + 0.5 * 1.0);
+                     alpha * 3.0 + (1.0 - alpha) * 1.0);
 }
 
 TEST(LoadModelTest, ColdStartFallsBackToScaledStaticEstimate)
 {
-    LoadModelConfig config;
-    config.alpha = 0.5;
-    LoadModel model(config);
+    LoadModel model;
 
     // No observations at all: the seed ratio scales the static cost,
     // so cold predictions preserve the static LPT ordering.
     const double heavy =
         model.predictCompileSeconds(compileKey(1), 1000.0);
     const double light = model.predictCompileSeconds(compileKey(2), 10.0);
-    EXPECT_DOUBLE_EQ(heavy, 1000.0 * config.seed_seconds_per_cost);
-    EXPECT_DOUBLE_EQ(light, 10.0 * config.seed_seconds_per_cost);
+    EXPECT_DOUBLE_EQ(heavy, 1000.0 * kLoadModelSeedSecondsPerCost);
+    EXPECT_DOUBLE_EQ(light, 10.0 * kLoadModelSeedSecondsPerCost);
     EXPECT_GT(heavy, light);
 
     // One measured compile calibrates the global seconds-per-cost
@@ -102,67 +94,10 @@ TEST(LoadModelTest, ColdStartFallsBackToScaledStaticEstimate)
     EXPECT_EQ(snap.compile_observations, 1u);
 }
 
-TEST(LoadModelTest, DisabledModelStaysStatic)
-{
-    LoadModelConfig config;
-    config.enabled = false;
-    LoadModel model(config);
-    const CacheKey key = compileKey(9);
-    model.observeCompile(key, 100.0, 7.0);
-    // Measured truth is ignored: predictions stay the scaled static
-    // estimate (the ratio still calibrates, keeping units sane).
-    EXPECT_DOUBLE_EQ(model.predictCompileSeconds(key, 100.0),
-                     100.0 * (7.0 / 100.0));
-    EXPECT_DOUBLE_EQ(
-        model.adaptiveWaitSeconds(groupKey(9), 4, 0.125), 0.125);
-    EXPECT_TRUE(model.preferRowShare(0x50u, 1e9));
-}
-
-TEST(LoadModelTest, AdaptiveWindowGatesOnArrivalConfidence)
-{
-    LoadModelConfig config;
-    config.min_arrival_samples = 2;
-    config.window_safety = 2.0;
-    config.window_floor_fraction = 1.0 / 16.0;
-    config.arrival_alpha = 0.5;
-    LoadModel model(config);
-    const BatchGroupKey key = groupKey(4);
-    const double ceiling = 0.1;
-    const Clock::time_point t0 = Clock::now();
-
-    // Below min_arrival_samples the estimator has no confidence: the
-    // fixed window always wins.
-    model.observeArrival(key, t0, ceiling);
-    EXPECT_DOUBLE_EQ(model.adaptiveWaitSeconds(key, 4, ceiling), ceiling);
-    model.observeArrival(key, t0 + std::chrono::milliseconds(1), ceiling);
-    EXPECT_DOUBLE_EQ(model.adaptiveWaitSeconds(key, 4, ceiling), ceiling);
-
-    // Two 1ms gaps observed: expected fill = gap * safety * remaining
-    // = 0.001 * 2 * 4 = 8ms, inside [floor, ceiling].
-    model.observeArrival(key, t0 + std::chrono::milliseconds(2), ceiling);
-    EXPECT_NEAR(model.adaptiveWaitSeconds(key, 4, ceiling), 0.008, 1e-9);
-    // Clamps: a huge remaining-lane count hits the ceiling, a tiny one
-    // the floor.
-    EXPECT_DOUBLE_EQ(model.adaptiveWaitSeconds(key, 1000, ceiling),
-                     ceiling);
-    EXPECT_NEAR(model.adaptiveWaitSeconds(key, 1, ceiling),
-                std::max(0.002, ceiling / 16.0), 1e-9);
-
-    // A gap longer than the ceiling is a new burst, not a sample: the
-    // rate estimate (and the wait derived from it) must not change.
-    model.observeArrival(key, t0 + std::chrono::seconds(10), ceiling);
-    EXPECT_NEAR(model.adaptiveWaitSeconds(key, 4, ceiling), 0.008, 1e-9);
-
-    const LoadModelSnapshot snap = model.snapshot();
-    EXPECT_EQ(snap.window_shrinks + snap.window_ceilings, 6u);
-    EXPECT_EQ(snap.window_shrinks, 3u);
-}
-
 TEST(LoadModelTest, RowShareAdvicePricesAgainstCheapestExecution)
 {
-    LoadModelConfig config;
-    config.merge_cost_factor = 4.0;
-    LoadModel model(config);
+    ASSERT_EQ(kLoadModelMergeCostFactor, 4.0);
+    LoadModel model;
     const std::uint64_t params = 0x77u;
 
     // Cold: no measured floor, always share.
@@ -219,7 +154,6 @@ ConsolidatePolicy
 costPolicy(int parallelism, double heavy_threshold)
 {
     ConsolidatePolicy policy;
-    policy.cost_driven = true;
     policy.parallelism = parallelism;
     policy.shareable = [heavy_threshold](const BatchPlanner::Group& g) {
         return g.predicted_sum <= heavy_threshold;
@@ -273,9 +207,10 @@ TEST(LoadModelTest, CostDrivenConsolidationIsOrderInvariant)
 TEST(LoadModelTest, CostDrivenConsolidationSpreadsHeavyGroups)
 {
     // Two execution-dominated groups and two overhead-dominated ones,
-    // all row-compatible. Cost-driven: the heavies take their own rows
-    // while worker slots remain, the lights balance across them.
-    // Legacy FFD: everything first-fits into one row.
+    // all row-compatible. With share advice the heavies take their own
+    // rows while worker slots remain, the lights balance across them.
+    // With no share advice every group is shareable, so the cost rule
+    // packs them all into one row.
     auto makeSet = [] {
         std::vector<BatchPlanner::Group> groups;
         groups.push_back(makeGroup(1, 8, 2, 10.0));
@@ -297,9 +232,9 @@ TEST(LoadModelTest, CostDrivenConsolidationSpreadsHeavyGroups)
     EXPECT_NEAR(cost_rows[0].predicted_sum, 10.0, 1e-12);
     EXPECT_NEAR(cost_rows[1].predicted_sum, 9.75, 1e-12);
 
-    const auto ffd_rows = consolidateGroups(makeSet(), {});
-    ASSERT_EQ(ffd_rows.size(), 1u);
-    EXPECT_EQ(ffd_rows[0].total_lanes, 8);
+    const auto shared_rows = consolidateGroups(makeSet(), {});
+    ASSERT_EQ(shared_rows.size(), 1u);
+    EXPECT_EQ(shared_rows[0].total_lanes, 8);
 
     // With no worker slot free, even heavies pack (serialization is
     // inevitable; sharing at least saves the row overhead).
@@ -337,13 +272,13 @@ skewedRequest(const std::string& name, const ir::ExprPtr& source,
     return request;
 }
 
-TEST(LoadModelTest, AdaptiveSchedulingKeepsOutputsBitIdentical1v8)
+TEST(LoadModelTest, MeasuredSchedulingKeepsOutputsBitIdentical1v8)
 {
     // A skewed mix (one wide reduction among small kernels) run twice
-    // per key so the second round dispatches on *measured* profiles —
-    // under 1 and 8 workers, with adaptive windows and cost-driven
-    // consolidation on. The scheduler may group and order differently;
-    // the outputs must match the solo baseline bit for bit.
+    // per key so the second round dispatches and consolidates on
+    // *measured* profiles — under 1 and 8 workers, with cross-kernel
+    // packing on. The scheduler may group and order differently; the
+    // outputs must match the solo baseline bit for bit.
     const std::vector<ir::ExprPtr> sources = {
         ir::parse(dotSource(16)), ir::parse(dotSource(2)),
         ir::parse(dotSource(3)), ir::parse(dotSource(4))};
@@ -383,11 +318,9 @@ TEST(LoadModelTest, AdaptiveSchedulingKeepsOutputsBitIdentical1v8)
         config.max_lanes = 0;
         config.batch_window_seconds = 0.01;
         config.cross_kernel = true;
-        config.adaptive_window = true;
-        config.load_model.min_arrival_samples = 2; // Adapt quickly.
         CompileService service(config);
-        // Two rounds through one service: the second dispatches,
-        // consolidates and windows on profiles the first one measured.
+        // Two rounds through one service: the second dispatches and
+        // consolidates on profiles the first one measured.
         for (int round = 0; round < 2; ++round) {
             for (const RunResponse& response :
                  service.runBatch(makeRound(round))) {
@@ -410,16 +343,13 @@ TEST(LoadModelTest, CountersStayConsistentUnderConcurrentHammering)
     // Exercised under CI's ThreadSanitizer job: concurrent observers
     // and predictors over shared keys, then the monotonic-counter
     // invariants on the final snapshot.
-    LoadModelConfig config;
-    config.min_arrival_samples = 4;
-    LoadModel model(config);
+    LoadModel model;
     constexpr int kThreads = 4;
     constexpr int kOps = 400;
 
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&model, t] {
-            const Clock::time_point base = Clock::now();
             for (int i = 0; i < kOps; ++i) {
                 const auto id = static_cast<std::uint64_t>(i % 7);
                 model.predictCompileSeconds(compileKey(id), 10.0 + i);
@@ -428,10 +358,6 @@ TEST(LoadModelTest, CountersStayConsistentUnderConcurrentHammering)
                 model.predictRunSeconds(groupKey(id), 5.0 + i);
                 model.observeRun(groupKey(id), 5.0 + i, 2e-4 * (t + 1),
                                  1e-4);
-                model.observeArrival(groupKey(id),
-                                     base + std::chrono::microseconds(i),
-                                     0.5);
-                model.adaptiveWaitSeconds(groupKey(id), 3, 0.5);
                 model.preferRowShare(0x50u, 1e-3 * i);
             }
         });
@@ -444,8 +370,6 @@ TEST(LoadModelTest, CountersStayConsistentUnderConcurrentHammering)
     EXPECT_EQ(snap.run_observations, total);
     // Every predict call is counted exactly once, warm or cold.
     EXPECT_EQ(snap.warm_predictions + snap.cold_predictions, 2 * total);
-    // Every window query is counted exactly once, shrink or ceiling.
-    EXPECT_EQ(snap.window_shrinks + snap.window_ceilings, total);
     // Every share query is counted exactly once.
     EXPECT_EQ(snap.share_preferred + snap.solo_preferred, total);
     // Profile maps hold at most the distinct keys observed.

@@ -603,5 +603,65 @@ TEST_F(PersistTest, ArtifactWithZeroWidthReplicatedPackFailsTyped)
               std::string());
 }
 
+TEST_F(PersistTest, ArtifactWithUndefinedRegisterFailsTyped)
+{
+    // A checksum-valid stored artifact can read a register no
+    // instruction defines. Its run must fail with a typed error instead
+    // of consuming an empty register slot, the service must stay up,
+    // and the next request must succeed.
+    const benchsuite::Kernel blur = benchsuite::boxBlur(3);
+    const compiler::DriverConfig pipeline =
+        compiler::DriverConfig::greedy({}, 12);
+    const ir::ExprPtr canonical = compiler::canonicalize(blur.program);
+    const trs::Ruleset ruleset = trs::buildChehabRuleset();
+    compiler::Compiled tampered =
+        compiler::CompilerDriver(&ruleset).compile(canonical, pipeline);
+    auto op = std::find_if(
+        tampered.program.instrs.begin(), tampered.program.instrs.end(),
+        [](const compiler::FheInstr& instr) {
+            return instr.op != compiler::FheOpcode::PackCipher &&
+                   instr.op != compiler::FheOpcode::PackPlain;
+        });
+    ASSERT_NE(op, tampered.program.instrs.end());
+    op->a = tampered.program.num_regs;
+    ASSERT_TRUE(PersistStore(dir()).storeArtifact(
+        makeCacheKey(canonical, pipeline), tampered));
+
+    ServiceConfig config;
+    config.num_workers = 2;
+    config.cache_dir = dir();
+    config.max_lanes = 1;
+    CompileService service(config);
+
+    const auto request = [&](const benchsuite::Kernel& kernel) {
+        RunRequest run;
+        run.name = kernel.name;
+        run.source = kernel.program;
+        run.pipeline = pipeline;
+        run.params.n = 128;
+        run.params.prime_count = 4;
+        run.params.seed = 17;
+        run.inputs = benchsuite::syntheticInputs(kernel.program);
+        return run;
+    };
+    const RunResponse bad = service.submitRun(request(blur)).get();
+    EXPECT_FALSE(bad.ok);
+    EXPECT_NE(bad.error.find("reads undefined ciphertext"),
+              std::string::npos)
+        << bad.error;
+
+    const RunRequest good_request = request(benchsuite::dotProduct(4));
+    const RunResponse good = service.submitRun(good_request).get();
+    EXPECT_TRUE(good.ok) << good.error;
+    EXPECT_TRUE(outputMatchesReference(good_request, good));
+
+    service.drain();
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.persist.hits, 1u);
+    EXPECT_EQ(stats.run_failed, 1u);
+    EXPECT_EQ(checkStatsInvariants(stats, /*quiescent=*/true),
+              std::string());
+}
+
 } // namespace
 } // namespace chehab::service
