@@ -31,8 +31,9 @@
 ///                   content-addressed caches (default 1)
 ///   --suite N       add the built-in Porcupine suite at size N
 ///   --train-steps N PPO budget for --mode rl (default 256)
-///   --cache-cap N   LRU capacity of the kernel/run caches (default
-///                   unbounded)
+///   --cache-cap N   LRU capacity of the kernel and run caches, 0 =
+///                   unbounded (default: the library's, an unbounded
+///                   kernel cache and a 4096-entry run cache)
 ///   --run           execute each kernel on SealLite after compiling
 ///   --key-budget N  rotation-key budget β for --run (default 0 = one
 ///                   key per distinct step)
@@ -146,7 +147,8 @@ struct Options
     int repeat = 1;
     int suite_n = 0;
     int train_steps = 256;
-    int cache_cap = 0;
+    /// -1 = keep ServiceConfig's default capacities.
+    int cache_cap = -1;
     bool run = false;
     int key_budget = 0;
     int mod_switch = 0;
@@ -519,6 +521,10 @@ main(int argc, char** argv)
             return 2;
         }
     }
+    if (options.cache_cap < -1) {
+        std::fprintf(stderr, "chehabd: --cache-cap must be non-negative\n");
+        return 2;
+    }
     if (options.batch_lanes < 0 || options.batch_window_us < 0) {
         std::fprintf(stderr,
                      "chehabd: --batch-lanes and --batch-window-us must "
@@ -604,10 +610,12 @@ main(int argc, char** argv)
         options.shards > 0
             ? std::max(1, options.workers / options.shards)
             : options.workers;
-    config.kernel_cache_capacity =
-        static_cast<std::size_t>(options.cache_cap);
-    config.run_cache_capacity =
-        static_cast<std::size_t>(options.cache_cap);
+    if (options.cache_cap >= 0) {
+        config.kernel_cache_capacity =
+            static_cast<std::size_t>(options.cache_cap);
+        config.run_cache_capacity =
+            static_cast<std::size_t>(options.cache_cap);
+    }
     config.max_lanes = options.batch_lanes;
     config.batch_window_seconds = options.batch_window_us * 1e-6;
     config.cross_kernel = options.cross_kernel;

@@ -1,5 +1,6 @@
 #include "fhe/ntt.h"
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <mutex>
@@ -35,6 +36,26 @@ cpuHasAvx2()
 
 /// -1 = unset (resolve to simdSupported()), else 0/1.
 std::atomic<int> simd_enabled_override{-1};
+
+/// Per-thread staging buffer for the word-width conversions around a
+/// transform: n words of \p Word, kept for the thread's next call.
+template <typename Word>
+Word*
+threadScratch(int n)
+{
+    thread_local std::vector<Word> scratch;
+    if (scratch.size() < static_cast<std::size_t>(n)) {
+        scratch.resize(static_cast<std::size_t>(n));
+    }
+    return scratch.data();
+}
+
+/// ⌊w·2^32/p⌋: the 32-bit Shoup companion of w < p.
+std::uint32_t
+shoup32(std::uint64_t w, std::uint64_t p)
+{
+    return static_cast<std::uint32_t>((w << 32) / p);
+}
 
 } // namespace
 
@@ -116,14 +137,49 @@ NttTables::NttTables(int n, std::uint64_t p)
         inv_n_w_ = mulMod(inv_n_, inv_root_powers_[1], p);
         inv_n_w_shoup_ = shoupPrecompute(inv_n_w_, p);
     }
+
+    if (p < (1ULL << 31) && n >= 16) {
+        auto t32 = std::make_shared<simd::Tables32>();
+        t32->n = n;
+        t32->p = static_cast<std::uint32_t>(p);
+        const auto words = [p](const std::vector<std::uint64_t>& powers,
+                               std::vector<std::uint32_t>& w,
+                               std::vector<std::uint32_t>& ws) {
+            for (const std::uint64_t power : powers) {
+                w.push_back(static_cast<std::uint32_t>(power));
+                ws.push_back(shoup32(power, p));
+            }
+        };
+        words(root_powers_, t32->root_powers, t32->root_powers_shoup);
+        words(inv_root_powers_, t32->inv_root_powers,
+              t32->inv_root_powers_shoup);
+        t32->inv_n = static_cast<std::uint32_t>(inv_n_);
+        t32->inv_n_shoup = shoup32(inv_n_, p);
+        t32->inv_n_w = static_cast<std::uint32_t>(inv_n_w_);
+        t32->inv_n_w_shoup = shoup32(inv_n_w_, p);
+        int s = 0;
+        while ((p >> s) != 0) ++s;
+        t32->barrett_shift = s;
+        t32->barrett_ratio =
+            static_cast<std::uint32_t>((1ULL << (2 * s)) / p);
+        tables32_ = std::move(t32);
+    }
+}
+
+bool
+NttTables::vectorized() const
+{
+    return tables32_ != nullptr && simdEnabled();
 }
 
 void
 NttTables::forward(std::uint64_t* values) const
 {
-    if (n_ >= 8 && simdEnabled()) {
-        simd::forwardAvx2(values, n_, p_, root_powers_.data(),
-                          root_powers_shoup_.data());
+    if (vectorized()) {
+        std::uint32_t* words = threadScratch<std::uint32_t>(n_);
+        simd::narrow(values, words, n_, tables32_->p);
+        simd::forward(words, *tables32_);
+        simd::widen(words, values, n_);
         return;
     }
     forwardScalar(values);
@@ -132,13 +188,57 @@ NttTables::forward(std::uint64_t* values) const
 void
 NttTables::inverse(std::uint64_t* values) const
 {
-    if (n_ >= 8 && simdEnabled()) {
-        simd::inverseAvx2(values, n_, p_, inv_root_powers_.data(),
-                          inv_root_powers_shoup_.data(), inv_n_,
-                          inv_n_shoup_, inv_n_w_, inv_n_w_shoup_);
+    if (vectorized()) {
+        std::uint32_t* words = threadScratch<std::uint32_t>(n_);
+        simd::narrow(values, words, n_, tables32_->p);
+        simd::inverse(words, *tables32_);
+        simd::widen(words, values, n_);
         return;
     }
     inverseScalar(values);
+}
+
+void
+NttTables::forward(std::uint32_t* values) const
+{
+    CHEHAB_ASSERT(p_ < (1ULL << 31), "32-bit NTT words need p < 2^31");
+    if (vectorized()) {
+        simd::forward(values, *tables32_);
+        return;
+    }
+    std::uint64_t* wide = threadScratch<std::uint64_t>(n_);
+    std::copy(values, values + n_, wide);
+    forwardScalar(wide);
+    std::copy(wide, wide + n_, values);
+}
+
+void
+NttTables::inverse(std::uint32_t* values) const
+{
+    CHEHAB_ASSERT(p_ < (1ULL << 31), "32-bit NTT words need p < 2^31");
+    if (vectorized()) {
+        simd::inverse(values, *tables32_);
+        return;
+    }
+    std::uint64_t* wide = threadScratch<std::uint64_t>(n_);
+    std::copy(values, values + n_, wide);
+    inverseScalar(wide);
+    std::copy(wide, wide + n_, values);
+}
+
+void
+NttTables::mulAccumulate(std::uint32_t* acc, const std::uint32_t* x,
+                         const std::uint32_t* y) const
+{
+    CHEHAB_ASSERT(p_ < (1ULL << 31), "32-bit NTT words need p < 2^31");
+    if (vectorized()) {
+        simd::mulAccumulate(acc, x, y, *tables32_);
+        return;
+    }
+    for (int i = 0; i < n_; ++i) {
+        acc[i] = static_cast<std::uint32_t>(
+            addMod(acc[i], barrett_.mulMod(x[i], y[i]), p_));
+    }
 }
 
 void

@@ -6,18 +6,27 @@
 /// the inverse consumes that order: products are pointwise, as in SEAL,
 /// and batching locates each slot's index once at construction.
 ///
-/// The hot path uses Harvey-style lazy reduction with Shoup-precomputed
-/// twiddles (one mulhi + two muls per butterfly, no division):
-/// intermediate values live in [0, 4p) between stages — each butterfly
-/// conditionally reduces its u input to [0, 2p) and the Shoup multiply
-/// accepts any 64-bit operand — and a single normalize pass at the end
-/// brings everything back to [0, p). The final Gentleman-Sande stage of
-/// the inverse is fused with the n^-1 scaling, so the inverse ends fully
-/// reduced with no extra pass. Requires 4p < 2^64 (asserted).
+/// Two implementations compute every transform, with identical output
+/// words:
+/// - The vector kernel (fhe/ntt_avx2.cc): eight 32-bit AVX2 lanes with
+///   32-bit Shoup twiddles, every leg kept in [0, 2p). It serves every
+///   prime below 2^31 (all SealLite chains, and t) at n >= 16 when SIMD
+///   is enabled. The std::uint64_t* entries narrow into it through a
+///   per-thread buffer of n words and widen back.
+/// - The scalar 64-bit path: Harvey-style lazy reduction with Shoup
+///   twiddles (one mulhi + two muls per butterfly, no division).
+///   Intermediate values live in [0, 4p) between stages — each
+///   butterfly conditionally reduces its u input to [0, 2p) and the
+///   Shoup multiply accepts any 64-bit operand — and a single normalize
+///   pass brings everything back to [0, p). The final Gentleman-Sande
+///   stage of the inverse is fused with the n^-1 scaling. Requires
+///   4p < 2^64 (asserted). It runs for primes of 2^31 and above, for
+///   n < 16, with SIMD off, and in the CHEHAB_AVX2=OFF build; the
+///   std::uint32_t* entries widen into it there.
 ///
 /// The seed's division-per-butterfly path is preserved as
 /// forwardBaseline / inverseBaseline for the old-vs-new microbench
-/// (bench_ntt) and the equivalence property tests; both paths produce
+/// (bench_ntt) and the equivalence property tests; every path produces
 /// bit-identical outputs.
 #pragma once
 
@@ -28,6 +37,10 @@
 #include "fhe/modarith.h"
 
 namespace chehab::fhe {
+
+namespace simd {
+struct Tables32;
+}
 
 /// Precomputed tables for one (n, p) pair.
 class NttTables
@@ -41,18 +54,30 @@ class NttTables
     std::uint64_t modulus() const { return p_; }
 
     /// In-place forward negacyclic NTT (natural -> scrambled order).
-    /// Harvey lazy reduction; output fully reduced to [0, p).
-    /// Dispatch point: routes to the AVX2 4-wide kernels when they are
-    /// compiled in, supported by this CPU, enabled (setSimdEnabled) and
-    /// n >= 8; otherwise runs forwardScalar. Both paths are
-    /// bit-identical by construction.
+    /// Input words in [0, 4p), output fully reduced to [0, p).
+    /// Dispatch point: runs the 8-lane kernel when it applies (see the
+    /// file comment), otherwise forwardScalar.
     void forward(std::uint64_t* values) const;
 
-    /// In-place inverse negacyclic NTT (scrambled -> natural order).
-    /// Harvey lazy reduction with the n^-1 scaling fused into the last
-    /// stage; output fully reduced to [0, p). Dispatch point like
+    /// In-place inverse negacyclic NTT (scrambled -> natural order),
+    /// the n^-1 scaling fused into the last stage. Input words in
+    /// [0, 2p), output fully reduced to [0, p). Dispatch point like
     /// forward().
     void inverse(std::uint64_t* values) const;
+
+    /// \name 32-bit word entries (p < 2^31)
+    /// The same transforms on 32-bit words, input in [0, 2p) and output
+    /// fully reduced, straight into the vector kernel when it applies.
+    /// Key switching keeps its digits and accumulators in these words.
+    /// @{
+    void forward(std::uint32_t* values) const;
+    void inverse(std::uint32_t* values) const;
+    /// acc[i] = (acc[i] + x[i]·y[i]) mod p for i < n, every operand in
+    /// [0, p): an 8-lane Barrett multiply-accumulate when the kernel
+    /// applies, else the scalar Barrett loop.
+    void mulAccumulate(std::uint32_t* acc, const std::uint32_t* x,
+                       const std::uint32_t* y) const;
+    /// @}
 
     /// \name Scalar Harvey/Shoup path
     /// The PR 7 scalar hot path, callable directly so benches and the
@@ -93,6 +118,13 @@ class NttTables
     std::uint64_t inv_n_w_ = 0; ///< inv_n * inv_root_powers_[1]: the
                                 ///  fused last-stage odd-leg twiddle.
     std::uint64_t inv_n_w_shoup_ = 0;
+    /// The vector kernel's 32-bit tables; null where it never applies
+    /// (p >= 2^31 or n < 16).
+    std::shared_ptr<const simd::Tables32> tables32_;
+
+    /// The kernel applies to this call: tables32_ exists and SIMD is
+    /// enabled.
+    bool vectorized() const;
 
   public:
     /// Memoized n^-1 mod p (for tests asserting the memoization
@@ -101,8 +133,8 @@ class NttTables
 };
 
 /// \name SIMD dispatch control (process-wide)
-/// The AVX2 kernels live in their own -mavx2 translation unit; whether
-/// forward()/inverse() route to them is decided per call from three
+/// The AVX2 kernel lives in its own -mavx2 translation unit; whether
+/// NttTables routes to it is decided per call from three
 /// gates: compiled in (CHEHAB_AVX2 build option), supported (cpuid),
 /// and enabled (this switch; defaults to supported). chehabd's --simd
 /// flag and the differential tests drive setSimdEnabled; it clamps to

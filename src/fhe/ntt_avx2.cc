@@ -1,23 +1,22 @@
 /// \file
-/// AVX2 NTT butterfly kernels — the only translation unit compiled with
-/// -mavx2 (see CMakeLists.txt). When CHEHAB_AVX2=OFF this file compiles
-/// to the scalar-build stubs at the bottom, so the link interface is
-/// identical in both configurations and fhe/ntt.cc can dispatch on a
-/// plain runtime flag.
+/// AVX2 kernels — the only translation unit compiled with -mavx2 (see
+/// CMakeLists.txt). When CHEHAB_AVX2=OFF this file compiles to the
+/// scalar-build stubs at the bottom, so the link interface is identical
+/// in both configurations and fhe/ntt.cc can dispatch on a plain
+/// runtime flag.
 ///
-/// AVX2 has no 64x64 multiply, so the Shoup identity is assembled from
-/// 32-bit half products (_mm256_mul_epu32): mullo64 from three halves,
-/// mulhi64 from four plus a carry fold. Unsigned 64-bit compares flip
-/// the sign bit and use the signed compare. The arithmetic is the
-/// scalar Harvey lazy-reduction schedule verbatim — two's-complement
-/// wraparound and the conditional subtracts match lane for lane, which
-/// is what makes the outputs bit-identical to the scalar path
-/// (machine-checked by test_fhe_ntt_simd). Wide stages run two
-/// butterfly vectors per iteration for ILP; the t < 4 tail stages,
-/// where butterfly legs share a vector, deinterleave with cross-lane
-/// permutes (t == 2) and 64-bit unpacks (t == 1) instead of dropping to
-/// scalar; the forward path's [0, p) normalize is fused into its last
-/// stage rather than taking a separate sweep.
+/// Eight 32-bit lanes per vector. A Shoup product takes two
+/// _mm256_mul_epu32 for the even and odd lanes' high halves (the
+/// quotient estimate) and two _mm256_mullo_epi32 for x·w - q·p, which
+/// lands in [0, 2p) for any 32-bit x. Conditional subtracts are
+/// min_epu32(a, a - b): a - b wraps above a exactly when a < b. Every
+/// stage is vectorized: wide stages (t >= 8) pair vectors t words
+/// apart under one broadcast twiddle; the t = 4, 2, 1 stages take 16
+/// words per iteration and deinterleave the butterfly legs with
+/// permute2x128, unpack*_epi64 and shuffle_ps, spreading the twiddles
+/// to match with one vpermd each. The forward transform's final
+/// normalize and the inverse's n^-1 scaling are fused into their last
+/// stages.
 #include "fhe/ntt_simd.h"
 
 #include "support/error.h"
@@ -30,88 +29,171 @@ namespace chehab::fhe::simd {
 
 namespace {
 
-/// Lanes of a where a < bound keep their value; lanes with a >= bound
-/// get bound subtracted. Requires bound < 2^63 (true for p and 2p with
-/// p < 2^62): then a - bound wraps negative exactly when a < bound, so
-/// the difference's own sign bit drives blendv_pd and the
-/// compare/mask/andnot sequence collapses to two instructions.
-inline __m256i
-csub4(__m256i a, __m256i bound)
+using Vec = __m256i;
+
+inline Vec
+load(const std::uint32_t* src)
 {
-    const __m256i d = _mm256_sub_epi64(a, bound);
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src));
+}
+
+inline void
+store(std::uint32_t* dst, Vec v)
+{
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), v);
+}
+
+/// a - b in the lanes where a >= b, else a.
+inline Vec
+csub(Vec a, Vec b)
+{
+    return _mm256_min_epu32(a, _mm256_sub_epi32(a, b));
+}
+
+/// The same on 64-bit lanes holding values below 2^63: a - b goes
+/// negative exactly when a < b, and its sign bit picks a back.
+inline Vec
+csub64(Vec a, Vec b)
+{
+    const Vec d = _mm256_sub_epi64(a, b);
     return _mm256_castpd_si256(
         _mm256_blendv_pd(_mm256_castsi256_pd(d), _mm256_castsi256_pd(a),
                          _mm256_castsi256_pd(d)));
 }
 
-/// Odd 32-bit halves moved into the even slots, where _mm256_mul_epu32
-/// reads its operands. A shuffle (port 5) instead of a 64-bit shift
-/// keeps the shift/multiply ports free — shoupLazy4 below is
-/// throughput-bound on exactly those ports.
-inline __m256i
-hi32(__m256i a)
+/// Twiddle lanes with their Shoup companions; ws_odd holds the odd
+/// lanes' companions in the even 32-bit slots, where _mm256_mul_epu32
+/// reads them.
+struct Twiddle
 {
-    return _mm256_shuffle_epi32(a, 0xF5);
-}
-
-/// A twiddle vector paired with its Shoup companion. Two registers on
-/// purpose: pre-splitting the high halves here (four registers per
-/// twiddle set) starves the unrolled butterfly loops of ymm registers.
-/// The splits happen inside shoupLazy4 on the shuffle port instead,
-/// which the multiply-heavy Shoup chain leaves mostly idle.
-struct ShoupVec
-{
-    __m256i w;
-    __m256i ws;
+    Vec w;
+    Vec ws;
+    Vec ws_odd;
 };
 
-inline ShoupVec
-shoupVec(__m256i w, __m256i ws)
+/// One twiddle in every lane.
+inline Twiddle
+broadcast(std::uint32_t w, std::uint32_t ws)
 {
-    return ShoupVec{w, ws};
+    const Vec vws = _mm256_set1_epi32(static_cast<int>(ws));
+    return {_mm256_set1_epi32(static_cast<int>(w)), vws, vws};
 }
 
-/// Broadcast the twiddle at idx and its Shoup companion into all lanes.
-inline ShoupVec
-bcast(const std::uint64_t* w, const std::uint64_t* ws, std::size_t idx)
+/// The eight twiddles from index \p at, permuted into lane order by
+/// \p idx (the tail stages' deinterleaved leg order).
+inline Twiddle
+spread(const std::uint32_t* w, const std::uint32_t* ws, std::size_t at,
+       Vec idx)
 {
-    return shoupVec(
-        _mm256_set1_epi64x(static_cast<long long>(w[idx])),
-        _mm256_set1_epi64x(static_cast<long long>(ws[idx])));
+    const Vec vws = _mm256_permutevar8x32_epi32(load(ws + at), idx);
+    return {_mm256_permutevar8x32_epi32(load(w + at), idx), vws,
+            _mm256_srli_epi64(vws, 32)};
 }
 
-/// mulModShoupLazy per lane: x * w - mulhi(x, w') * p, result < 2p for
-/// any 64-bit x. The exact high half uses the three-shift mid1/mid2
-/// chain (mid1 = lh + (ll >> 32) cannot wrap, so the column carries
-/// fold in exactly); the low half of x*w - q*p differences the two
-/// cross sums before a single shift, which is exact because only the
-/// low 32 bits of the cross difference survive the shift mod 2^64.
-inline __m256i
-shoupLazy4(__m256i x, const ShoupVec& t, __m256i p, __m256i p_hi)
+/// x·w mod p up to one p: in [0, 2p) for any 32-bit x.
+inline Vec
+shoup(Vec x, const Twiddle& t, Vec p)
 {
-    const __m256i mask32 = _mm256_set1_epi64x(0xFFFFFFFFLL);
-    const __m256i x_hi = hi32(x);
-    const __m256i ws_hi = hi32(t.ws);
-    const __m256i w_hi = hi32(t.w);
-    const __m256i ll = _mm256_mul_epu32(x, t.ws);
-    const __m256i lh = _mm256_mul_epu32(x, ws_hi);
-    const __m256i hl = _mm256_mul_epu32(x_hi, t.ws);
-    const __m256i hh = _mm256_mul_epu32(x_hi, ws_hi);
-    const __m256i mid1 = _mm256_add_epi64(lh, _mm256_srli_epi64(ll, 32));
-    const __m256i mid2 =
-        _mm256_add_epi64(hl, _mm256_and_si256(mid1, mask32));
-    const __m256i q = _mm256_add_epi64(
-        hh, _mm256_add_epi64(_mm256_srli_epi64(mid1, 32),
-                             _mm256_srli_epi64(mid2, 32)));
-    const __m256i q_hi = hi32(q);
-    const __m256i lo_diff = _mm256_sub_epi64(_mm256_mul_epu32(x, t.w),
-                                             _mm256_mul_epu32(q, p));
-    const __m256i cross_diff = _mm256_sub_epi64(
-        _mm256_add_epi64(_mm256_mul_epu32(x_hi, t.w),
-                         _mm256_mul_epu32(x, w_hi)),
-        _mm256_add_epi64(_mm256_mul_epu32(q_hi, p),
-                         _mm256_mul_epu32(q, p_hi)));
-    return _mm256_add_epi64(lo_diff, _mm256_slli_epi64(cross_diff, 32));
+    const Vec q_even = _mm256_srli_epi64(_mm256_mul_epu32(x, t.ws), 32);
+    const Vec q_odd = _mm256_mul_epu32(_mm256_srli_epi64(x, 32), t.ws_odd);
+    const Vec q = _mm256_blend_epi32(q_even, q_odd, 0xAA);
+    return _mm256_sub_epi32(_mm256_mullo_epi32(x, t.w),
+                            _mm256_mullo_epi32(q, p));
+}
+
+/// Cooley-Tukey butterfly (u, x) -> (u + xw, u - xw), legs in [0, 2p).
+inline void
+butterflyCt(Vec& u, Vec& x, const Twiddle& t, Vec p)
+{
+    const Vec a = csub(u, p);
+    const Vec v = csub(shoup(x, t, p), p);
+    u = _mm256_add_epi32(a, v);
+    x = _mm256_add_epi32(_mm256_sub_epi32(a, v), p);
+}
+
+/// Gentleman-Sande butterfly (u, v) -> (u + v, (u - v)w), legs in
+/// [0, 2p).
+inline void
+butterflyGs(Vec& u, Vec& v, const Twiddle& t, Vec p)
+{
+    const Vec a = csub(u, p);
+    const Vec b = csub(v, p);
+    u = _mm256_add_epi32(a, b);
+    v = shoup(_mm256_add_epi32(_mm256_sub_epi32(a, b), p), t, p);
+}
+
+// The tail stages' deinterleave maps: 16 words as two vectors a, b,
+// their u legs gathered into one vector and their x legs into another,
+// and back. Each stage's twiddle spread index matches its gathered
+// order.
+
+/// t = 4: [u u u u x x x x] per group; one group per 128-bit half.
+inline void
+split4(Vec a, Vec b, Vec& u, Vec& x)
+{
+    u = _mm256_permute2x128_si256(a, b, 0x20);
+    x = _mm256_permute2x128_si256(a, b, 0x31);
+}
+
+inline void
+join4(Vec u, Vec x, Vec& a, Vec& b)
+{
+    a = _mm256_permute2x128_si256(u, x, 0x20);
+    b = _mm256_permute2x128_si256(u, x, 0x31);
+}
+
+/// t = 2: [u u x x] per group; the u pairs gather in the order
+/// i, i+2, i+1, i+3.
+inline void
+split2(Vec a, Vec b, Vec& u, Vec& x)
+{
+    u = _mm256_unpacklo_epi64(a, b);
+    x = _mm256_unpackhi_epi64(a, b);
+}
+
+inline void
+join2(Vec u, Vec x, Vec& a, Vec& b)
+{
+    a = _mm256_unpacklo_epi64(u, x);
+    b = _mm256_unpackhi_epi64(u, x);
+}
+
+/// t = 1: [u x] per group; the u words gather in the order
+/// i, i+1, i+4, i+5, i+2, i+3, i+6, i+7.
+inline void
+split1(Vec a, Vec b, Vec& u, Vec& x)
+{
+    const __m256 fa = _mm256_castsi256_ps(a);
+    const __m256 fb = _mm256_castsi256_ps(b);
+    u = _mm256_castps_si256(
+        _mm256_shuffle_ps(fa, fb, _MM_SHUFFLE(2, 0, 2, 0)));
+    x = _mm256_castps_si256(
+        _mm256_shuffle_ps(fa, fb, _MM_SHUFFLE(3, 1, 3, 1)));
+}
+
+inline void
+join1(Vec u, Vec x, Vec& a, Vec& b)
+{
+    a = _mm256_unpacklo_epi32(u, x);
+    b = _mm256_unpackhi_epi32(u, x);
+}
+
+inline Vec
+spreadIndex4()
+{
+    return _mm256_setr_epi32(0, 0, 0, 0, 1, 1, 1, 1);
+}
+
+inline Vec
+spreadIndex2()
+{
+    return _mm256_setr_epi32(0, 0, 2, 2, 1, 1, 3, 3);
+}
+
+inline Vec
+spreadIndex1()
+{
+    return _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7);
 }
 
 } // namespace
@@ -123,325 +205,195 @@ avx2CompiledIn()
 }
 
 void
-forwardAvx2(std::uint64_t* values, int n, std::uint64_t p,
-            const std::uint64_t* root_powers,
-            const std::uint64_t* root_powers_shoup)
+forward(std::uint32_t* values, const Tables32& tables)
 {
-    CHEHAB_ASSERT(n >= 8 && (n & (n - 1)) == 0,
-                  "AVX2 forward needs n >= 8");
-    // The [0, 4p) headroom argument (and the sign-flip compares against
-    // 2p) both need 4p < 2^64.
-    CHEHAB_ASSERT(p < (1ULL << 62), "AVX2 path needs p < 2^62");
-    const std::uint64_t two_p = 2 * p;
-    const __m256i vp = _mm256_set1_epi64x(static_cast<long long>(p));
-    const __m256i vtwo_p =
-        _mm256_set1_epi64x(static_cast<long long>(two_p));
-    const __m256i vp_hi = hi32(vp);
+    const std::size_t n = static_cast<std::size_t>(tables.n);
+    CHEHAB_ASSERT(n >= 16 && (n & (n - 1)) == 0,
+                  "the 8-lane NTT needs n >= 16");
+    const Vec p = _mm256_set1_epi32(static_cast<int>(tables.p));
+    const std::uint32_t* w = tables.root_powers.data();
+    const std::uint32_t* ws = tables.root_powers_shoup.data();
 
-    std::size_t t = static_cast<std::size_t>(n) >> 1;
+    std::size_t t = n >> 1;
     std::size_t m = 1;
-    // One Cooley-Tukey stage per pass, two independent butterfly
-    // vectors per iteration: the Shoup chain is long and iterations
-    // carry no dependency, so pairing them keeps the multiply ports
-    // fed. (A radix-4 fused variant was measured slower here: three
-    // live twiddle sets exhaust the sixteen ymm registers.)
-    while (t >= 8) {
+    for (; t >= 8; t >>= 1, m <<= 1) {
         for (std::size_t i = 0; i < m; ++i) {
-            const std::size_t j1 = 2 * i * t;
-            const ShoupVec sv =
-                bcast(root_powers, root_powers_shoup, m + i);
-            for (std::size_t j = j1; j < j1 + t; j += 8) {
-                __m256i u0 = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(values + j));
-                __m256i u1 = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(values + j + 4));
-                const __m256i x0 = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(values + j + t));
-                const __m256i x1 = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(values + j + t + 4));
-                u0 = csub4(u0, vtwo_p);
-                u1 = csub4(u1, vtwo_p);
-                const __m256i v0 = shoupLazy4(x0, sv, vp, vp_hi);
-                const __m256i v1 = shoupLazy4(x1, sv, vp, vp_hi);
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i*>(values + j),
-                    _mm256_add_epi64(u0, v0));
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i*>(values + j + 4),
-                    _mm256_add_epi64(u1, v1));
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i*>(values + j + t),
-                    _mm256_add_epi64(u0, _mm256_sub_epi64(vtwo_p, v0)));
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i*>(values + j + t + 4),
-                    _mm256_add_epi64(u1, _mm256_sub_epi64(vtwo_p, v1)));
+            const Twiddle tw = broadcast(w[m + i], ws[m + i]);
+            std::uint32_t* group = values + 2 * i * t;
+            for (std::size_t j = 0; j < t; j += 8) {
+                Vec u = load(group + j);
+                Vec x = load(group + j + t);
+                butterflyCt(u, x, tw, p);
+                store(group + j, u);
+                store(group + j + t, x);
             }
         }
-        m <<= 1;
-        t >>= 1;
     }
-    if (t == 4) {
-        for (std::size_t i = 0; i < m; ++i) {
-            const std::size_t j = 8 * i;
-            const ShoupVec sv =
-                bcast(root_powers, root_powers_shoup, m + i);
-            __m256i u = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(values + j));
-            const __m256i x = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(values + j + 4));
-            u = csub4(u, vtwo_p);
-            const __m256i v = shoupLazy4(x, sv, vp, vp_hi);
-            _mm256_storeu_si256(
-                reinterpret_cast<__m256i*>(values + j),
-                _mm256_add_epi64(u, v));
-            _mm256_storeu_si256(
-                reinterpret_cast<__m256i*>(values + j + 4),
-                _mm256_add_epi64(u, _mm256_sub_epi64(vtwo_p, v)));
-        }
-        m <<= 1;
-        t >>= 1;
+    // The three tail stages: m = n/8, n/4, n/2 groups of 8, 4, 2 words.
+    const Vec idx4 = spreadIndex4();
+    for (std::size_t i = 0; i < m; i += 2) {
+        std::uint32_t* at = values + 8 * i;
+        Vec u, x, a, b;
+        split4(load(at), load(at + 8), u, x);
+        butterflyCt(u, x, spread(w, ws, m + i, idx4), p);
+        join4(u, x, a, b);
+        store(at, a);
+        store(at + 8, b);
     }
-    {
-            // Two groups of 4 per iteration (m = n/4 >= 2 is even).
-            // Butterfly legs sit in opposite 128-bit halves, so one
-            // cross-lane permute per operand lines them up and the same
-            // permute puts the results back.
-            for (std::size_t i = 0; i < m; i += 2) {
-                const std::size_t j = 4 * i;
-                const __m256i va = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(values + j));
-                const __m256i vb = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(values + j + 4));
-                __m256i u = _mm256_permute2x128_si256(va, vb, 0x20);
-                const __m256i x = _mm256_permute2x128_si256(va, vb, 0x31);
-                // [w_i, w_i, w_{i+1}, w_{i+1}] from the two twiddles.
-                const __m256i vw = _mm256_permute4x64_epi64(
-                    _mm256_castsi128_si256(_mm_loadu_si128(
-                        reinterpret_cast<const __m128i*>(root_powers + m +
-                                                         i))),
-                    0x50);
-                const __m256i vws = _mm256_permute4x64_epi64(
-                    _mm256_castsi128_si256(_mm_loadu_si128(
-                        reinterpret_cast<const __m128i*>(
-                            root_powers_shoup + m + i))),
-                    0x50);
-                u = csub4(u, vtwo_p);
-                const __m256i v = shoupLazy4(x, shoupVec(vw, vws), vp, vp_hi);
-                const __m256i lo = _mm256_add_epi64(u, v);
-                const __m256i hi =
-                    _mm256_add_epi64(u, _mm256_sub_epi64(vtwo_p, v));
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i*>(values + j),
-                    _mm256_permute2x128_si256(lo, hi, 0x20));
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i*>(values + j + 4),
-                    _mm256_permute2x128_si256(lo, hi, 0x31));
-            }
-        }
-        m <<= 1;
-        {
-            // t == 1 is the last stage (m = n/2 >= 4): adjacent
-            // u/x pairs deinterleave with 64-bit unpacks, and the
-            // normalize back to [0, p) fuses in here — same two
-            // conditional subtracts the scalar path applies in its
-            // standalone pass, so outputs stay bit-identical.
-            for (std::size_t i = 0; i < m; i += 4) {
-                const std::size_t j = 2 * i;
-                const __m256i va = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(values + j));
-                const __m256i vb = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(values + j + 4));
-                // u = [u_i, u_{i+2}, u_{i+1}, u_{i+3}]; twiddles are
-                // permuted to match and the unpacks at the end restore
-                // element order.
-                __m256i u = _mm256_unpacklo_epi64(va, vb);
-                const __m256i x = _mm256_unpackhi_epi64(va, vb);
-                const __m256i vw = _mm256_permute4x64_epi64(
-                    _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                        root_powers + m + i)),
-                    0xD8);
-                const __m256i vws = _mm256_permute4x64_epi64(
-                    _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                        root_powers_shoup + m + i)),
-                    0xD8);
-                u = csub4(u, vtwo_p);
-                const __m256i v = shoupLazy4(x, shoupVec(vw, vws), vp, vp_hi);
-                __m256i lo = _mm256_add_epi64(u, v);
-                __m256i hi =
-                    _mm256_add_epi64(u, _mm256_sub_epi64(vtwo_p, v));
-                lo = csub4(csub4(lo, vtwo_p), vp);
-                hi = csub4(csub4(hi, vtwo_p), vp);
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i*>(values + j),
-                    _mm256_unpacklo_epi64(lo, hi));
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i*>(values + j + 4),
-                    _mm256_unpackhi_epi64(lo, hi));
-            }
-        }
+    m <<= 1;
+    const Vec idx2 = spreadIndex2();
+    for (std::size_t i = 0; i < m; i += 4) {
+        std::uint32_t* at = values + 4 * i;
+        Vec u, x, a, b;
+        split2(load(at), load(at + 8), u, x);
+        butterflyCt(u, x, spread(w, ws, m + i, idx2), p);
+        join2(u, x, a, b);
+        store(at, a);
+        store(at + 8, b);
+    }
+    m <<= 1;
+    const Vec idx1 = spreadIndex1();
+    for (std::size_t i = 0; i < m; i += 8) {
+        std::uint32_t* at = values + 2 * i;
+        Vec u, x, a, b;
+        split1(load(at), load(at + 8), u, x);
+        butterflyCt(u, x, spread(w, ws, m + i, idx1), p);
+        join1(csub(u, p), csub(x, p), a, b);
+        store(at, a);
+        store(at + 8, b);
+    }
 }
 
 void
-inverseAvx2(std::uint64_t* values, int n, std::uint64_t p,
-            const std::uint64_t* inv_root_powers,
-            const std::uint64_t* inv_root_powers_shoup,
-            std::uint64_t inv_n, std::uint64_t inv_n_shoup,
-            std::uint64_t inv_n_w, std::uint64_t inv_n_w_shoup)
+inverse(std::uint32_t* values, const Tables32& tables)
 {
-    CHEHAB_ASSERT(n >= 8 && (n & (n - 1)) == 0,
-                  "AVX2 inverse needs n >= 8");
-    CHEHAB_ASSERT(p < (1ULL << 62), "AVX2 path needs p < 2^62");
-    const std::uint64_t two_p = 2 * p;
-    const __m256i vp = _mm256_set1_epi64x(static_cast<long long>(p));
-    const __m256i vtwo_p =
-        _mm256_set1_epi64x(static_cast<long long>(two_p));
-    const __m256i vp_hi = hi32(vp);
+    const std::size_t n = static_cast<std::size_t>(tables.n);
+    CHEHAB_ASSERT(n >= 16 && (n & (n - 1)) == 0,
+                  "the 8-lane NTT needs n >= 16");
+    const Vec p = _mm256_set1_epi32(static_cast<int>(tables.p));
+    const std::uint32_t* w = tables.inv_root_powers.data();
+    const std::uint32_t* ws = tables.inv_root_powers_shoup.data();
 
-    std::size_t m = static_cast<std::size_t>(n) >> 1;
-    std::size_t t = 1;
-    {
-            // First stage (m = n/2 >= 4): u/x pairs are adjacent, same
-            // unpack/permute data movement as the forward path's last
-            // stage, Gentleman-Sande arithmetic.
-            for (std::size_t i = 0; i < m; i += 4) {
-                const std::size_t j = 2 * i;
-                const __m256i va = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(values + j));
-                const __m256i vb = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(values + j + 4));
-                const __m256i u = _mm256_unpacklo_epi64(va, vb);
-                const __m256i v = _mm256_unpackhi_epi64(va, vb);
-                const __m256i vw = _mm256_permute4x64_epi64(
-                    _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                        inv_root_powers + m + i)),
-                    0xD8);
-                const __m256i vws = _mm256_permute4x64_epi64(
-                    _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                        inv_root_powers_shoup + m + i)),
-                    0xD8);
-                const __m256i s = csub4(_mm256_add_epi64(u, v), vtwo_p);
-                const __m256i diff = _mm256_add_epi64(
-                    _mm256_sub_epi64(u, v), vtwo_p);
-                const __m256i d = shoupLazy4(diff, shoupVec(vw, vws), vp, vp_hi);
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i*>(values + j),
-                    _mm256_unpacklo_epi64(s, d));
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i*>(values + j + 4),
-                    _mm256_unpackhi_epi64(s, d));
-            }
+    // The three head stages: m = n/2, n/4, n/8 groups of 2, 4, 8 words.
+    std::size_t m = n >> 1;
+    const Vec idx1 = spreadIndex1();
+    for (std::size_t i = 0; i < m; i += 8) {
+        std::uint32_t* at = values + 2 * i;
+        Vec u, v, a, b;
+        split1(load(at), load(at + 8), u, v);
+        butterflyGs(u, v, spread(w, ws, m + i, idx1), p);
+        join1(u, v, a, b);
+        store(at, a);
+        store(at + 8, b);
     }
     m >>= 1;
-    {
-            for (std::size_t i = 0; i < m; i += 2) {
-                const std::size_t j = 4 * i;
-                const __m256i va = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(values + j));
-                const __m256i vb = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(values + j + 4));
-                const __m256i u = _mm256_permute2x128_si256(va, vb, 0x20);
-                const __m256i v = _mm256_permute2x128_si256(va, vb, 0x31);
-                const __m256i vw = _mm256_permute4x64_epi64(
-                    _mm256_castsi128_si256(_mm_loadu_si128(
-                        reinterpret_cast<const __m128i*>(inv_root_powers +
-                                                         m + i))),
-                    0x50);
-                const __m256i vws = _mm256_permute4x64_epi64(
-                    _mm256_castsi128_si256(_mm_loadu_si128(
-                        reinterpret_cast<const __m128i*>(
-                            inv_root_powers_shoup + m + i))),
-                    0x50);
-                const __m256i s = csub4(_mm256_add_epi64(u, v), vtwo_p);
-                const __m256i diff = _mm256_add_epi64(
-                    _mm256_sub_epi64(u, v), vtwo_p);
-                const __m256i d = shoupLazy4(diff, shoupVec(vw, vws), vp, vp_hi);
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i*>(values + j),
-                    _mm256_permute2x128_si256(s, d, 0x20));
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i*>(values + j + 4),
-                    _mm256_permute2x128_si256(s, d, 0x31));
-            }
+    const Vec idx2 = spreadIndex2();
+    for (std::size_t i = 0; i < m; i += 4) {
+        std::uint32_t* at = values + 4 * i;
+        Vec u, v, a, b;
+        split2(load(at), load(at + 8), u, v);
+        butterflyGs(u, v, spread(w, ws, m + i, idx2), p);
+        join2(u, v, a, b);
+        store(at, a);
+        store(at + 8, b);
     }
     m >>= 1;
-    t = 4;
-    // One Gentleman-Sande stage per pass, paired independent
-    // butterflies as in the forward path.
-    while (m >= 2) {
+    const Vec idx4 = spreadIndex4();
+    for (std::size_t i = 0; i < m; i += 2) {
+        std::uint32_t* at = values + 8 * i;
+        Vec u, v, a, b;
+        split4(load(at), load(at + 8), u, v);
+        butterflyGs(u, v, spread(w, ws, m + i, idx4), p);
+        join4(u, v, a, b);
+        store(at, a);
+        store(at + 8, b);
+    }
+    std::size_t t = 8;
+    for (m >>= 1; m > 1; m >>= 1, t <<= 1) {
         for (std::size_t i = 0; i < m; ++i) {
-            const std::size_t j1 = 2 * i * t;
-            const ShoupVec sv =
-                bcast(inv_root_powers, inv_root_powers_shoup, m + i);
-            if (t == 4) {
-                const __m256i u = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(values + j1));
-                const __m256i v = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(values + j1 + 4));
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i*>(values + j1),
-                    csub4(_mm256_add_epi64(u, v), vtwo_p));
-                const __m256i diff = _mm256_add_epi64(
-                    _mm256_sub_epi64(u, v), vtwo_p);
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i*>(values + j1 + 4),
-                    shoupLazy4(diff, sv, vp, vp_hi));
-                continue;
-            }
-            for (std::size_t j = j1; j < j1 + t; j += 8) {
-                const __m256i u0 = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(values + j));
-                const __m256i u1 = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(values + j + 4));
-                const __m256i v0 = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(values + j + t));
-                const __m256i v1 = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(values + j + t + 4));
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i*>(values + j),
-                    csub4(_mm256_add_epi64(u0, v0), vtwo_p));
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i*>(values + j + 4),
-                    csub4(_mm256_add_epi64(u1, v1), vtwo_p));
-                const __m256i d0 = _mm256_add_epi64(
-                    _mm256_sub_epi64(u0, v0), vtwo_p);
-                const __m256i d1 = _mm256_add_epi64(
-                    _mm256_sub_epi64(u1, v1), vtwo_p);
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i*>(values + j + t),
-                    shoupLazy4(d0, sv, vp, vp_hi));
-                _mm256_storeu_si256(
-                    reinterpret_cast<__m256i*>(values + j + t + 4),
-                    shoupLazy4(d1, sv, vp, vp_hi));
+            const Twiddle tw = broadcast(w[m + i], ws[m + i]);
+            std::uint32_t* group = values + 2 * i * t;
+            for (std::size_t j = 0; j < t; j += 8) {
+                Vec u = load(group + j);
+                Vec v = load(group + j + t);
+                butterflyGs(u, v, tw, p);
+                store(group + j, u);
+                store(group + j + t, v);
             }
         }
-        m >>= 1;
-        t <<= 1;
     }
-    t = static_cast<std::size_t>(n) >> 1;
-    // Final stage (m == 1, t == n/2 >= 4) fused with the n^-1 scaling,
-    // fully reduced outputs — same fusion as the scalar path.
-    const __m256i vin = _mm256_set1_epi64x(static_cast<long long>(inv_n));
-    const __m256i vins =
-        _mm256_set1_epi64x(static_cast<long long>(inv_n_shoup));
-    const __m256i vinw =
-        _mm256_set1_epi64x(static_cast<long long>(inv_n_w));
-    const __m256i vinws =
-        _mm256_set1_epi64x(static_cast<long long>(inv_n_w_shoup));
-    for (std::size_t j = 0; j < t; j += 4) {
-        const __m256i u = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(values + j));
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(values + j + t));
-        const __m256i even =
-            csub4(shoupLazy4(_mm256_add_epi64(u, v), shoupVec(vin, vins), vp, vp_hi), vp);
-        const __m256i odd = csub4(
-            shoupLazy4(
-                _mm256_add_epi64(_mm256_sub_epi64(u, v), vtwo_p),
-                shoupVec(vinw, vinws), vp, vp_hi),
-            vp);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(values + j), even);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(values + j + t),
-                            odd);
+    // Last stage (m = 1, t = n/2) fused with the n^-1 scaling: the even
+    // leg multiplies by n^-1, the odd leg by n^-1·ψ^-1, fully reduced.
+    const Twiddle even = broadcast(tables.inv_n, tables.inv_n_shoup);
+    const Twiddle odd = broadcast(tables.inv_n_w, tables.inv_n_w_shoup);
+    for (std::size_t j = 0; j < t; j += 8) {
+        const Vec a = csub(load(values + j), p);
+        const Vec b = csub(load(values + j + t), p);
+        store(values + j, csub(shoup(_mm256_add_epi32(a, b), even, p), p));
+        store(values + j + t,
+              csub(shoup(_mm256_add_epi32(_mm256_sub_epi32(a, b), p), odd,
+                         p),
+                   p));
+    }
+}
+
+void
+mulAccumulate(std::uint32_t* acc, const std::uint32_t* x,
+              const std::uint32_t* y, const Tables32& tables)
+{
+    const Vec p = _mm256_set1_epi32(static_cast<int>(tables.p));
+    const Vec p64 = _mm256_set1_epi64x(tables.p);
+    const Vec ratio =
+        _mm256_set1_epi32(static_cast<int>(tables.barrett_ratio));
+    const __m128i down = _mm_cvtsi32_si128(tables.barrett_shift - 1);
+    const __m128i up = _mm_cvtsi32_si128(tables.barrett_shift + 1);
+    // v < p^2 < 2^(2s) per 64-bit lane: q = ((v >> (s-1))·r) >> (s+1)
+    // undershoots v / p by at most 2, so v - q·p < 3p.
+    const auto reduce = [&](Vec v) {
+        const Vec q = _mm256_srl_epi64(
+            _mm256_mul_epu32(_mm256_srl_epi64(v, down), ratio), up);
+        const Vec r = _mm256_sub_epi64(v, _mm256_mul_epu32(q, p));
+        return csub64(csub64(r, p64), p64);
+    };
+    for (int i = 0; i < tables.n; i += 8) {
+        const Vec a = load(x + i);
+        const Vec b = load(y + i);
+        const Vec even = reduce(_mm256_mul_epu32(a, b));
+        const Vec odd = reduce(_mm256_mul_epu32(_mm256_srli_epi64(a, 32),
+                                                _mm256_srli_epi64(b, 32)));
+        const Vec product =
+            _mm256_blend_epi32(even, _mm256_slli_epi64(odd, 32), 0xAA);
+        store(acc + i, csub(_mm256_add_epi32(load(acc + i), product), p));
+    }
+}
+
+void
+narrow(const std::uint64_t* src, std::uint32_t* dst, int n,
+       std::uint32_t p)
+{
+    // 4p may pass 2^32, so the subtract runs in 64-bit lanes; the
+    // shuffle then gathers the low halves, and the permute restores
+    // their order.
+    const Vec two_p = _mm256_set1_epi64x(2 * static_cast<long long>(p));
+    const auto* wide = reinterpret_cast<const __m256i*>(src);
+    for (int i = 0; i < n; i += 8) {
+        const Vec a = csub64(_mm256_loadu_si256(wide + i / 4), two_p);
+        const Vec b = csub64(_mm256_loadu_si256(wide + i / 4 + 1), two_p);
+        const Vec low = _mm256_castps_si256(
+            _mm256_shuffle_ps(_mm256_castsi256_ps(a), _mm256_castsi256_ps(b),
+                              _MM_SHUFFLE(2, 0, 2, 0)));
+        store(dst + i, _mm256_permute4x64_epi64(low, 0xD8));
+    }
+}
+
+void
+widen(const std::uint32_t* src, std::uint64_t* dst, int n)
+{
+    for (int i = 0; i < n; i += 4) {
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i*>(dst + i),
+            _mm256_cvtepu32_epi64(
+                _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i))));
     }
 }
 
@@ -458,16 +410,32 @@ avx2CompiledIn()
 }
 
 void
-forwardAvx2(std::uint64_t*, int, std::uint64_t, const std::uint64_t*,
-            const std::uint64_t*)
+forward(std::uint32_t*, const Tables32&)
 {
     CHEHAB_ASSERT(false, "AVX2 kernels not compiled in");
 }
 
 void
-inverseAvx2(std::uint64_t*, int, std::uint64_t, const std::uint64_t*,
-            const std::uint64_t*, std::uint64_t, std::uint64_t,
-            std::uint64_t, std::uint64_t)
+inverse(std::uint32_t*, const Tables32&)
+{
+    CHEHAB_ASSERT(false, "AVX2 kernels not compiled in");
+}
+
+void
+mulAccumulate(std::uint32_t*, const std::uint32_t*, const std::uint32_t*,
+              const Tables32&)
+{
+    CHEHAB_ASSERT(false, "AVX2 kernels not compiled in");
+}
+
+void
+narrow(const std::uint64_t*, std::uint32_t*, int, std::uint32_t)
+{
+    CHEHAB_ASSERT(false, "AVX2 kernels not compiled in");
+}
+
+void
+widen(const std::uint32_t*, std::uint64_t*, int)
 {
     CHEHAB_ASSERT(false, "AVX2 kernels not compiled in");
 }

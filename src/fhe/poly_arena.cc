@@ -15,8 +15,9 @@ constexpr std::size_t kMaxPooledBuffers = 64;
 
 } // namespace
 
-std::vector<std::uint64_t>
-PolyArena::acquire(std::size_t words)
+template <typename Word>
+std::vector<Word>
+BasicPolyArena<Word>::acquire(std::size_t words)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -28,7 +29,7 @@ PolyArena::acquire(std::size_t words)
             // one priming pass then reaches zero fresh allocations.
             std::size_t best = free_.size();
             for (std::size_t i = free_.size(); i > 0; --i) {
-                const std::vector<std::uint64_t>& candidate = free_[i - 1];
+                const std::vector<Word>& candidate = free_[i - 1];
                 if (candidate.capacity() < words) continue;
                 if (best == free_.size() ||
                     candidate.capacity() < free_[best].capacity()) {
@@ -36,7 +37,7 @@ PolyArena::acquire(std::size_t words)
                 }
             }
             if (best != free_.size()) {
-                std::vector<std::uint64_t> buffer = std::move(free_[best]);
+                std::vector<Word> buffer = std::move(free_[best]);
                 free_.erase(free_.begin() +
                             static_cast<std::ptrdiff_t>(best));
                 ++stats_.reuses;
@@ -45,22 +46,24 @@ PolyArena::acquire(std::size_t words)
             }
         }
         ++stats_.allocs;
-        stats_.bytes += words * sizeof(std::uint64_t);
+        stats_.bytes += words * sizeof(Word);
     }
     // Mint outside the lock: the allocation is the slow part.
-    return std::vector<std::uint64_t>(words);
+    return std::vector<Word>(words);
 }
 
-std::vector<std::uint64_t>
-PolyArena::acquireZeroed(std::size_t words)
+template <typename Word>
+std::vector<Word>
+BasicPolyArena<Word>::acquireZeroed(std::size_t words)
 {
-    std::vector<std::uint64_t> buffer = acquire(words);
+    std::vector<Word> buffer = acquire(words);
     std::fill(buffer.begin(), buffer.end(), 0);
     return buffer;
 }
 
+template <typename Word>
 void
-PolyArena::release(std::vector<std::uint64_t>&& buffer)
+BasicPolyArena<Word>::release(std::vector<Word>&& buffer)
 {
     if (buffer.capacity() == 0) return;
     std::lock_guard<std::mutex> lock(mutex_);
@@ -68,33 +71,40 @@ PolyArena::release(std::vector<std::uint64_t>&& buffer)
     free_.push_back(std::move(buffer));
 }
 
+template <typename Word>
 void
-PolyArena::reset()
+BasicPolyArena<Word>::reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     free_.clear();
 }
 
-PolyArena::Stats
-PolyArena::stats() const
+template <typename Word>
+ArenaStats
+BasicPolyArena<Word>::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return stats_;
 }
 
+template <typename Word>
 void
-PolyArena::setEnabled(bool enabled)
+BasicPolyArena<Word>::setEnabled(bool enabled)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     enabled_ = enabled;
     if (!enabled) free_.clear();
 }
 
+template <typename Word>
 bool
-PolyArena::enabled() const
+BasicPolyArena<Word>::enabled() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return enabled_;
 }
+
+template class BasicPolyArena<std::uint64_t>;
+template class BasicPolyArena<std::uint32_t>;
 
 } // namespace chehab::fhe

@@ -958,32 +958,35 @@ SealLite::keySwitch(const RnsPoly& poly, const KeySwitchKey& key,
     const int digits = digitsPerPrime();
     const std::uint64_t mask = (1ULL << params_.decomp_bits) - 1;
     const int n = params_.n;
-    std::vector<std::uint64_t> digit =
-        arena_.acquire(static_cast<std::size_t>(n));
-    std::vector<std::uint64_t> transformed =
-        arena_.acquire(static_cast<std::size_t>(n));
+    std::vector<std::uint32_t> digit =
+        arena32_.acquire(static_cast<std::size_t>(n));
+    std::vector<std::uint32_t> transformed =
+        arena32_.acquire(static_cast<std::size_t>(n));
     // NTT-domain accumulators: pointwise products are summed (fully
     // reduced) across every (prime, digit) pair, and each prime pays for
     // ONE inverse transform per output component at the end — the
     // inverse NTT is exactly linear mod p, so this is bit-identical to
     // the seed's inverse-per-digit path while doing k inverses instead
     // of k * digits * k.
-    std::vector<std::uint64_t> acc0 =
-        arena_.acquireZeroed(static_cast<std::size_t>(k) * n);
-    std::vector<std::uint64_t> acc1 =
-        arena_.acquireZeroed(static_cast<std::size_t>(k) * n);
+    std::vector<std::uint32_t> acc0 =
+        arena32_.acquireZeroed(static_cast<std::size_t>(k) * n);
+    std::vector<std::uint32_t> acc1 =
+        arena32_.acquireZeroed(static_cast<std::size_t>(k) * n);
     bool any_digit = false;
     for (int i = 0; i < k; ++i) {
         const std::uint64_t* residues = poly.component(i);
         for (int d = 0; d < digits; ++d) {
-            // Base-2^w digit of the i-th residue polynomial; digit values
-            // are < 2^w < every prime, so the RNS lift is a plain copy
-            // shared across components.
+            // Base-2^w digit of the i-th residue polynomial. With
+            // w = prime_bits a digit can exceed a smaller prime p_j, but
+            // it stays below 2^w <= 2^prime_bits < 2p_j, inside the
+            // 32-bit transform's [0, 2p) input domain, so the RNS lift
+            // is a plain copy shared across components.
             const int shift = d * params_.decomp_bits;
-            std::uint64_t* dg = digit.data();
+            std::uint32_t* dg = digit.data();
             bool nonzero = false;
             for (int x = 0; x < n; ++x) {
-                const std::uint64_t v = (residues[x] >> shift) & mask;
+                const auto v =
+                    static_cast<std::uint32_t>((residues[x] >> shift) & mask);
                 dg[x] = v;
                 nonzero = nonzero || v != 0;
             }
@@ -994,21 +997,16 @@ SealLite::keySwitch(const RnsPoly& poly, const KeySwitchKey& key,
             // One forward transform of the digit per prime serves both
             // key components (the seed path re-transformed it for each).
             for (int j = 0; j < k; ++j) {
-                const std::uint64_t p = primes_[static_cast<std::size_t>(j)];
                 const NttTables& tables = *ntt_[static_cast<std::size_t>(j)];
-                const Barrett& reducer = tables.reducer();
                 std::copy(digit.begin(), digit.end(), transformed.begin());
                 tables.forward(transformed.data());
-                const std::uint64_t* tx = transformed.data();
                 const std::size_t offset = static_cast<std::size_t>(j) * n;
-                const std::uint32_t* bw = key.b[idx].data() + offset;
-                const std::uint32_t* aw = key.a[idx].data() + offset;
-                std::uint64_t* a0 = acc0.data() + offset;
-                std::uint64_t* a1 = acc1.data() + offset;
-                for (int x = 0; x < n; ++x) {
-                    a0[x] = addMod(a0[x], reducer.mulMod(tx[x], bw[x]), p);
-                    a1[x] = addMod(a1[x], reducer.mulMod(tx[x], aw[x]), p);
-                }
+                tables.mulAccumulate(acc0.data() + offset,
+                                     transformed.data(),
+                                     key.b[idx].data() + offset);
+                tables.mulAccumulate(acc1.data() + offset,
+                                     transformed.data(),
+                                     key.a[idx].data() + offset);
             }
         }
     }
@@ -1016,9 +1014,9 @@ SealLite::keySwitch(const RnsPoly& poly, const KeySwitchKey& key,
         for (int j = 0; j < k; ++j) {
             const std::uint64_t p = primes_[static_cast<std::size_t>(j)];
             const NttTables& tables = *ntt_[static_cast<std::size_t>(j)];
-            std::uint64_t* a0 =
+            std::uint32_t* a0 =
                 acc0.data() + static_cast<std::size_t>(j) * n;
-            std::uint64_t* a1 =
+            std::uint32_t* a1 =
                 acc1.data() + static_cast<std::size_t>(j) * n;
             tables.inverse(a0);
             tables.inverse(a1);
@@ -1030,10 +1028,10 @@ SealLite::keySwitch(const RnsPoly& poly, const KeySwitchKey& key,
             }
         }
     }
-    arena_.release(std::move(digit));
-    arena_.release(std::move(transformed));
-    arena_.release(std::move(acc0));
-    arena_.release(std::move(acc1));
+    arena32_.release(std::move(digit));
+    arena32_.release(std::move(transformed));
+    arena32_.release(std::move(acc0));
+    arena32_.release(std::move(acc1));
 }
 
 Ciphertext

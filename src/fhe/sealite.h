@@ -74,8 +74,9 @@ struct SealLiteParams
     /// stack limbs sized for this many primes of at most 31 bits.
     static constexpr int kMaxPrimeCount = 16;
     /// Pointwise NTT products use single-word Barrett multiplies, whose
-    /// 64-bit product bound needs p^2 < 2^64, and key-switching keys
-    /// keep their NTT words in 32 bits.
+    /// 64-bit product bound needs p^2 < 2^64, key-switching keys keep
+    /// their NTT words in 32 bits, and the 8-lane NTT kernel keeps its
+    /// legs in [0, 2p), below 2^32.
     static constexpr int kMaxPrimeBits = 31;
     static constexpr int kMaxErrorStddevX10 = 1000;
     /// @}
@@ -280,10 +281,20 @@ class SealLite
 
     /// \name Arena observability and control
     /// @{
-    PolyArena::Stats arenaStats() const { return arena_.stats(); }
+    /// Both word widths' arenas, summed.
+    PolyArena::Stats arenaStats() const
+    {
+        PolyArena::Stats stats = arena_.stats();
+        stats += arena32_.stats();
+        return stats;
+    }
     /// Disabled = every acquire is a fresh heap allocation (the
     /// arena-on-vs-off differential tests run both ways).
-    void setArenaEnabled(bool enabled) { arena_.setEnabled(enabled); }
+    void setArenaEnabled(bool enabled)
+    {
+        arena_.setEnabled(enabled);
+        arena32_.setEnabled(enabled);
+    }
     /// @}
 
     /// Re-seed the encryption/error randomness stream. Key material
@@ -329,8 +340,11 @@ class SealLite
         // entry i*digits+d encrypts T_i * B^d * target. Each entry is
         // the full-level NTT form, prime-major (k * n words), kept as
         // bare 32-bit words with no Shoup companions: key switching
-        // multiplies them against freshly transformed digits, both
-        // operands below p, with the prime's Barrett mulMod.
+        // multiplies them against freshly transformed 32-bit digits,
+        // both operands below p, with NttTables::mulAccumulate (an
+        // 8-lane Barrett product where the vector kernel applies). A
+        // Galois key at n = 4096 with six primes and two digits is
+        // 2.4 MB.
         std::vector<std::vector<std::uint32_t>> b;
         std::vector<std::vector<std::uint32_t>> a;
     };
@@ -415,7 +429,12 @@ class SealLite
     /// target) onto (delta_c0, delta_c1). Operates at poly's level: only
     /// the first poly.k primes' digits and key components participate
     /// (valid because the full-level CRT basis T_i reduces to the
-    /// level-k basis mod the surviving primes).
+    /// level-k basis mod the surviving primes). Runs in 32-bit words:
+    /// each digit is extracted as std::uint32_t, forward-transformed
+    /// once per prime through the 32-bit NTT entry, and
+    /// multiply-accumulated against both key components into fully
+    /// reduced 32-bit accumulators, which take one inverse per prime per
+    /// output component. Its buffers come from arena32_.
     void keySwitch(const RnsPoly& poly, const KeySwitchKey& key,
                    RnsPoly& delta_c0, RnsPoly& delta_c1) const;
 
@@ -476,6 +495,9 @@ class SealLite
     /// instance makes (zeroPoly and friends all draw from it). Mutable:
     /// const evaluator methods acquire and release scratch.
     mutable PolyArena arena_;
+    /// The 32-bit sibling behind keySwitch's digit, transform and
+    /// accumulator buffers.
+    mutable PolyArena32 arena32_;
 };
 
 } // namespace chehab::fhe

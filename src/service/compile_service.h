@@ -67,6 +67,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -91,6 +92,13 @@
 
 namespace chehab::service {
 
+/// Default bound of the run-result cache. Every run with fresh inputs
+/// leaves one settled entry of about 0.5–0.8 KiB (measured on
+/// serve-mixed), so a long-lived service with an unbounded cache grows
+/// its RSS with every request served; 4096 entries cap that at a few
+/// MiB.
+inline constexpr std::size_t kDefaultRunCacheCapacity = 4096;
+
 /// Service construction knobs.
 struct ServiceConfig
 {
@@ -101,8 +109,9 @@ struct ServiceConfig
     const rl::RlAgent* agent = nullptr;
     /// LRU capacity of the kernel (compile) cache; 0 = unbounded.
     std::size_t kernel_cache_capacity = 0;
-    /// LRU capacity of the run-result cache; 0 = unbounded.
-    std::size_t run_cache_capacity = 0;
+    /// LRU capacity of the run-result cache; 0 = unbounded. Pending
+    /// entries never evict.
+    std::size_t run_cache_capacity = kDefaultRunCacheCapacity;
     /// Slot-batching lane cap: 1 disables coalescing (default), 0 means
     /// "as many lanes as the row and the lane-safety analysis allow",
     /// any other value caps the lanes packed into one row.
@@ -157,7 +166,7 @@ struct ServiceConfig
     /// usage message instead of an exception.
     ///
     /// Deliberately *valid* edge cases: kernel/run cache capacity 0
-    /// (means unbounded, the default) and max_lanes 0 (means "as many
+    /// (means unbounded) and max_lanes 0 (means "as many
     /// lanes as the row allows") — both are long-standing semantics
     /// with in-tree users, so validate() only rejects values that no
     /// semantics is assigned to (negative counts, non-finite windows,

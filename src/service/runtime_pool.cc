@@ -48,10 +48,7 @@ RuntimePool::arenaStats() const
     std::unique_lock<std::mutex> lock(mutex_);
     fhe::PolyArena::Stats total;
     for (const compiler::FheRuntime* runtime : all_) {
-        const fhe::PolyArena::Stats s = runtime->arenaStats();
-        total.allocs += s.allocs;
-        total.reuses += s.reuses;
-        total.bytes += s.bytes;
+        total += runtime->arenaStats();
     }
     return total;
 }

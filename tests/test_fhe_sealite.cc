@@ -987,5 +987,50 @@ TEST(SealLiteGoldenTest, CiphertextWordsMatchRecordedHashes)
     }
 }
 
+TEST(SealLiteGoldenTest, ThirtyOneBitChainIsSimdInvariant)
+{
+    // 31-bit primes are the widest validate() accepts and the case the
+    // vector kernel's [0, 2p) legs exist for: 2p stays below 2^32 only
+    // just. With decomp_bits = 31 a digit can exceed a smaller chain
+    // prime, so the transform's input domain is exercised past p.
+    for (const int decomp_bits : {31, 16}) {
+        SCOPED_TRACE("decomp_bits=" + std::to_string(decomp_bits));
+        SealLiteParams params;
+        params.n = 1024;
+        params.prime_bits = 31;
+        params.prime_count = 4;
+        params.decomp_bits = decomp_bits;
+        params.seed = 0x31b + static_cast<std::uint64_t>(decomp_bits);
+        ASSERT_EQ(params.validate(), "");
+        SealLite s(params);
+        s.makeGaloisKeys({1, -3});
+        Rng rng(static_cast<std::uint64_t>(decomp_bits));
+        std::vector<std::int64_t> va(static_cast<std::size_t>(s.slots()));
+        std::vector<std::int64_t> vb(va.size());
+        for (std::int64_t& v : va) v = rng.uniformRange(0, 65536);
+        for (std::int64_t& v : vb) v = rng.uniformRange(0, 65536);
+        const Ciphertext a = s.encrypt(s.encode(va));
+        const Ciphertext b = s.encrypt(s.encode(vb));
+        const SimdRestore restore;
+        std::array<Ciphertext, 3> on;
+        std::array<Ciphertext, 3> off;
+        for (bool simd : {true, false}) {
+            setSimdEnabled(simd);
+            std::array<Ciphertext, 3>& out = simd ? on : off;
+            out = {s.multiply(a, b), s.rotate(a, 1), s.rotate(a, -3)};
+        }
+        for (std::size_t op = 0; op < on.size(); ++op) {
+            EXPECT_EQ(on[op].c0.data, off[op].c0.data) << "op " << op;
+            EXPECT_EQ(on[op].c1.data, off[op].c1.data) << "op " << op;
+        }
+        const std::vector<std::int64_t> product = s.decrypt(on[0]);
+        const std::vector<std::int64_t> rotated = s.decrypt(on[1]);
+        for (std::size_t i = 0; i < va.size(); ++i) {
+            ASSERT_EQ(product[i], tmod(va[i] * vb[i])) << i;
+            ASSERT_EQ(rotated[i], va[(i + 1) % va.size()]) << i;
+        }
+    }
+}
+
 } // namespace
 } // namespace chehab::fhe

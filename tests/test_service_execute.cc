@@ -467,6 +467,16 @@ TEST(ServiceExecuteTest, CompileCacheLruEviction)
     EXPECT_EQ(stats.cache.hits, 1u);
 }
 
+TEST(ServiceExecuteTest, RunCacheIsBoundedByDefault)
+{
+    // Every run with fresh inputs settles one entry, so a long-lived
+    // service with an unbounded default would grow with every request
+    // it serves. 0 still means unbounded when asked for.
+    const ServiceConfig config;
+    EXPECT_EQ(config.run_cache_capacity, kDefaultRunCacheCapacity);
+    EXPECT_GT(config.run_cache_capacity, 0u);
+}
+
 TEST(ServiceExecuteTest, RunCacheLruEviction)
 {
     ServiceConfig config;
