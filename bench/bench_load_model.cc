@@ -13,9 +13,12 @@
 /// Each lane cap runs warmup rounds first (compiles cached, EWMA
 /// profiles trained), then measures repeated rounds of the same batch
 /// with distinct inputs per round (so rounds coalesce instead of
-/// hitting the run cache). Correctness gate: every response's outputs
-/// are checked against the plaintext evaluator — packed/composite
-/// outputs stay bit-identical to solo.
+/// hitting the run cache). Rounds are closed-loop: the next starts when
+/// the last response of this one arrives, so every partial group waits
+/// out the batch window (the service default, 0.5 ms) before it
+/// flushes. Correctness gate: every response's outputs are checked
+/// against the plaintext evaluator — packed/composite outputs stay
+/// bit-identical to solo.
 ///
 /// Usage:
 ///   bench_load_model [LANES...]   lane caps to sweep (default 1 8 16;
@@ -103,9 +106,10 @@ runSweep(const std::vector<benchsuite::Kernel>& mix, int requests_per_kernel,
     // throughput measurement with the recorder live is the regression
     // gate on its overhead.
     config.telemetry = true;
-    // A service-shaped window (tens of ms), sized so a late straggler
-    // can still catch its row.
-    config.batch_window_seconds = 0.05;
+    // The service's default batch window: every partial group of a
+    // closed-loop round waits it out in full, so a window of tens of ms
+    // would make lane caps above 1 measure the window, not dispatch or
+    // row assignment.
     config.cross_kernel = lanes != 1;
     service::CompileService service(config);
 

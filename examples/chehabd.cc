@@ -32,7 +32,7 @@
 ///   --suite N       add the built-in Porcupine suite at size N
 ///   --train-steps N PPO budget for --mode rl (default 256)
 ///   --cache-cap N   LRU capacity of the kernel and run caches, 0 =
-///                   unbounded (default: the library's, an unbounded
+///                   unbounded (default: the library's, a 512-entry
 ///                   kernel cache and a 4096-entry run cache)
 ///   --run           execute each kernel on SealLite after compiling
 ///   --key-budget N  rotation-key budget β for --run (default 0 = one

@@ -1,9 +1,12 @@
 /// \file
-/// 64-bit modular arithmetic primitives for the SealLite RLWE backend:
-/// mulmod via 128-bit intermediates, Shoup and Barrett division-free
+/// Modular arithmetic primitives for the SealLite RLWE backend: mulmod
+/// via 128-bit intermediates, Shoup and Barrett division-free
 /// multiplication for the NTT hot path, exponentiation, inverses,
 /// NTT-friendly prime generation and primitive-root search (both
 /// memoized — every NttTables construction used to re-run them).
+/// Operands are 64-bit words; the one 32-bit primitive is the Shoup
+/// multiply SealLite's cached NTT forms use, since every chain prime
+/// is below 2^31 and SealLite stores every residue in 32 bits.
 #pragma once
 
 #include <cstdint>
@@ -78,6 +81,28 @@ mulModShoup(std::uint64_t x, std::uint64_t w, std::uint64_t w_shoup,
             std::uint64_t p)
 {
     std::uint64_t r = mulModShoupLazy(x, w, w_shoup, p);
+    if (r >= p) r -= p;
+    return r;
+}
+
+/// 32-bit Shoup companion floor(w * 2^32 / p); requires w < p < 2^31.
+inline std::uint32_t
+shoupPrecompute32(std::uint64_t w, std::uint64_t p)
+{
+    return static_cast<std::uint32_t>((w << 32) / p);
+}
+
+/// (x * w) mod p in 32-bit words, fully reduced to [0, p), for ANY
+/// 32-bit x with w < p < 2^31: q = (x * w') >> 32 is floor(xw/p) or one
+/// less, so r = x*w - q*p (mod 2^32) lies in [0, 2p), below 2^32, and
+/// one conditional subtract finishes it.
+inline std::uint32_t
+mulModShoup32(std::uint32_t x, std::uint32_t w, std::uint32_t w_shoup,
+              std::uint32_t p)
+{
+    const auto q = static_cast<std::uint32_t>(
+        (static_cast<std::uint64_t>(x) * w_shoup) >> 32);
+    std::uint32_t r = x * w - q * p;
     if (r >= p) r -= p;
     return r;
 }

@@ -50,13 +50,6 @@ threadScratch(int n)
     return scratch.data();
 }
 
-/// ⌊w·2^32/p⌋: the 32-bit Shoup companion of w < p.
-std::uint32_t
-shoup32(std::uint64_t w, std::uint64_t p)
-{
-    return static_cast<std::uint32_t>((w << 32) / p);
-}
-
 } // namespace
 
 bool
@@ -147,16 +140,16 @@ NttTables::NttTables(int n, std::uint64_t p)
                                std::vector<std::uint32_t>& ws) {
             for (const std::uint64_t power : powers) {
                 w.push_back(static_cast<std::uint32_t>(power));
-                ws.push_back(shoup32(power, p));
+                ws.push_back(shoupPrecompute32(power, p));
             }
         };
         words(root_powers_, t32->root_powers, t32->root_powers_shoup);
         words(inv_root_powers_, t32->inv_root_powers,
               t32->inv_root_powers_shoup);
         t32->inv_n = static_cast<std::uint32_t>(inv_n_);
-        t32->inv_n_shoup = shoup32(inv_n_, p);
+        t32->inv_n_shoup = shoupPrecompute32(inv_n_, p);
         t32->inv_n_w = static_cast<std::uint32_t>(inv_n_w_);
-        t32->inv_n_w_shoup = shoup32(inv_n_w_, p);
+        t32->inv_n_w_shoup = shoupPrecompute32(inv_n_w_, p);
         int s = 0;
         while ((p >> s) != 0) ++s;
         t32->barrett_shift = s;

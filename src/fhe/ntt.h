@@ -6,6 +6,11 @@
 /// the inverse consumes that order: products are pointwise, as in SEAL,
 /// and batching locates each slot's index once at construction.
 ///
+/// Every transform has two word-width entries. SealLite stores every
+/// residue in 32 bits and calls only the std::uint32_t* entries. The
+/// std::uint64_t* entries serve outside callers (perfbench's NTT probe,
+/// bench_ntt, the NTT tests) and primes of 2^31 and above.
+///
 /// Two implementations compute every transform, with identical output
 /// words:
 /// - The vector kernel (fhe/ntt_avx2.cc): eight 32-bit AVX2 lanes with
@@ -67,8 +72,9 @@ class NttTables
 
     /// \name 32-bit word entries (p < 2^31)
     /// The same transforms on 32-bit words, input in [0, 2p) and output
-    /// fully reduced, straight into the vector kernel when it applies.
-    /// Key switching keeps its digits and accumulators in these words.
+    /// fully reduced, straight into the vector kernel when it applies
+    /// (else widened into the scalar path through a per-thread buffer).
+    /// Every SealLite transform and key-switch product runs here.
     /// @{
     void forward(std::uint32_t* values) const;
     void inverse(std::uint32_t* values) const;

@@ -15,9 +15,8 @@ constexpr std::size_t kMaxPooledBuffers = 64;
 
 } // namespace
 
-template <typename Word>
-std::vector<Word>
-BasicPolyArena<Word>::acquire(std::size_t words)
+std::vector<std::uint32_t>
+PolyArena::acquire(std::size_t words)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -29,7 +28,7 @@ BasicPolyArena<Word>::acquire(std::size_t words)
             // one priming pass then reaches zero fresh allocations.
             std::size_t best = free_.size();
             for (std::size_t i = free_.size(); i > 0; --i) {
-                const std::vector<Word>& candidate = free_[i - 1];
+                const std::vector<std::uint32_t>& candidate = free_[i - 1];
                 if (candidate.capacity() < words) continue;
                 if (best == free_.size() ||
                     candidate.capacity() < free_[best].capacity()) {
@@ -37,7 +36,7 @@ BasicPolyArena<Word>::acquire(std::size_t words)
                 }
             }
             if (best != free_.size()) {
-                std::vector<Word> buffer = std::move(free_[best]);
+                std::vector<std::uint32_t> buffer = std::move(free_[best]);
                 free_.erase(free_.begin() +
                             static_cast<std::ptrdiff_t>(best));
                 ++stats_.reuses;
@@ -46,24 +45,22 @@ BasicPolyArena<Word>::acquire(std::size_t words)
             }
         }
         ++stats_.allocs;
-        stats_.bytes += words * sizeof(Word);
+        stats_.bytes += words * sizeof(std::uint32_t);
     }
     // Mint outside the lock: the allocation is the slow part.
-    return std::vector<Word>(words);
+    return std::vector<std::uint32_t>(words);
 }
 
-template <typename Word>
-std::vector<Word>
-BasicPolyArena<Word>::acquireZeroed(std::size_t words)
+std::vector<std::uint32_t>
+PolyArena::acquireZeroed(std::size_t words)
 {
-    std::vector<Word> buffer = acquire(words);
+    std::vector<std::uint32_t> buffer = acquire(words);
     std::fill(buffer.begin(), buffer.end(), 0);
     return buffer;
 }
 
-template <typename Word>
 void
-BasicPolyArena<Word>::release(std::vector<Word>&& buffer)
+PolyArena::release(std::vector<std::uint32_t>&& buffer)
 {
     if (buffer.capacity() == 0) return;
     std::lock_guard<std::mutex> lock(mutex_);
@@ -71,40 +68,33 @@ BasicPolyArena<Word>::release(std::vector<Word>&& buffer)
     free_.push_back(std::move(buffer));
 }
 
-template <typename Word>
 void
-BasicPolyArena<Word>::reset()
+PolyArena::reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     free_.clear();
 }
 
-template <typename Word>
-ArenaStats
-BasicPolyArena<Word>::stats() const
+PolyArena::Stats
+PolyArena::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return stats_;
 }
 
-template <typename Word>
 void
-BasicPolyArena<Word>::setEnabled(bool enabled)
+PolyArena::setEnabled(bool enabled)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     enabled_ = enabled;
     if (!enabled) free_.clear();
 }
 
-template <typename Word>
 bool
-BasicPolyArena<Word>::enabled() const
+PolyArena::enabled() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return enabled_;
 }
-
-template class BasicPolyArena<std::uint64_t>;
-template class BasicPolyArena<std::uint32_t>;
 
 } // namespace chehab::fhe

@@ -11,10 +11,10 @@
 /// steady-state acquire is a reuse — the zero-allocations-per-op
 /// contract bench_ntt's allocs/op column and the arena tests pin.
 ///
-/// The arena is a template over the word type: PolyArena (64-bit) backs
-/// RnsPoly and NTT scratch, and its 32-bit sibling PolyArena32 backs key
-/// switching's digit, transform and accumulator buffers. SealLite owns
-/// one of each and reports their summed counters.
+/// Buffers hold 32-bit words, SealLite's one storage width: every chain
+/// prime is below 2^31, so every residue fits (see RnsPoly). One arena
+/// backs ciphertext polys, NTT scratch and key switching's digit and
+/// accumulator buffers alike.
 ///
 /// Counters (allocs / reuses / bytes) feed ServiceStats and chehabd's
 /// --stats-json. The arena can be disabled (setEnabled(false)), which
@@ -33,38 +33,34 @@
 
 namespace chehab::fhe {
 
-/// Arena counters; arenas of both word widths report this one type.
-struct ArenaStats
-{
-    std::uint64_t allocs = 0; ///< Fresh buffers minted.
-    std::uint64_t reuses = 0; ///< Acquires served from the freelist.
-    std::uint64_t bytes = 0;  ///< Bytes backing minted buffers.
-
-    ArenaStats& operator+=(const ArenaStats& other)
-    {
-        allocs += other.allocs;
-        reuses += other.reuses;
-        bytes += other.bytes;
-        return *this;
-    }
-};
-
-template <typename Word>
-class BasicPolyArena
+class PolyArena
 {
   public:
-    using Stats = ArenaStats;
+    struct Stats
+    {
+        std::uint64_t allocs = 0; ///< Fresh buffers minted.
+        std::uint64_t reuses = 0; ///< Acquires served from the freelist.
+        std::uint64_t bytes = 0;  ///< Bytes backing minted buffers.
+
+        Stats& operator+=(const Stats& other)
+        {
+            allocs += other.allocs;
+            reuses += other.reuses;
+            bytes += other.bytes;
+            return *this;
+        }
+    };
 
     /// A buffer of exactly \p words elements, unspecified contents
     /// (callers either overwrite fully or use acquireZeroed).
-    std::vector<Word> acquire(std::size_t words);
+    std::vector<std::uint32_t> acquire(std::size_t words);
 
     /// acquire(), then zero-fill.
-    std::vector<Word> acquireZeroed(std::size_t words);
+    std::vector<std::uint32_t> acquireZeroed(std::size_t words);
 
     /// Return a dead buffer to the freelist (dropped when disabled or
     /// when the freelist is at capacity).
-    void release(std::vector<Word>&& buffer);
+    void release(std::vector<std::uint32_t>&& buffer);
 
     /// Drop every pooled buffer (counters are kept — they are
     /// monotonic observability, not occupancy).
@@ -79,15 +75,9 @@ class BasicPolyArena
 
   private:
     mutable std::mutex mutex_;
-    std::vector<std::vector<Word>> free_;
+    std::vector<std::vector<std::uint32_t>> free_;
     Stats stats_;
     bool enabled_ = true;
 };
-
-extern template class BasicPolyArena<std::uint64_t>;
-extern template class BasicPolyArena<std::uint32_t>;
-
-using PolyArena = BasicPolyArena<std::uint64_t>;
-using PolyArena32 = BasicPolyArena<std::uint32_t>;
 
 } // namespace chehab::fhe

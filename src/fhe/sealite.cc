@@ -27,14 +27,16 @@ validated(SealLiteParams params)
     return params;
 }
 
-/// v mod p for |v| < 2^63 without a division: Barrett reduces the
-/// magnitude m, and a negative v maps to p - m unless m is 0.
+/// v mod p for any signed 64-bit v, without a division or a branch:
+/// Barrett reduces v's two's-complement word, which is v + 2^64 when v
+/// is negative, and subtracting 2^64 mod p = 2^64 - ratio·p undoes that.
 std::uint64_t
 reduceSigned(std::int64_t v, const Barrett& reducer)
 {
-    if (v >= 0) return reducer.reduce(static_cast<std::uint64_t>(v));
-    const std::uint64_t m = reducer.reduce(static_cast<std::uint64_t>(-v));
-    return m == 0 ? 0 : reducer.modulus - m;
+    const std::uint64_t r = reducer.reduce(static_cast<std::uint64_t>(v));
+    const std::uint64_t wrap =
+        v < 0 ? std::uint64_t{0} - reducer.ratio * reducer.modulus : 0;
+    return subMod(r, wrap, reducer.modulus);
 }
 
 } // namespace
@@ -175,7 +177,7 @@ SealLite::SealLite(SealLiteParams params)
     // forward NTT of X holds at index i the point index i evaluates at,
     // which locates every slot's index.
     plain_ntt_ = acquireNttTables(params_.n, t);
-    std::vector<std::uint64_t> points(static_cast<std::size_t>(n), 0);
+    std::vector<std::uint32_t> points(static_cast<std::size_t>(n), 0);
     points[1] = 1;
     plain_ntt_->forward(points.data());
     std::unordered_map<std::uint64_t, int> index_of;
@@ -191,7 +193,7 @@ SealLite::SealLite(SealLiteParams params)
     }
 
     plain_cache_capacity_ = std::max<std::size_t>(
-        1, kPlainCacheBytes / (primes_.size() * n * 16 + n * 8));
+        1, kPlainCacheBytes / (primes_.size() * n * 8 + n * 8));
 
     // Key material.
     secret_ = sampleTernary();
@@ -241,8 +243,11 @@ SealLite::uniformPoly()
 {
     RnsPoly poly = zeroPoly();
     for (int i = 0; i < poly.k; ++i) {
-        std::uint64_t* c = poly.component(i);
-        for (int j = 0; j < poly.n; ++j) c[j] = rng_.uniformInt(primes_[static_cast<std::size_t>(i)]);
+        std::uint32_t* c = poly.component(i);
+        for (int j = 0; j < poly.n; ++j) {
+            c[j] = static_cast<std::uint32_t>(
+                rng_.uniformInt(primes_[static_cast<std::size_t>(i)]));
+        }
     }
     return poly;
 }
@@ -252,12 +257,13 @@ SealLite::liftSmall(const std::vector<int>& coeffs) const
 {
     RnsPoly poly = zeroPoly();
     for (int i = 0; i < poly.k; ++i) {
-        const std::uint64_t p = primes_[static_cast<std::size_t>(i)];
-        std::uint64_t* c = poly.component(i);
+        const auto p = static_cast<std::uint32_t>(
+            primes_[static_cast<std::size_t>(i)]);
+        std::uint32_t* c = poly.component(i);
         for (int j = 0; j < poly.n; ++j) {
             const int v = coeffs[static_cast<std::size_t>(j)];
-            c[j] = v >= 0 ? static_cast<std::uint64_t>(v)
-                          : p - static_cast<std::uint64_t>(-v);
+            c[j] = v >= 0 ? static_cast<std::uint32_t>(v)
+                          : p - static_cast<std::uint32_t>(-v);
         }
     }
     return poly;
@@ -295,9 +301,11 @@ SealLite::addInPlace(RnsPoly& a, const RnsPoly& b) const
     CHEHAB_ASSERT(a.k == b.k, "RNS add across mismatched levels");
     for (int i = 0; i < a.k; ++i) {
         const std::uint64_t p = primes_[static_cast<std::size_t>(i)];
-        std::uint64_t* x = a.component(i);
-        const std::uint64_t* y = b.component(i);
-        for (int j = 0; j < a.n; ++j) x[j] = addMod(x[j], y[j], p);
+        std::uint32_t* x = a.component(i);
+        const std::uint32_t* y = b.component(i);
+        for (int j = 0; j < a.n; ++j) {
+            x[j] = static_cast<std::uint32_t>(addMod(x[j], y[j], p));
+        }
     }
 }
 
@@ -307,9 +315,11 @@ SealLite::subInPlace(RnsPoly& a, const RnsPoly& b) const
     CHEHAB_ASSERT(a.k == b.k, "RNS sub across mismatched levels");
     for (int i = 0; i < a.k; ++i) {
         const std::uint64_t p = primes_[static_cast<std::size_t>(i)];
-        std::uint64_t* x = a.component(i);
-        const std::uint64_t* y = b.component(i);
-        for (int j = 0; j < a.n; ++j) x[j] = subMod(x[j], y[j], p);
+        std::uint32_t* x = a.component(i);
+        const std::uint32_t* y = b.component(i);
+        for (int j = 0; j < a.n; ++j) {
+            x[j] = static_cast<std::uint32_t>(subMod(x[j], y[j], p));
+        }
     }
 }
 
@@ -317,8 +327,9 @@ void
 SealLite::negateInPlace(RnsPoly& a) const
 {
     for (int i = 0; i < a.k; ++i) {
-        const std::uint64_t p = primes_[static_cast<std::size_t>(i)];
-        std::uint64_t* x = a.component(i);
+        const auto p = static_cast<std::uint32_t>(
+            primes_[static_cast<std::size_t>(i)]);
+        std::uint32_t* x = a.component(i);
         for (int j = 0; j < a.n; ++j) x[j] = x[j] == 0 ? 0 : p - x[j];
     }
 }
@@ -326,29 +337,8 @@ SealLite::negateInPlace(RnsPoly& a) const
 RnsPoly
 SealLite::mulPolyNtt(const RnsPoly& a, const NttForm& b) const
 {
-    CHEHAB_ASSERT(b.n == a.n && b.k >= a.k,
-                  "NTT form shorter than the operand level");
-    RnsPoly result = zeroPoly(a.k);
-    std::vector<std::uint64_t> fa =
-        arena_.acquire(static_cast<std::size_t>(params_.n));
-    for (int i = 0; i < a.k; ++i) {
-        const std::uint64_t p = primes_[static_cast<std::size_t>(i)];
-        const NttTables& tables = *ntt_[static_cast<std::size_t>(i)];
-        const std::uint64_t* x = a.component(i);
-        std::copy(x, x + params_.n, fa.begin());
-        tables.forward(fa.data());
-        const std::uint64_t* w = b.component(i);
-        const std::uint64_t* ws = b.shoupComponent(i);
-        for (int j = 0; j < params_.n; ++j) {
-            fa[static_cast<std::size_t>(j)] =
-                mulModShoup(fa[static_cast<std::size_t>(j)],
-                            w[static_cast<std::size_t>(j)],
-                            ws[static_cast<std::size_t>(j)], p);
-        }
-        tables.inverse(fa.data());
-        std::copy(fa.begin(), fa.end(), result.component(i));
-    }
-    arena_.release(std::move(fa));
+    RnsPoly result = clonePoly(a);
+    mulPolyNttInPlace(result, b);
     return result;
 }
 
@@ -359,15 +349,15 @@ SealLite::mulPolyNttInPlace(RnsPoly& a, const NttForm& b) const
                   "NTT form shorter than the operand level");
     // Transforms run directly on a's components — no scratch at all.
     for (int i = 0; i < a.k; ++i) {
-        const std::uint64_t p = primes_[static_cast<std::size_t>(i)];
+        const auto p = static_cast<std::uint32_t>(
+            primes_[static_cast<std::size_t>(i)]);
         const NttTables& tables = *ntt_[static_cast<std::size_t>(i)];
-        std::uint64_t* x = a.component(i);
+        std::uint32_t* x = a.component(i);
         tables.forward(x);
-        const std::uint64_t* w = b.component(i);
-        const std::uint64_t* ws = b.shoupComponent(i);
+        const std::uint32_t* w = b.component(i);
+        const std::uint32_t* ws = b.shoupComponent(i);
         for (int j = 0; j < params_.n; ++j) {
-            x[j] = mulModShoup(x[j], w[static_cast<std::size_t>(j)],
-                               ws[static_cast<std::size_t>(j)], p);
+            x[j] = mulModShoup32(x[j], w[j], ws[j], p);
         }
         tables.inverse(x);
     }
@@ -383,13 +373,13 @@ SealLite::toNttForm(const RnsPoly& a) const
     form.shoup.resize(form.values.size());
     for (int i = 0; i < a.k; ++i) {
         const std::uint64_t p = primes_[static_cast<std::size_t>(i)];
-        std::uint64_t* v = form.values.data() +
+        std::uint32_t* v = form.values.data() +
                            static_cast<std::size_t>(i) * form.n;
         ntt_[static_cast<std::size_t>(i)]->forward(v);
-        std::uint64_t* s = form.shoup.data() +
+        std::uint32_t* s = form.shoup.data() +
                            static_cast<std::size_t>(i) * form.n;
         for (int j = 0; j < form.n; ++j) {
-            s[j] = shoupPrecompute(v[j], p);
+            s[j] = shoupPrecompute32(v[j], p);
         }
     }
     return form;
@@ -402,9 +392,10 @@ SealLite::applyAutomorphism(const RnsPoly& a,
     RnsPoly result = zeroPoly(a.k);
     const auto two_n = static_cast<std::uint64_t>(2 * params_.n);
     for (int i = 0; i < a.k; ++i) {
-        const std::uint64_t p = primes_[static_cast<std::size_t>(i)];
-        const std::uint64_t* x = a.component(i);
-        std::uint64_t* y = result.component(i);
+        const auto p = static_cast<std::uint32_t>(
+            primes_[static_cast<std::size_t>(i)]);
+        const std::uint32_t* x = a.component(i);
+        std::uint32_t* y = result.component(i);
         for (int j = 0; j < params_.n; ++j) {
             const std::uint64_t raw =
                 (static_cast<std::uint64_t>(j) * galois_element) % two_n;
@@ -425,9 +416,10 @@ SealLite::liftPlain(const Plaintext& plain, int k) const
     RnsPoly poly = zeroPoly(k);
     for (int i = 0; i < poly.k; ++i) {
         const std::uint64_t p = primes_[static_cast<std::size_t>(i)];
-        std::uint64_t* c = poly.component(i);
+        std::uint32_t* c = poly.component(i);
         for (int j = 0; j < poly.n; ++j) {
-            c[j] = plain.coeffs[static_cast<std::size_t>(j)] % p;
+            c[j] = static_cast<std::uint32_t>(
+                plain.coeffs[static_cast<std::size_t>(j)] % p);
         }
     }
     return poly;
@@ -454,7 +446,9 @@ SealLite::plainNttForm(const Plaintext& plain) const
     }
     auto entry = std::make_shared<PlainCacheEntry>();
     entry->coeffs = plain.coeffs;
-    entry->form = toNttForm(liftPlain(plain));
+    RnsPoly lifted = liftPlain(plain);
+    entry->form = toNttForm(lifted);
+    recycle(std::move(lifted));
     std::lock_guard<std::mutex> lock(plain_cache_mutex_);
     if (plain_ntt_cache_.size() >= plain_cache_capacity_) {
         plain_ntt_cache_.clear();
@@ -476,21 +470,15 @@ SealLite::modSwitchPolyDown(RnsPoly& poly) const
     const std::uint64_t inv_ql_t_shoup = inv_prime_mod_t_shoup_[li];
     const auto& factors = switch_factor_[li];
     const auto& factors_shoup = switch_factor_shoup_[li];
-    const std::uint64_t* last = poly.component(l);
+    const std::uint32_t* last = poly.component(l);
     const auto half_ql = static_cast<std::int64_t>(ql / 2);
 
-    // δ per coefficient: δ ≡ c (mod q_l) and δ ≡ 0 (mod t), built as the
-    // centered residue δ0 of c mod q_l plus q_l times the centered lift
-    // of -δ0·q_l^{-1} mod t, so |δ| <= q_l(t+1)/2 < 2^61 (validate()
-    // keeps q_l below 2^31 and t below 2^30): inside Barrett's domain,
-    // so no reduction below divides. The signed values ride in an arena
-    // buffer as two's-complement bit patterns so drops stay
-    // allocation-free too.
-    std::vector<std::uint64_t> delta_buf =
-        arena_.acquire(static_cast<std::size_t>(poly.n));
-    std::int64_t* delta =
-        reinterpret_cast<std::int64_t*>(delta_buf.data());
     for (int x = 0; x < poly.n; ++x) {
+        // δ ≡ c (mod q_l) and δ ≡ 0 (mod t), built as the centered
+        // residue δ0 of c mod q_l plus q_l times the centered lift of
+        // -δ0·q_l^{-1} mod t, so |δ| <= q_l(t+1)/2 < 2^61 (validate()
+        // keeps q_l below 2^31 and t below 2^30): inside Barrett's
+        // domain, so no reduction below divides.
         const auto r = static_cast<std::int64_t>(last[x]);
         const std::int64_t delta0 =
             r > half_ql ? r - static_cast<std::int64_t>(ql) : r;
@@ -500,27 +488,21 @@ SealLite::modSwitchPolyDown(RnsPoly& poly) const
         const std::int64_t uc =
             u > t / 2 ? static_cast<std::int64_t>(u - t)
                       : static_cast<std::int64_t>(u);
-        delta[static_cast<std::size_t>(x)] =
+        const std::int64_t delta =
             delta0 + static_cast<std::int64_t>(ql) * uc;
-    }
-
-    // Surviving components: c' = (c - δ) * q_l^{-1} * φ mod q_i with the
-    // two scalars folded into one precomputed factor.
-    for (int i = 0; i < l; ++i) {
-        const auto pi = static_cast<std::size_t>(i);
-        const std::uint64_t qi = primes_[pi];
-        const Barrett& reducer = ntt_[pi]->reducer();
-        const std::uint64_t factor = factors[pi];
-        const std::uint64_t factor_shoup = factors_shoup[pi];
-        std::uint64_t* c = poly.component(i);
-        for (int x = 0; x < poly.n; ++x) {
+        // Surviving components: c' = (c - δ) * q_l^{-1} * φ mod q_i
+        // with the two scalars folded into one precomputed factor.
+        for (int i = 0; i < l; ++i) {
+            const auto pi = static_cast<std::size_t>(i);
+            const std::uint64_t qi = primes_[pi];
+            std::uint32_t& c = poly.component(i)[x];
             const std::uint64_t d_mod =
-                reduceSigned(delta[static_cast<std::size_t>(x)], reducer);
-            c[x] = mulModShoup(subMod(c[x], d_mod, qi), factor, factor_shoup,
-                               qi);
+                reduceSigned(delta, ntt_[pi]->reducer());
+            c = static_cast<std::uint32_t>(
+                mulModShoup(subMod(c, d_mod, qi), factors[pi],
+                            factors_shoup[pi], qi));
         }
     }
-    arena_.release(std::move(delta_buf));
     poly.k = l;
     poly.data.resize(static_cast<std::size_t>(l) * poly.n);
 }
@@ -548,15 +530,19 @@ SealLite::encode(const std::vector<std::int64_t>& values) const
     const std::uint64_t t = params_.plain_modulus;
     // Slot values at their NTT indices (row 1 and the tail stay zero),
     // then c_k = n^{-1} Σ_j v_j ζ^{-e_j k} is one inverse transform.
-    Plaintext plain;
-    plain.coeffs.assign(static_cast<std::size_t>(params_.n), 0);
+    std::vector<std::uint32_t> slots =
+        arena_.acquireZeroed(static_cast<std::size_t>(params_.n));
     for (std::size_t j = 0; j < values.size(); ++j) {
         const std::int64_t v = values[j] % static_cast<std::int64_t>(t);
-        plain.coeffs[static_cast<std::size_t>(slot_index_[j])] =
-            v >= 0 ? static_cast<std::uint64_t>(v)
-                   : t - static_cast<std::uint64_t>(-v);
+        slots[static_cast<std::size_t>(slot_index_[j])] =
+            static_cast<std::uint32_t>(
+                v >= 0 ? static_cast<std::uint64_t>(v)
+                       : t - static_cast<std::uint64_t>(-v));
     }
-    plain_ntt_->inverse(plain.coeffs.data());
+    plain_ntt_->inverse(slots.data());
+    Plaintext plain;
+    plain.coeffs.assign(slots.begin(), slots.end());
+    arena_.release(std::move(slots));
     return plain;
 }
 
@@ -565,11 +551,12 @@ SealLite::decode(const Plaintext& plain) const
 {
     CHEHAB_ASSERT(static_cast<int>(plain.coeffs.size()) == params_.n,
                   "plaintext degree does not match the ring");
-    std::vector<std::uint64_t> evaluations =
+    std::vector<std::uint32_t> evaluations =
         arena_.acquire(static_cast<std::size_t>(params_.n));
     const Barrett& reducer = plain_ntt_->reducer();
     for (std::size_t k = 0; k < evaluations.size(); ++k) {
-        evaluations[k] = reducer.reduce(plain.coeffs[k]);
+        evaluations[k] =
+            static_cast<std::uint32_t>(reducer.reduce(plain.coeffs[k]));
     }
     plain_ntt_->forward(evaluations.data());
     std::vector<std::int64_t> values(slot_index_.size());
@@ -904,19 +891,13 @@ SealLite::makeKeySwitchKey(const RnsPoly& target)
     const int k = static_cast<int>(primes_.size());
     const int digits = digitsPerPrime();
     const auto t = static_cast<int>(params_.plain_modulus);
-    // Transform every component in place and keep the fully reduced
-    // words, which fit 32 bits (see the static_assert on KeySwitchKey).
+    // Transform every component in place; the poly's words become the
+    // key entry as they are.
     const auto key_words = [this](RnsPoly&& poly) {
-        std::vector<std::uint32_t> words(poly.data.size());
         for (int j = 0; j < poly.k; ++j) {
             ntt_[static_cast<std::size_t>(j)]->forward(poly.component(j));
         }
-        std::transform(poly.data.begin(), poly.data.end(), words.begin(),
-                       [](std::uint64_t w) {
-                           return static_cast<std::uint32_t>(w);
-                       });
-        recycle(std::move(poly));
-        return words;
+        return std::move(poly.data);
     };
     for (int i = 0; i < k; ++i) {
         const std::uint64_t p_i = primes_[static_cast<std::size_t>(i)];
@@ -927,17 +908,19 @@ SealLite::makeKeySwitchKey(const RnsPoly& target)
             negateInPlace(b_id);
             std::vector<int> error = sampleError();
             for (auto& e : error) e *= t;
-            addInPlace(b_id, liftSmall(error));
+            RnsPoly error_rns = liftSmall(error);
+            addInPlace(b_id, error_rns);
+            recycle(std::move(error_rns));
             // + T_i * B^d * target: the CRT basis vector T_i is 1 mod q_i
             // and 0 mod q_j, so in RNS this touches component i alone.
             const std::uint64_t base_power = powMod(
                 1ULL << params_.decomp_bits,
                 static_cast<std::uint64_t>(d), p_i);
-            std::uint64_t* dst = b_id.component(i);
-            const std::uint64_t* src = target.component(i);
+            std::uint32_t* dst = b_id.component(i);
+            const std::uint32_t* src = target.component(i);
             for (int j = 0; j < params_.n; ++j) {
-                dst[j] = addMod(dst[j], reducer.mulMod(src[j], base_power),
-                                p_i);
+                dst[j] = static_cast<std::uint32_t>(addMod(
+                    dst[j], reducer.mulMod(src[j], base_power), p_i));
             }
             key.a.push_back(key_words(std::move(a_id)));
             key.b.push_back(key_words(std::move(b_id)));
@@ -956,12 +939,12 @@ SealLite::keySwitch(const RnsPoly& poly, const KeySwitchKey& key,
     // basis T_i reduces correctly mod every surviving prime).
     const int k = poly.k;
     const int digits = digitsPerPrime();
-    const std::uint64_t mask = (1ULL << params_.decomp_bits) - 1;
+    const std::uint32_t mask = (1U << params_.decomp_bits) - 1;
     const int n = params_.n;
     std::vector<std::uint32_t> digit =
-        arena32_.acquire(static_cast<std::size_t>(n));
+        arena_.acquire(static_cast<std::size_t>(n));
     std::vector<std::uint32_t> transformed =
-        arena32_.acquire(static_cast<std::size_t>(n));
+        arena_.acquire(static_cast<std::size_t>(n));
     // NTT-domain accumulators: pointwise products are summed (fully
     // reduced) across every (prime, digit) pair, and each prime pays for
     // ONE inverse transform per output component at the end — the
@@ -969,12 +952,12 @@ SealLite::keySwitch(const RnsPoly& poly, const KeySwitchKey& key,
     // the seed's inverse-per-digit path while doing k inverses instead
     // of k * digits * k.
     std::vector<std::uint32_t> acc0 =
-        arena32_.acquireZeroed(static_cast<std::size_t>(k) * n);
+        arena_.acquireZeroed(static_cast<std::size_t>(k) * n);
     std::vector<std::uint32_t> acc1 =
-        arena32_.acquireZeroed(static_cast<std::size_t>(k) * n);
+        arena_.acquireZeroed(static_cast<std::size_t>(k) * n);
     bool any_digit = false;
     for (int i = 0; i < k; ++i) {
-        const std::uint64_t* residues = poly.component(i);
+        const std::uint32_t* residues = poly.component(i);
         for (int d = 0; d < digits; ++d) {
             // Base-2^w digit of the i-th residue polynomial. With
             // w = prime_bits a digit can exceed a smaller prime p_j, but
@@ -985,8 +968,7 @@ SealLite::keySwitch(const RnsPoly& poly, const KeySwitchKey& key,
             std::uint32_t* dg = digit.data();
             bool nonzero = false;
             for (int x = 0; x < n; ++x) {
-                const auto v =
-                    static_cast<std::uint32_t>((residues[x] >> shift) & mask);
+                const std::uint32_t v = (residues[x] >> shift) & mask;
                 dg[x] = v;
                 nonzero = nonzero || v != 0;
             }
@@ -1020,18 +1002,18 @@ SealLite::keySwitch(const RnsPoly& poly, const KeySwitchKey& key,
                 acc1.data() + static_cast<std::size_t>(j) * n;
             tables.inverse(a0);
             tables.inverse(a1);
-            std::uint64_t* dst0 = delta_c0.component(j);
-            std::uint64_t* dst1 = delta_c1.component(j);
+            std::uint32_t* dst0 = delta_c0.component(j);
+            std::uint32_t* dst1 = delta_c1.component(j);
             for (int x = 0; x < n; ++x) {
-                dst0[x] = addMod(dst0[x], a0[x], p);
-                dst1[x] = addMod(dst1[x], a1[x], p);
+                dst0[x] = static_cast<std::uint32_t>(addMod(dst0[x], a0[x], p));
+                dst1[x] = static_cast<std::uint32_t>(addMod(dst1[x], a1[x], p));
             }
         }
     }
-    arena32_.release(std::move(digit));
-    arena32_.release(std::move(transformed));
-    arena32_.release(std::move(acc0));
-    arena32_.release(std::move(acc1));
+    arena_.release(std::move(digit));
+    arena_.release(std::move(transformed));
+    arena_.release(std::move(acc0));
+    arena_.release(std::move(acc1));
 }
 
 Ciphertext
@@ -1049,16 +1031,16 @@ SealLite::multiply(const Ciphertext& a, const Ciphertext& b) const
     out.c0 = clonePoly(a.c0);
     out.c1 = clonePoly(b.c1);
     RnsPoly e2 = clonePoly(a.c1);
-    std::vector<std::uint64_t> fb0 =
+    std::vector<std::uint32_t> fb0 =
         arena_.acquire(static_cast<std::size_t>(params_.n));
     for (int i = 0; i < e2.k; ++i) {
         const std::uint64_t p = primes_[static_cast<std::size_t>(i)];
         const NttTables& tables = *ntt_[static_cast<std::size_t>(i)];
         const Barrett& reducer = tables.reducer();
-        std::uint64_t* x0 = out.c0.component(i);
-        std::uint64_t* x1 = out.c1.component(i);
-        std::uint64_t* x2 = e2.component(i);
-        const std::uint64_t* y = b.c0.component(i);
+        std::uint32_t* x0 = out.c0.component(i);
+        std::uint32_t* x1 = out.c1.component(i);
+        std::uint32_t* x2 = e2.component(i);
+        const std::uint32_t* y = b.c0.component(i);
         std::copy(y, y + params_.n, fb0.begin());
         tables.forward(x0);
         tables.forward(x1);
@@ -1069,9 +1051,10 @@ SealLite::multiply(const Ciphertext& a, const Ciphertext& b) const
             const std::uint64_t b1 = x1[j];
             const std::uint64_t a1 = x2[j];
             const std::uint64_t b0 = fb0[static_cast<std::size_t>(j)];
-            x0[j] = reducer.mulMod(a0, b0);
-            x1[j] = addMod(reducer.mulMod(a0, b1), reducer.mulMod(a1, b0), p);
-            x2[j] = reducer.mulMod(a1, b1);
+            x0[j] = static_cast<std::uint32_t>(reducer.mulMod(a0, b0));
+            x1[j] = static_cast<std::uint32_t>(addMod(
+                reducer.mulMod(a0, b1), reducer.mulMod(a1, b0), p));
+            x2[j] = static_cast<std::uint32_t>(reducer.mulMod(a1, b1));
         }
         tables.inverse(x0);
         tables.inverse(x1);

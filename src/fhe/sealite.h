@@ -99,44 +99,49 @@ struct SealLiteParams
 
 /// Polynomial in RNS form: prime-major layout, `k * n` words. k is the
 /// poly's *level* — the number of leading chain primes it still carries
-/// (modulus switching truncates trailing components).
+/// (modulus switching truncates trailing components). Every residue is
+/// fully reduced mod a chain prime below 2^31 (kMaxPrimeBits), so
+/// 32-bit words hold it exactly and feed NttTables' std::uint32_t*
+/// entries with no narrowing.
 struct RnsPoly
 {
-    std::vector<std::uint64_t> data;
+    std::vector<std::uint32_t> data;
     int k = 0; ///< Number of primes (current level).
     int n = 0;
 
-    std::uint64_t* component(int i) { return data.data() + static_cast<std::size_t>(i) * n; }
-    const std::uint64_t* component(int i) const
+    std::uint32_t* component(int i) { return data.data() + static_cast<std::size_t>(i) * n; }
+    const std::uint32_t* component(int i) const
     {
         return data.data() + static_cast<std::size_t>(i) * n;
     }
 };
 
-/// A polynomial cached in per-prime NTT (evaluation) form with a Shoup
-/// companion per slot: multiplying a variable coefficient-form operand
-/// against a cached form costs one forward + pointwise Shoup multiplies
-/// + one inverse (the secret and repeated plaintext constants qualify).
-/// Always built at the full level; a level-k consumer reads the first k
-/// components (RNS primes are independent).
+/// A polynomial cached in per-prime NTT (evaluation) form with a 32-bit
+/// Shoup companion ⌊w·2^32/p⌋ per slot: multiplying a variable
+/// coefficient-form operand against a cached form costs one forward +
+/// pointwise mulModShoup32 + one inverse (the secret and repeated
+/// plaintext constants qualify). Always built at the full level; a
+/// level-k consumer reads the first k components (RNS primes are
+/// independent).
 struct NttForm
 {
-    std::vector<std::uint64_t> values; ///< Prime-major, k * n words.
-    std::vector<std::uint64_t> shoup;  ///< Shoup companions, same layout.
+    std::vector<std::uint32_t> values; ///< Prime-major, k * n words.
+    std::vector<std::uint32_t> shoup;  ///< Shoup companions, same layout.
     int k = 0;
     int n = 0;
 
-    const std::uint64_t* component(int i) const
+    const std::uint32_t* component(int i) const
     {
         return values.data() + static_cast<std::size_t>(i) * n;
     }
-    const std::uint64_t* shoupComponent(int i) const
+    const std::uint32_t* shoupComponent(int i) const
     {
         return shoup.data() + static_cast<std::size_t>(i) * n;
     }
 };
 
-/// Plaintext polynomial mod t (coefficient form).
+/// Plaintext polynomial mod t (coefficient form). 64-bit words: decode
+/// reduces any word mod t, so callers may hand it unreduced values.
 struct Plaintext
 {
     std::vector<std::uint64_t> coeffs;
@@ -281,20 +286,10 @@ class SealLite
 
     /// \name Arena observability and control
     /// @{
-    /// Both word widths' arenas, summed.
-    PolyArena::Stats arenaStats() const
-    {
-        PolyArena::Stats stats = arena_.stats();
-        stats += arena32_.stats();
-        return stats;
-    }
+    PolyArena::Stats arenaStats() const { return arena_.stats(); }
     /// Disabled = every acquire is a fresh heap allocation (the
     /// arena-on-vs-off differential tests run both ways).
-    void setArenaEnabled(bool enabled)
-    {
-        arena_.setEnabled(enabled);
-        arena32_.setEnabled(enabled);
-    }
+    void setArenaEnabled(bool enabled) { arena_.setEnabled(enabled); }
     /// @}
 
     /// Re-seed the encryption/error randomness stream. Key material
@@ -332,19 +327,19 @@ class SealLite
   private:
     static_assert((std::uint64_t{1} << SealLiteParams::kMaxPrimeBits) - 1 <=
                       std::numeric_limits<std::uint32_t>::max(),
-                  "every chain prime, hence every key word, fits 32 bits");
+                  "every chain prime, hence every residue, fits 32 bits");
 
     struct KeySwitchKey
     {
         // One (b, a) pair per (RNS prime, base-2^w digit) combination:
         // entry i*digits+d encrypts T_i * B^d * target. Each entry is
-        // the full-level NTT form, prime-major (k * n words), kept as
-        // bare 32-bit words with no Shoup companions: key switching
-        // multiplies them against freshly transformed 32-bit digits,
-        // both operands below p, with NttTables::mulAccumulate (an
-        // 8-lane Barrett product where the vector kernel applies). A
-        // Galois key at n = 4096 with six primes and two digits is
-        // 2.4 MB.
+        // the full-level NTT form, prime-major (k * n words): the
+        // transformed key poly's own 32-bit data, with no Shoup
+        // companions. Key switching multiplies them against freshly
+        // transformed 32-bit digits, both operands below p, with
+        // NttTables::mulAccumulate (an 8-lane Barrett product where the
+        // vector kernel applies). A Galois key at n = 4096 with six
+        // primes and two digits is 2.4 MB.
         std::vector<std::vector<std::uint32_t>> b;
         std::vector<std::vector<std::uint32_t>> a;
     };
@@ -394,11 +389,12 @@ class SealLite
     void negateInPlace(RnsPoly& a) const;
     /// Arena-backed deep copy of one poly.
     RnsPoly clonePoly(const RnsPoly& a) const;
-    /// Negacyclic product against a cached NTT form: one forward, n
-    /// Shoup pointwise multiplies, one inverse per prime. Result at
-    /// a's level (the form is full-level).
+    /// Negacyclic product against a cached NTT form into a fresh poly
+    /// at a's level: clonePoly + mulPolyNttInPlace.
     RnsPoly mulPolyNtt(const RnsPoly& a, const NttForm& b) const;
-    /// mulPolyNtt writing the product back into \p a's own buffer.
+    /// The product written back into \p a's own buffer: one forward, n
+    /// 32-bit Shoup pointwise multiplies, one inverse per prime (the
+    /// form is full-level).
     void mulPolyNttInPlace(RnsPoly& a, const NttForm& b) const;
     /// Transform \p a (full level) into cached NTT form.
     NttForm toNttForm(const RnsPoly& a) const;
@@ -416,7 +412,9 @@ class SealLite
     /// Drop the last RNS prime of \p poly (the rescale + folded
     /// t-correction described in the header notes). Division-free:
     /// Barrett reductions for δ mod t and δ mod q_i, Shoup multiplies
-    /// by q_l^{-1} mod t and by the folded factor.
+    /// by q_l^{-1} mod t and by the folded factor. Each coefficient's δ
+    /// is built once and applied to every surviving prime, so it never
+    /// leaves a register: no scratch buffer.
     void modSwitchPolyDown(RnsPoly& poly) const;
 
     /// Key-switch digit count per RNS prime.
@@ -429,12 +427,12 @@ class SealLite
     /// target) onto (delta_c0, delta_c1). Operates at poly's level: only
     /// the first poly.k primes' digits and key components participate
     /// (valid because the full-level CRT basis T_i reduces to the
-    /// level-k basis mod the surviving primes). Runs in 32-bit words:
-    /// each digit is extracted as std::uint32_t, forward-transformed
-    /// once per prime through the 32-bit NTT entry, and
+    /// level-k basis mod the surviving primes). Each digit is extracted
+    /// from the 32-bit residues, forward-transformed once per prime, and
     /// multiply-accumulated against both key components into fully
-    /// reduced 32-bit accumulators, which take one inverse per prime per
-    /// output component. Its buffers come from arena32_.
+    /// reduced accumulators, which take one inverse per prime per output
+    /// component and add straight into the deltas' words. Its digit,
+    /// transform and accumulator buffers come from arena_.
     void keySwitch(const RnsPoly& poly, const KeySwitchKey& key,
                    RnsPoly& delta_c0, RnsPoly& delta_c1) const;
 
@@ -479,7 +477,8 @@ class SealLite
     /// (packed masks are re-multiplied on every run of a cached
     /// program). Keyed by coefficient hash with full-coefficient
     /// verification on hit; cleared wholesale at capacity, which is a
-    /// fixed byte budget over the k·n·16 + n·8 bytes of one entry.
+    /// fixed byte budget over the k·n·8 + n·8 bytes of one entry (4-byte
+    /// values and Shoup companions, 8-byte plaintext coefficients).
     struct PlainCacheEntry
     {
         std::vector<std::uint64_t> coeffs;
@@ -491,13 +490,11 @@ class SealLite
                                std::shared_ptr<const PlainCacheEntry>>
         plain_ntt_cache_;
 
-    /// Buffer pool behind every RnsPoly / NTT-scratch allocation this
-    /// instance makes (zeroPoly and friends all draw from it). Mutable:
-    /// const evaluator methods acquire and release scratch.
+    /// Buffer pool behind every RnsPoly, NTT-scratch and key-switch
+    /// buffer this instance makes (zeroPoly and friends all draw from
+    /// it), all in 32-bit words. Mutable: const evaluator methods
+    /// acquire and release scratch.
     mutable PolyArena arena_;
-    /// The 32-bit sibling behind keySwitch's digit, transform and
-    /// accumulator buffers.
-    mutable PolyArena32 arena32_;
 };
 
 } // namespace chehab::fhe

@@ -1,10 +1,10 @@
 /// \file
-/// Hot-path arithmetic property suite: MulModShoup / Barrett against
-/// __uint128 references over boundary operands (0, 1, p-1, lazily
-/// accumulated values >= p, 2^64-1), the Harvey lazy NTT against both a
-/// naive O(n^2) negacyclic reference and the preserved seed baseline
-/// path (bit-identity), and the shared-table / memoized-search caches'
-/// observability counters.
+/// Hot-path arithmetic property suite: MulModShoup (64- and 32-bit) /
+/// Barrett against __uint128 references over boundary operands (0, 1,
+/// p-1, lazily accumulated values >= p, 2^64-1 and 2^32-1), the Harvey
+/// lazy NTT against both a naive O(n^2) negacyclic reference and the
+/// preserved seed baseline path (bit-identity), and the shared-table /
+/// memoized-search caches' observability counters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -37,6 +37,13 @@ testPrimes()
     };
 }
 
+/// SealLite chain widths: a 30-bit and a 31-bit prime (kMaxPrimeBits).
+std::vector<std::uint64_t>
+chainPrimes()
+{
+    return {findNttPrimes(30, 1, 512)[0], findNttPrimes(31, 1, 512)[0]};
+}
+
 // -- Shoup multiplication ----------------------------------------------
 
 TEST(MulModShoupTest, MatchesReferenceOnBoundaryOperands)
@@ -64,6 +71,23 @@ TEST(MulModShoupTest, MatchesReferenceOnBoundaryOperands)
             }
         }
     }
+    // The 32-bit form (SealLite's cached NTT forms) takes any 32-bit x
+    // for chain-width primes below 2^31.
+    for (const std::uint64_t p : chainPrimes()) {
+        const std::uint64_t ws[] = {0, 1, p - 1};
+        const std::uint64_t xs[] = {0, 1, p - 1, p, 2 * p - 1, 0xffffffffULL};
+        for (const std::uint64_t w : ws) {
+            const std::uint32_t w_shoup = shoupPrecompute32(w, p);
+            for (const std::uint64_t x : xs) {
+                EXPECT_EQ(mulModShoup32(static_cast<std::uint32_t>(x),
+                                        static_cast<std::uint32_t>(w),
+                                        w_shoup,
+                                        static_cast<std::uint32_t>(p)),
+                          refMulMod(x, w, p))
+                    << "p=" << p << " w=" << w << " x=" << x;
+            }
+        }
+    }
 }
 
 TEST(MulModShoupTest, MatchesReferenceOnRandomOperands)
@@ -75,6 +99,20 @@ TEST(MulModShoupTest, MatchesReferenceOnRandomOperands)
             const std::uint64_t x = rng.next(); // full 64-bit domain
             const std::uint64_t w_shoup = shoupPrecompute(w, p);
             ASSERT_EQ(mulModShoup(x, w, w_shoup, p), refMulMod(x, w, p))
+                << "p=" << p << " w=" << w << " x=" << x;
+        }
+    }
+    for (const std::uint64_t p : chainPrimes()) {
+        const std::uint64_t ws[] = {0, 1, p - 1};
+        for (int trial = 0; trial < 2000; ++trial) {
+            const std::uint64_t w = trial % 2 == 0
+                                        ? rng.uniformInt(p)
+                                        : ws[(trial / 2) % 3];
+            const auto x = static_cast<std::uint32_t>(rng.next());
+            ASSERT_EQ(mulModShoup32(x, static_cast<std::uint32_t>(w),
+                                    shoupPrecompute32(w, p),
+                                    static_cast<std::uint32_t>(p)),
+                      refMulMod(x, w, p))
                 << "p=" << p << " w=" << w << " x=" << x;
         }
     }

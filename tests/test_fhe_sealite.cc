@@ -765,7 +765,7 @@ referenceDrop(const SealLite& s, RnsPoly& poly)
     const auto half_ql = static_cast<std::int64_t>(ql / 2);
 
     std::vector<std::int64_t> delta(static_cast<std::size_t>(poly.n));
-    const std::uint64_t* last = poly.component(l);
+    const std::uint32_t* last = poly.component(l);
     for (int x = 0; x < poly.n; ++x) {
         const auto r = static_cast<std::int64_t>(last[x]);
         const std::int64_t delta0 =
@@ -786,7 +786,7 @@ referenceDrop(const SealLite& s, RnsPoly& poly)
         if (phi_negative && phi_mod != 0) phi_mod = qi - phi_mod;
         const std::uint64_t factor =
             mulMod(invMod(ql % qi, qi), phi_mod, qi);
-        std::uint64_t* c = poly.component(i);
+        std::uint32_t* c = poly.component(i);
         for (int x = 0; x < poly.n; ++x) {
             const std::int64_t d = delta[static_cast<std::size_t>(x)];
             const std::uint64_t d_mod =

@@ -29,7 +29,7 @@ TEST(PolyArenaTest, AcquireReleaseReuse)
     EXPECT_EQ(buffer.size(), 256u);
     EXPECT_EQ(arena.stats().allocs, 1u);
     EXPECT_EQ(arena.stats().reuses, 0u);
-    EXPECT_EQ(arena.stats().bytes, 256u * 8u);
+    EXPECT_EQ(arena.stats().bytes, 256u * 4u);
 
     arena.release(std::move(buffer));
     auto again = arena.acquire(256);
@@ -66,11 +66,11 @@ TEST(PolyArenaTest, AcquireZeroedClearsRecycledContents)
 {
     fhe::PolyArena arena;
     auto buffer = arena.acquire(32);
-    for (auto& w : buffer) w = ~0ULL;
+    for (auto& w : buffer) w = ~0U;
     arena.release(std::move(buffer));
     const auto zeroed = arena.acquireZeroed(32);
     EXPECT_EQ(arena.stats().reuses, 1u);
-    for (const std::uint64_t w : zeroed) EXPECT_EQ(w, 0u);
+    for (const std::uint32_t w : zeroed) EXPECT_EQ(w, 0u);
 }
 
 TEST(PolyArenaTest, DisabledArenaAlwaysMints)
@@ -104,8 +104,8 @@ TEST(PolyArenaTest, EightThreadAcquireReleaseStress)
                 const std::size_t words =
                     sizes[static_cast<std::size_t>(i + t) % 4];
                 auto buffer = arena.acquire(words);
-                buffer[0] = static_cast<std::uint64_t>(t);
-                buffer[words - 1] = static_cast<std::uint64_t>(i);
+                buffer[0] = static_cast<std::uint32_t>(t);
+                buffer[words - 1] = static_cast<std::uint32_t>(i);
                 arena.release(std::move(buffer));
             }
         });
@@ -122,18 +122,30 @@ TEST(PolyArenaTest, EightThreadAcquireReleaseStress)
 TEST(PolyArenaTest, SchemeReachesZeroAllocsAfterPriming)
 {
     fhe::SealLite scheme;
+    scheme.makeGaloisKeys({1});
     const fhe::Plaintext plain = scheme.encode({1, 2, 3, 4});
     const fhe::Ciphertext ct = scheme.encrypt(plain);
 
-    // Priming pass: first multiply mints every size class it needs.
-    scheme.recycle(scheme.multiply(ct, ct));
-    const fhe::PolyArena::Stats primed = scheme.arenaStats();
-    for (int i = 0; i < 8; ++i) {
+    // Every op that draws on the arena: multiply (tensor scratch and
+    // key switch), rotate (automorphism and key switch), mulPlain,
+    // encode, encrypt/decrypt (phase and decode buffers) and a
+    // mod-switch drop.
+    const auto pass = [&] {
         scheme.recycle(scheme.multiply(ct, ct));
-    }
+        scheme.recycle(scheme.rotate(ct, 1));
+        scheme.recycle(scheme.mulPlain(ct, plain));
+        fhe::Ciphertext fresh = scheme.encrypt(scheme.encode({5, 6}));
+        EXPECT_EQ(scheme.decrypt(fresh)[1], 6);
+        scheme.modSwitchTo(fresh, scheme.levels() - 1);
+        scheme.recycle(std::move(fresh));
+    };
+    // Priming pass: the first round mints every size class it needs.
+    pass();
+    const fhe::PolyArena::Stats primed = scheme.arenaStats();
+    for (int i = 0; i < 8; ++i) pass();
     const fhe::PolyArena::Stats steady = scheme.arenaStats();
     EXPECT_EQ(steady.allocs, primed.allocs)
-        << "steady-state multiplies minted fresh buffers";
+        << "steady-state evaluation minted fresh buffers";
     EXPECT_GT(steady.reuses, primed.reuses);
 }
 

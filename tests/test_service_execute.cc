@@ -477,6 +477,16 @@ TEST(ServiceExecuteTest, RunCacheIsBoundedByDefault)
     EXPECT_GT(config.run_cache_capacity, 0u);
 }
 
+TEST(ServiceExecuteTest, KernelCacheIsBoundedByDefault)
+{
+    // Every distinct program compiled settles one artifact, so a
+    // long-lived service with an unbounded default would grow with
+    // every new program it sees. 0 still means unbounded when asked for.
+    const ServiceConfig config;
+    EXPECT_EQ(config.kernel_cache_capacity, kDefaultKernelCacheCapacity);
+    EXPECT_GT(config.kernel_cache_capacity, 0u);
+}
+
 TEST(ServiceExecuteTest, RunCacheLruEviction)
 {
     ServiceConfig config;
