@@ -4,18 +4,19 @@
 /// multiplication for the NTT hot path, exponentiation, inverses,
 /// NTT-friendly prime generation and primitive-root search (both
 /// memoized — every NttTables construction used to re-run them).
-/// Operands are 64-bit words; the one 32-bit primitive is the Shoup
-/// multiply SealLite's cached NTT forms use, since every chain prime
-/// is below 2^31 and SealLite stores every residue in 32 bits.
+/// Shoup multiplication is 32-bit only: every NTT prime, chain prime
+/// and t is below 2^31, and SealLite stores every residue in 32 bits.
+/// The rest takes 64-bit operands.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 namespace chehab::fhe {
 
 /// (a * b) mod m with a,b < m < 2^63. Compiles to a 128-by-64 hardware
-/// division; use mulModShoup / Barrett on hot paths.
+/// division; use mulModShoup32 / Barrett on hot paths.
 inline std::uint64_t
 mulMod(std::uint64_t a, std::uint64_t b, std::uint64_t m)
 {
@@ -47,64 +48,47 @@ mulHi64(std::uint64_t a, std::uint64_t b)
 }
 
 /// \name Shoup multiplication
-/// For a multiplicand w < p that is known ahead of time (twiddle
-/// factors, cached NTT forms), precompute w' = floor(w * 2^64 / p).
-/// Then for ANY 64-bit x, q = mulhi(x, w') satisfies
-/// q in {floor(xw/p) - 1, floor(xw/p)}, so r = x*w - q*p (computed mod
-/// 2^64) lies in [0, 2p): one mulhi, two muls, at most one conditional
-/// subtract — no division. Requires 2p <= 2^64; the lazy NTT needs
-/// 4p < 2^64 for its butterfly sums, so tables assert p < 2^62.
+/// For a multiplicand w < p < 2^31 that is known ahead of time (twiddle
+/// factors, cached NTT forms, CRT and mod-switch constants), precompute
+/// w' = floor(w * 2^32 / p). Then for ANY 32-bit x, q = (x * w') >> 32
+/// is floor(xw/p) or one less, so r = x*w - q*p (computed mod 2^32)
+/// lies in [0, 2p), below 2^32: two 32-bit muls and one 64-bit one, at
+/// most one conditional subtract, no division.
 /// @{
 
-/// Shoup companion floor(w * 2^64 / p); requires w < p.
-inline std::uint64_t
-shoupPrecompute(std::uint64_t w, std::uint64_t p)
-{
-    return static_cast<std::uint64_t>(
-        (static_cast<__uint128_t>(w) << 64) / p);
-}
-
-/// (x * w) mod p up to one multiple of p: result in [0, 2p). Valid for
-/// any x (including lazily accumulated values >= p) with w < p < 2^63.
-inline std::uint64_t
-mulModShoupLazy(std::uint64_t x, std::uint64_t w, std::uint64_t w_shoup,
-                std::uint64_t p)
-{
-    const std::uint64_t q = mulHi64(x, w_shoup);
-    return x * w - q * p;
-}
-
-/// (x * w) mod p, fully reduced to [0, p). Same domain as the lazy
-/// variant; one extra conditional subtract.
-inline std::uint64_t
-mulModShoup(std::uint64_t x, std::uint64_t w, std::uint64_t w_shoup,
-            std::uint64_t p)
-{
-    std::uint64_t r = mulModShoupLazy(x, w, w_shoup, p);
-    if (r >= p) r -= p;
-    return r;
-}
-
-/// 32-bit Shoup companion floor(w * 2^32 / p); requires w < p < 2^31.
+/// Shoup companion floor(w * 2^32 / p); requires w < p < 2^31.
 inline std::uint32_t
 shoupPrecompute32(std::uint64_t w, std::uint64_t p)
 {
     return static_cast<std::uint32_t>((w << 32) / p);
 }
 
-/// (x * w) mod p in 32-bit words, fully reduced to [0, p), for ANY
-/// 32-bit x with w < p < 2^31: q = (x * w') >> 32 is floor(xw/p) or one
-/// less, so r = x*w - q*p (mod 2^32) lies in [0, 2p), below 2^32, and
-/// one conditional subtract finishes it.
+/// (x * w) mod p up to one multiple of p: result in [0, 2p).
+inline std::uint32_t
+mulModShoupLazy32(std::uint32_t x, std::uint32_t w, std::uint32_t w_shoup,
+                  std::uint32_t p)
+{
+    const auto q = static_cast<std::uint32_t>(
+        (static_cast<std::uint64_t>(x) * w_shoup) >> 32);
+    return x * w - q * p;
+}
+
+/// Conditional subtract: a - p when a >= p, else a. Branch-free, as in
+/// the vector kernel: a - p wraps above a exactly when a < p, so the
+/// minimum picks the answer.
+inline std::uint32_t
+csub32(std::uint32_t a, std::uint32_t p)
+{
+    return std::min(a, a - p);
+}
+
+/// (x * w) mod p, fully reduced to [0, p). Same domain as the lazy
+/// variant; one extra conditional subtract.
 inline std::uint32_t
 mulModShoup32(std::uint32_t x, std::uint32_t w, std::uint32_t w_shoup,
               std::uint32_t p)
 {
-    const auto q = static_cast<std::uint32_t>(
-        (static_cast<std::uint64_t>(x) * w_shoup) >> 32);
-    std::uint32_t r = x * w - q * p;
-    if (r >= p) r -= p;
-    return r;
+    return csub32(mulModShoupLazy32(x, w, w_shoup, p), p);
 }
 /// @}
 

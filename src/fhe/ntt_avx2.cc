@@ -367,36 +367,6 @@ mulAccumulate(std::uint32_t* acc, const std::uint32_t* x,
     }
 }
 
-void
-narrow(const std::uint64_t* src, std::uint32_t* dst, int n,
-       std::uint32_t p)
-{
-    // 4p may pass 2^32, so the subtract runs in 64-bit lanes; the
-    // shuffle then gathers the low halves, and the permute restores
-    // their order.
-    const Vec two_p = _mm256_set1_epi64x(2 * static_cast<long long>(p));
-    const auto* wide = reinterpret_cast<const __m256i*>(src);
-    for (int i = 0; i < n; i += 8) {
-        const Vec a = csub64(_mm256_loadu_si256(wide + i / 4), two_p);
-        const Vec b = csub64(_mm256_loadu_si256(wide + i / 4 + 1), two_p);
-        const Vec low = _mm256_castps_si256(
-            _mm256_shuffle_ps(_mm256_castsi256_ps(a), _mm256_castsi256_ps(b),
-                              _MM_SHUFFLE(2, 0, 2, 0)));
-        store(dst + i, _mm256_permute4x64_epi64(low, 0xD8));
-    }
-}
-
-void
-widen(const std::uint32_t* src, std::uint64_t* dst, int n)
-{
-    for (int i = 0; i < n; i += 4) {
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(dst + i),
-            _mm256_cvtepu32_epi64(
-                _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i))));
-    }
-}
-
 } // namespace chehab::fhe::simd
 
 #else // !CHEHAB_HAVE_AVX2
@@ -424,18 +394,6 @@ inverse(std::uint32_t*, const Tables32&)
 void
 mulAccumulate(std::uint32_t*, const std::uint32_t*, const std::uint32_t*,
               const Tables32&)
-{
-    CHEHAB_ASSERT(false, "AVX2 kernels not compiled in");
-}
-
-void
-narrow(const std::uint64_t*, std::uint32_t*, int, std::uint32_t)
-{
-    CHEHAB_ASSERT(false, "AVX2 kernels not compiled in");
-}
-
-void
-widen(const std::uint32_t*, std::uint64_t*, int)
 {
     CHEHAB_ASSERT(false, "AVX2 kernels not compiled in");
 }

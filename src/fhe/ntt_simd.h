@@ -1,22 +1,21 @@
 /// \file
-/// Internal interface between NttTables (fhe/ntt.cc) and the AVX2
-/// kernels (fhe/ntt_avx2.cc). Not installed; nothing outside fhe/
-/// should include this — callers go through NttTables, which dispatches
-/// at runtime.
+/// The table layout NttTables owns, and the internal interface between
+/// NttTables (fhe/ntt.cc) and the AVX2 kernels (fhe/ntt_avx2.cc).
+/// fhe/ntt.h includes it for the layout; callers go through NttTables,
+/// which dispatches at runtime.
 ///
-/// One vector kernel: eight 32-bit lanes, for every prime below 2^31
-/// and n >= 16. Every leg stays in [0, 2p) between stages, which
-/// 2p < 2^32 keeps inside a lane; twiddles carry 32-bit Shoup
-/// companions ⌊w·2^32/p⌋. Harvey's lazy [0, 4p) legs would need
-/// p < 2^30 and leave 31-bit chains (validate()'s ceiling) to the
-/// scalar path; [0, 2p) legs cost one more conditional subtract per
-/// butterfly and serve every prime, and their [0, 2p) input domain
-/// takes a key-switch digit (below 2^prime_bits < 2p) with no
-/// reduction first. The transforms run the scalar path's stage
+/// One table set: 32-bit twiddles with 32-bit Shoup companions
+/// ⌊w·2^32/p⌋, for primes below 2^31. Both transforms that read it keep
+/// every leg in [0, 2p) between stages, which 2p < 2^32 keeps inside a
+/// word: the scalar path in fhe/ntt.cc and one vector kernel of eight
+/// 32-bit lanes for n >= 16. Harvey's lazy [0, 4p) legs would need
+/// p < 2^30 and leave 31-bit chains (validate()'s ceiling) out; [0, 2p)
+/// legs cost one more conditional subtract per butterfly and serve every
+/// prime, and their [0, 2p) input domain takes a key-switch digit (below
+/// 2^prime_bits < 2p) with no reduction first. Both run the same stage
 /// schedule and twiddle order and end fully reduced, so their outputs
-/// equal the scalar path's word for word: a fully reduced residue does
-/// not depend on the lane width that produced it (test_fhe_ntt_simd
-/// machine-checks this).
+/// are equal word for word (test_fhe_ntt_simd machine-checks this). A
+/// port to other vector widths meets this one contract.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +27,8 @@ namespace chehab::fhe::simd {
 /// (CHEHAB_AVX2=ON). Constant per binary.
 bool avx2CompiledIn();
 
-/// The 32-bit tables of one (n, p) pair with p < 2^31 and n >= 16, in
-/// NttTables' layout: bit-reversed powers indexed m + i per stage.
+/// The tables of one (n, p) pair with p < 2^31: bit-reversed powers
+/// indexed m + i per stage.
 struct Tables32
 {
     int n = 0;
@@ -49,13 +48,13 @@ struct Tables32
     std::uint32_t barrett_ratio = 0;
 };
 
-/// In-place forward negacyclic NTT (natural -> scrambled order).
+/// In-place forward negacyclic NTT (natural -> scrambled order), n >= 16.
 /// Input words in [0, 2p), output fully reduced to [0, p).
 void forward(std::uint32_t* values, const Tables32& tables);
 
 /// In-place inverse negacyclic NTT (scrambled -> natural order) with
-/// the n^-1 scaling fused into the last stage. Input words in [0, 2p),
-/// output fully reduced to [0, p).
+/// the n^-1 scaling fused into the last stage, n >= 16. Input words in
+/// [0, 2p), output fully reduced to [0, p).
 void inverse(std::uint32_t* values, const Tables32& tables);
 
 /// acc[i] = (acc[i] + x[i]·y[i]) mod p for i < n, every operand in
@@ -63,13 +62,5 @@ void inverse(std::uint32_t* values, const Tables32& tables);
 /// conditional subtracts.
 void mulAccumulate(std::uint32_t* acc, const std::uint32_t* x,
                    const std::uint32_t* y, const Tables32& tables);
-
-/// dst[i] = src[i] with src[i] in [0, 4p) brought into [0, 2p), for
-/// i < n (n a multiple of 8).
-void narrow(const std::uint64_t* src, std::uint32_t* dst, int n,
-            std::uint32_t p);
-
-/// dst[i] = src[i] zero-extended, for i < n (n a multiple of 8).
-void widen(const std::uint32_t* src, std::uint64_t* dst, int n);
 
 } // namespace chehab::fhe::simd

@@ -131,13 +131,13 @@ SealLite::SealLite(SealLiteParams params)
             std::uint64_t q_hat_mod_qi = 0;
             q_hat.divmodSmall(primes_[i], q_hat_mod_qi);
             const std::uint64_t inv = invMod(q_hat_mod_qi, primes_[i]);
-            tab.q_hat_inv.push_back(inv);
-            tab.q_hat_inv_shoup.push_back(shoupPrecompute(inv, primes_[i]));
+            tab.q_hat_inv.push_back(static_cast<std::uint32_t>(inv));
+            tab.q_hat_inv_shoup.push_back(shoupPrecompute32(inv, primes_[i]));
             std::uint64_t q_hat_mod_t = 0;
             q_hat.divmodSmall(t, q_hat_mod_t);
-            tab.q_hat_mod_t.push_back(q_hat_mod_t);
+            tab.q_hat_mod_t.push_back(static_cast<std::uint32_t>(q_hat_mod_t));
             tab.q_hat_mod_t_shoup.push_back(
-                shoupPrecompute(q_hat_mod_t, t));
+                shoupPrecompute32(q_hat_mod_t, t));
             tab.q_hat.push_back(to_limbs(q_hat));
             tab.alpha_q_mod_t.push_back(mulMod(i, tab.q_mod_t, t));
         }
@@ -155,8 +155,9 @@ SealLite::SealLite(SealLiteParams params)
         const std::uint64_t ql = primes_[l];
         const std::uint64_t ql_mod_t = ql % t;
         CHEHAB_ASSERT(ql_mod_t != 0, "chain prime divisible by t");
-        inv_prime_mod_t_[l] = invMod(ql_mod_t, t);
-        inv_prime_mod_t_shoup_[l] = shoupPrecompute(inv_prime_mod_t_[l], t);
+        const std::uint64_t inv_ql_t = invMod(ql_mod_t, t);
+        inv_prime_mod_t_[l] = static_cast<std::uint32_t>(inv_ql_t);
+        inv_prime_mod_t_shoup_[l] = shoupPrecompute32(inv_ql_t, t);
         const bool phi_negative = ql_mod_t > t / 2;
         const std::uint64_t phi_abs = phi_negative ? t - ql_mod_t : ql_mod_t;
         auto& factors = switch_factor_[l];
@@ -168,8 +169,9 @@ SealLite::SealLite(SealLiteParams params)
             const std::uint64_t inv_ql = invMod(ql % qi, qi);
             std::uint64_t phi_mod = phi_abs % qi;
             if (phi_negative && phi_mod != 0) phi_mod = qi - phi_mod;
-            factors[i] = mulMod(inv_ql, phi_mod, qi);
-            factors_shoup[i] = shoupPrecompute(factors[i], qi);
+            const std::uint64_t factor = mulMod(inv_ql, phi_mod, qi);
+            factors[i] = static_cast<std::uint32_t>(factor);
+            factors_shoup[i] = shoupPrecompute32(factor, qi);
         }
     }
 
@@ -466,8 +468,8 @@ SealLite::modSwitchPolyDown(RnsPoly& poly) const
     const std::uint64_t ql = primes_[li];
     const std::uint64_t t = params_.plain_modulus;
     const Barrett& t_reducer = plain_ntt_->reducer();
-    const std::uint64_t inv_ql_t = inv_prime_mod_t_[li];
-    const std::uint64_t inv_ql_t_shoup = inv_prime_mod_t_shoup_[li];
+    const std::uint32_t inv_ql_t = inv_prime_mod_t_[li];
+    const std::uint32_t inv_ql_t_shoup = inv_prime_mod_t_shoup_[li];
     const auto& factors = switch_factor_[li];
     const auto& factors_shoup = switch_factor_shoup_[li];
     const std::uint32_t* last = poly.component(l);
@@ -482,25 +484,25 @@ SealLite::modSwitchPolyDown(RnsPoly& poly) const
         const auto r = static_cast<std::int64_t>(last[x]);
         const std::int64_t delta0 =
             r > half_ql ? r - static_cast<std::int64_t>(ql) : r;
-        const std::uint64_t u =
-            mulModShoup(reduceSigned(-delta0, t_reducer), inv_ql_t,
-                        inv_ql_t_shoup, t);
+        const std::uint64_t u = mulModShoup32(
+            static_cast<std::uint32_t>(reduceSigned(-delta0, t_reducer)),
+            inv_ql_t, inv_ql_t_shoup, static_cast<std::uint32_t>(t));
         const std::int64_t uc =
             u > t / 2 ? static_cast<std::int64_t>(u - t)
                       : static_cast<std::int64_t>(u);
         const std::int64_t delta =
             delta0 + static_cast<std::int64_t>(ql) * uc;
         // Surviving components: c' = (c - δ) * q_l^{-1} * φ mod q_i
-        // with the two scalars folded into one precomputed factor.
+        // with the two scalars folded into one precomputed factor. The
+        // Shoup multiply takes c - δ + q_i, in (0, 2q_i), as it is.
         for (int i = 0; i < l; ++i) {
             const auto pi = static_cast<std::size_t>(i);
-            const std::uint64_t qi = primes_[pi];
+            const auto qi = static_cast<std::uint32_t>(primes_[pi]);
             std::uint32_t& c = poly.component(i)[x];
-            const std::uint64_t d_mod =
-                reduceSigned(delta, ntt_[pi]->reducer());
-            c = static_cast<std::uint32_t>(
-                mulModShoup(subMod(c, d_mod, qi), factors[pi],
-                            factors_shoup[pi], qi));
+            const auto d_mod = static_cast<std::uint32_t>(
+                reduceSigned(delta, ntt_[pi]->reducer()));
+            c = mulModShoup32(c - d_mod + qi, factors[pi], factors_shoup[pi],
+                              qi);
         }
     }
     poly.k = l;
@@ -697,15 +699,17 @@ SealLite::recomposeCoeff(const RnsPoly& poly, int index) const
     const std::uint64_t t = params_.plain_modulus;
     Recomposed out;
     Limbs& value = out.value;
-    std::uint64_t y[SealLiteParams::kMaxPrimeCount];
+    std::uint32_t y[SealLiteParams::kMaxPrimeCount];
     std::uint64_t mod_t = 0;
     for (int i = 0; i < poly.k; ++i) {
         const auto pi = static_cast<std::size_t>(i);
-        y[pi] = mulModShoup(poly.component(i)[index], tab.q_hat_inv[pi],
-                            tab.q_hat_inv_shoup[pi], primes_[pi]);
+        y[pi] = mulModShoup32(poly.component(i)[index], tab.q_hat_inv[pi],
+                              tab.q_hat_inv_shoup[pi],
+                              static_cast<std::uint32_t>(primes_[pi]));
         mod_t = addMod(mod_t,
-                       mulModShoup(y[pi], tab.q_hat_mod_t[pi],
-                                   tab.q_hat_mod_t_shoup[pi], t),
+                       mulModShoup32(y[pi], tab.q_hat_mod_t[pi],
+                                     tab.q_hat_mod_t_shoup[pi],
+                                     static_cast<std::uint32_t>(t)),
                        t);
     }
     // Limb by limb: a column sums at most 16 products below 2^95 plus

@@ -358,10 +358,10 @@ class SealLite
         Limbs q{};
         Limbs half_q{};                       ///< floor(q / 2).
         std::vector<Limbs> q_hat;             ///< q / q_i.
-        std::vector<std::uint64_t> q_hat_inv; ///< (q/q_i)^-1 mod q_i.
-        std::vector<std::uint64_t> q_hat_inv_shoup;
-        std::vector<std::uint64_t> q_hat_mod_t; ///< (q/q_i) mod t.
-        std::vector<std::uint64_t> q_hat_mod_t_shoup;
+        std::vector<std::uint32_t> q_hat_inv; ///< (q/q_i)^-1 mod q_i.
+        std::vector<std::uint32_t> q_hat_inv_shoup;
+        std::vector<std::uint32_t> q_hat_mod_t; ///< (q/q_i) mod t.
+        std::vector<std::uint32_t> q_hat_mod_t_shoup;
         /// [α] = α·q mod t for α < k: the correction for α
         /// subtractions of q.
         std::vector<std::uint64_t> alpha_q_mod_t;
@@ -455,10 +455,10 @@ class SealLite
     /// folded factor (q_l^{-1} mod q_i) * (φ mod q_i) with φ the
     /// centered representative of q_l mod t; each with its Shoup
     /// companion.
-    std::vector<std::uint64_t> inv_prime_mod_t_;
-    std::vector<std::uint64_t> inv_prime_mod_t_shoup_;
-    std::vector<std::vector<std::uint64_t>> switch_factor_;
-    std::vector<std::vector<std::uint64_t>> switch_factor_shoup_;
+    std::vector<std::uint32_t> inv_prime_mod_t_;
+    std::vector<std::uint32_t> inv_prime_mod_t_shoup_;
+    std::vector<std::vector<std::uint32_t>> switch_factor_;
+    std::vector<std::vector<std::uint32_t>> switch_factor_shoup_;
     /// Negacyclic NTT mod t behind encode/decode, and the NTT index of
     /// each row-0 slot (evaluation point ζ^(3^j mod 2n)).
     std::shared_ptr<const NttTables> plain_ntt_;

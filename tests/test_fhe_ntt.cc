@@ -1,9 +1,8 @@
 /// \file
-/// Hot-path arithmetic property suite: MulModShoup (64- and 32-bit) /
-/// Barrett against __uint128 references over boundary operands (0, 1,
-/// p-1, lazily accumulated values >= p, 2^64-1 and 2^32-1), the Harvey
-/// lazy NTT against both a naive O(n^2) negacyclic reference and the
-/// preserved seed baseline path (bit-identity), and the shared-table /
+/// Hot-path arithmetic property suite: mulModShoup32 (lazy and fully
+/// reduced) / Barrett against __uint128 references over boundary
+/// operands (0, 1, p-1, words in [p, 2p), 2^64-1 and 2^32-1), the NTT
+/// against a naive O(n^2) negacyclic reference, and the shared-table /
 /// memoized-search caches' observability counters.
 #include <gtest/gtest.h>
 
@@ -25,10 +24,10 @@ refMulMod(std::uint64_t x, std::uint64_t w, std::uint64_t p)
         static_cast<__uint128_t>(x) * w % p);
 }
 
-/// Primes spanning the supported range: the ~30-bit SealLite chain
-/// width up to just under the 2^62 NTT table limit.
+/// Primes spanning Barrett's range: the ~30-bit SealLite chain width up
+/// to 61 bits.
 std::vector<std::uint64_t>
-testPrimes()
+barrettPrimes()
 {
     return {
         findNttPrimes(30, 1, 512)[0],
@@ -48,43 +47,27 @@ chainPrimes()
 
 TEST(MulModShoupTest, MatchesReferenceOnBoundaryOperands)
 {
-    for (const std::uint64_t p : testPrimes()) {
-        ASSERT_LT(p, 1ULL << 62);
-        // w must be a reduced multiplicand (the precomputed side); x
-        // may be ANY 64-bit value, including lazily accumulated ones.
+    // w must be a reduced multiplicand (the precomputed side); x may be
+    // any 32-bit word, including lazily accumulated ones.
+    for (const std::uint64_t p : chainPrimes()) {
         const std::uint64_t ws[] = {0, 1, 2, p / 2, p - 2, p - 1};
-        const std::uint64_t xs[] = {0,         1,        p - 1,
-                                    p,         p + 1,    2 * p - 1,
-                                    2 * p,     4 * p - 1, ~0ULL};
+        const std::uint64_t xs[] = {0,         1,     p - 1, p, p + 1,
+                                    2 * p - 1, 2 * p, 0xffffffffULL};
         for (const std::uint64_t w : ws) {
-            const std::uint64_t w_shoup = shoupPrecompute(w, p);
+            const std::uint32_t w_shoup = shoupPrecompute32(w, p);
             for (const std::uint64_t x : xs) {
-                EXPECT_EQ(mulModShoup(x, w, w_shoup, p),
+                const auto x32 = static_cast<std::uint32_t>(x);
+                const auto w32 = static_cast<std::uint32_t>(w);
+                const auto p32 = static_cast<std::uint32_t>(p);
+                EXPECT_EQ(mulModShoup32(x32, w32, w_shoup, p32),
                           refMulMod(x, w, p))
                     << "p=" << p << " w=" << w << " x=" << x;
                 // The lazy variant may keep one extra multiple of p
                 // but never more.
-                const std::uint64_t lazy =
-                    mulModShoupLazy(x, w, w_shoup, p);
+                const std::uint32_t lazy =
+                    mulModShoupLazy32(x32, w32, w_shoup, p32);
                 EXPECT_LT(lazy, 2 * p);
                 EXPECT_EQ(lazy % p, refMulMod(x, w, p));
-            }
-        }
-    }
-    // The 32-bit form (SealLite's cached NTT forms) takes any 32-bit x
-    // for chain-width primes below 2^31.
-    for (const std::uint64_t p : chainPrimes()) {
-        const std::uint64_t ws[] = {0, 1, p - 1};
-        const std::uint64_t xs[] = {0, 1, p - 1, p, 2 * p - 1, 0xffffffffULL};
-        for (const std::uint64_t w : ws) {
-            const std::uint32_t w_shoup = shoupPrecompute32(w, p);
-            for (const std::uint64_t x : xs) {
-                EXPECT_EQ(mulModShoup32(static_cast<std::uint32_t>(x),
-                                        static_cast<std::uint32_t>(w),
-                                        w_shoup,
-                                        static_cast<std::uint32_t>(p)),
-                          refMulMod(x, w, p))
-                    << "p=" << p << " w=" << w << " x=" << x;
             }
         }
     }
@@ -93,15 +76,6 @@ TEST(MulModShoupTest, MatchesReferenceOnBoundaryOperands)
 TEST(MulModShoupTest, MatchesReferenceOnRandomOperands)
 {
     Rng rng(7);
-    for (const std::uint64_t p : testPrimes()) {
-        for (int trial = 0; trial < 2000; ++trial) {
-            const std::uint64_t w = rng.uniformInt(p);
-            const std::uint64_t x = rng.next(); // full 64-bit domain
-            const std::uint64_t w_shoup = shoupPrecompute(w, p);
-            ASSERT_EQ(mulModShoup(x, w, w_shoup, p), refMulMod(x, w, p))
-                << "p=" << p << " w=" << w << " x=" << x;
-        }
-    }
     for (const std::uint64_t p : chainPrimes()) {
         const std::uint64_t ws[] = {0, 1, p - 1};
         for (int trial = 0; trial < 2000; ++trial) {
@@ -123,7 +97,7 @@ TEST(MulModShoupTest, MatchesReferenceOnRandomOperands)
 TEST(BarrettTest, ReduceMatchesReferenceOnBoundariesAndRandom)
 {
     Rng rng(8);
-    for (const std::uint64_t p : testPrimes()) {
+    for (const std::uint64_t p : barrettPrimes()) {
         const Barrett barrett(p);
         const std::uint64_t vs[] = {0,     1,         p - 1, p,
                                     p + 1, 2 * p - 1, 2 * p, ~0ULL};
@@ -158,42 +132,43 @@ TEST(BarrettTest, MulModMatchesReferenceForChainWidthPrimes)
     }
 }
 
-// -- Harvey NTT vs naive negacyclic reference --------------------------
+// -- NTT vs naive negacyclic reference --------------------------------
 
 /// Schoolbook product in Z_p[x]/(x^n + 1): the wrap-around terms come
 /// back negated.
-std::vector<std::uint64_t>
-naiveNegacyclic(const std::vector<std::uint64_t>& a,
-                const std::vector<std::uint64_t>& b, std::uint64_t p)
+std::vector<std::uint32_t>
+naiveNegacyclic(const std::vector<std::uint32_t>& a,
+                const std::vector<std::uint32_t>& b, std::uint64_t p)
 {
     const std::size_t n = a.size();
-    std::vector<std::uint64_t> out(n, 0);
+    std::vector<std::uint32_t> out(n, 0);
     for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = 0; j < n; ++j) {
             const std::uint64_t term = refMulMod(a[i], b[j], p);
             const std::size_t k = i + j;
             if (k < n) {
-                out[k] = addMod(out[k], term, p);
+                out[k] = static_cast<std::uint32_t>(addMod(out[k], term, p));
             } else {
-                out[k - n] = subMod(out[k - n], term, p);
+                out[k - n] =
+                    static_cast<std::uint32_t>(subMod(out[k - n], term, p));
             }
         }
     }
     return out;
 }
 
-std::vector<std::uint64_t>
+std::vector<std::uint32_t>
 randomPoly(Rng& rng, int n, std::uint64_t p)
 {
-    std::vector<std::uint64_t> poly(static_cast<std::size_t>(n));
-    for (auto& c : poly) c = rng.uniformInt(p);
+    std::vector<std::uint32_t> poly(static_cast<std::size_t>(n));
+    for (auto& c : poly) c = static_cast<std::uint32_t>(rng.uniformInt(p));
     return poly;
 }
 
 TEST(HarveyNttTest, PolyMultiplyMatchesNaiveReference)
 {
     Rng rng(10);
-    for (const std::uint64_t p : testPrimes()) {
+    for (const std::uint64_t p : chainPrimes()) {
         for (const int n : {2, 4, 16, 64, 256}) {
             const NttTables tables(n, p);
             for (int trial = 0; trial < 5; ++trial) {
@@ -205,35 +180,14 @@ TEST(HarveyNttTest, PolyMultiplyMatchesNaiveReference)
                 tables.forward(fb.data());
                 for (int i = 0; i < n; ++i) {
                     fa[static_cast<std::size_t>(i)] =
-                        tables.reducer().reduce(refMulMod(
-                            fa[static_cast<std::size_t>(i)],
-                            fb[static_cast<std::size_t>(i)], p));
+                        static_cast<std::uint32_t>(tables.reducer().reduce(
+                            refMulMod(fa[static_cast<std::size_t>(i)],
+                                      fb[static_cast<std::size_t>(i)], p)));
                 }
                 tables.inverse(fa.data());
                 ASSERT_EQ(fa, naiveNegacyclic(a, b, p))
                     << "p=" << p << " n=" << n;
             }
-        }
-    }
-}
-
-TEST(HarveyNttTest, BitIdenticalToSeedBaselinePath)
-{
-    Rng rng(11);
-    for (const std::uint64_t p : testPrimes()) {
-        // testPrimes() are ≡ 1 (mod 512), so degrees up to 2n = 512.
-        for (const int n : {1, 2, 8, 64, 256}) {
-            const NttTables tables(n, p);
-            const auto input = randomPoly(rng, n, p);
-            auto harvey = input;
-            auto baseline = input;
-            tables.forward(harvey.data());
-            tables.forwardBaseline(baseline.data());
-            ASSERT_EQ(harvey, baseline) << "forward p=" << p << " n=" << n;
-            tables.inverse(harvey.data());
-            tables.inverseBaseline(baseline.data());
-            ASSERT_EQ(harvey, baseline) << "inverse p=" << p << " n=" << n;
-            ASSERT_EQ(harvey, input) << "round-trip p=" << p << " n=" << n;
         }
     }
 }
@@ -245,23 +199,24 @@ TEST(HarveyNttTest, TinyDegreeEdgeCases)
         // n = 1: Z_p[x]/(x + 1) — the transform is the identity and the
         // "product" is a single mulmod.
         const NttTables tables(1, p);
-        std::uint64_t value = 42 % p;
+        std::uint32_t value = 42 % p;
         tables.forward(&value);
         tables.inverse(&value);
         EXPECT_EQ(value, 42u % p);
     }
     {
         const NttTables tables(2, p);
-        std::vector<std::uint64_t> a = {3, 5};
-        std::vector<std::uint64_t> b = {7, 11};
+        std::vector<std::uint32_t> a = {3, 5};
+        std::vector<std::uint32_t> b = {7, 11};
         auto fa = a;
         auto fb = b;
         tables.forward(fa.data());
         tables.forward(fb.data());
         for (int i = 0; i < 2; ++i) {
-            fa[static_cast<std::size_t>(i)] = refMulMod(
-                fa[static_cast<std::size_t>(i)],
-                fb[static_cast<std::size_t>(i)], p);
+            fa[static_cast<std::size_t>(i)] =
+                static_cast<std::uint32_t>(refMulMod(
+                    fa[static_cast<std::size_t>(i)],
+                    fb[static_cast<std::size_t>(i)], p));
         }
         tables.inverse(fa.data());
         // (3 + 5x)(7 + 11x) = 21 + 68x + 55x^2 = (21 - 55) + 68x.

@@ -1,16 +1,15 @@
 /// \file
 /// SIMD differential suite for the NTT hot path: the 8-lane 32-bit AVX2
-/// kernel must be bit-identical to the scalar Harvey path and the seed
-/// baseline for every dispatch mode, through both the std::uint64_t*
-/// entries (which narrow into the kernel, including boundary operands
-/// deep in the lazy domain: p-1, 2p-1, 4p-1) and the std::uint32_t*
-/// entries key switching uses (inputs up to 2p-1), for 30- and 31-bit
-/// primes and t = 65537 at n from 8 to 32768, against an O(n^2)
-/// evaluation reference at small n, and with the process-wide switch
-/// toggled both ways. The kernel's Barrett multiply-accumulate is pinned
-/// against the scalar Barrett::mulMod. Also pins the PR 10 bugfix
-/// pair: n^-1 mod p is memoized in the shared table cache (no repeated
-/// inversions or root searches per transform), and NttTables' p < 2^62
+/// kernel must be bit-identical to the scalar 32-bit path on one table,
+/// with the process-wide switch toggled both ways. The std::uint32_t*
+/// entries take inputs up to 2p-1 (a key-switch digit can exceed a
+/// smaller prime), for 30- and 31-bit primes and t = 65537 at n from 1
+/// to 32768, and both paths meet an O(n^2) evaluation reference at small
+/// n. The std::uint64_t* adapters take [0, 4p) and must agree with the
+/// 32-bit entries. The kernel's Barrett multiply-accumulate is pinned
+/// against the scalar Barrett::mulMod. Also pins two table contracts:
+/// n^-1 mod p is memoized in the shared table cache (no repeated
+/// inversions or root searches per transform), and NttTables' p < 2^31
 /// precondition aborts instead of silently overflowing.
 #include <gtest/gtest.h>
 
@@ -39,60 +38,46 @@ class NttSimdTest : public ::testing::Test
     bool initial_ = false;
 };
 
-std::vector<std::uint64_t>
+std::vector<std::uint32_t>
 randomPoly(Rng& rng, int n, std::uint64_t p)
 {
-    std::vector<std::uint64_t> poly(static_cast<std::size_t>(n));
-    for (auto& c : poly) c = rng.uniformInt(p);
+    std::vector<std::uint32_t> poly(static_cast<std::size_t>(n));
+    for (auto& c : poly) c = static_cast<std::uint32_t>(rng.uniformInt(p));
     return poly;
 }
 
-/// Primes spanning the supported range; SealLite's chains stay ~30-bit
-/// but NttTables accepts anything below 2^62.
+/// SealLite chain widths: a 30-bit and a 31-bit prime, each ≡ 1
+/// (mod 512), so NTT-friendly at every degree up to 256.
 std::vector<std::uint64_t>
-testPrimes()
+chainPrimes()
 {
-    return {
-        findNttPrimes(30, 1, 512)[0],
-        findNttPrimes(45, 1, 512)[0],
-        findNttPrimes(61, 1, 512)[0],
-    };
+    return {findNttPrimes(30, 1, 512)[0], findNttPrimes(31, 1, 512)[0]};
 }
 
-TEST_F(NttSimdTest, DispatchIsBitIdenticalToScalarAndBaseline)
+TEST_F(NttSimdTest, DispatchIsBitIdenticalToScalar)
 {
     Rng rng(21);
-    for (const std::uint64_t p : testPrimes()) {
+    for (const std::uint64_t p : chainPrimes()) {
         for (const int n : {8, 32, 128, 256}) {
             const NttTables tables(n, p);
             for (int trial = 0; trial < 4; ++trial) {
                 const auto input = randomPoly(rng, n, p);
-
+                setSimdEnabled(false);
                 auto scalar = input;
-                tables.forwardScalar(scalar.data());
+                tables.forward(scalar.data());
+                auto inv_scalar = scalar;
+                tables.inverse(inv_scalar.data());
+                ASSERT_EQ(inv_scalar, input)
+                    << "round-trip p=" << p << " n=" << n;
 
-                auto baseline = input;
-                tables.forwardBaseline(baseline.data());
-                ASSERT_EQ(scalar, baseline) << "p=" << p << " n=" << n;
-
-                for (const bool simd : {false, true}) {
-                    setSimdEnabled(simd);
-                    auto dispatched = input;
-                    tables.forward(dispatched.data());
-                    ASSERT_EQ(dispatched, scalar)
-                        << "forward p=" << p << " n=" << n
-                        << " simd=" << simd;
-
-                    tables.inverse(dispatched.data());
-                    auto inv_scalar = scalar;
-                    tables.inverseScalar(inv_scalar.data());
-                    ASSERT_EQ(dispatched, inv_scalar)
-                        << "inverse p=" << p << " n=" << n
-                        << " simd=" << simd;
-                    ASSERT_EQ(dispatched, input)
-                        << "round-trip p=" << p << " n=" << n
-                        << " simd=" << simd;
-                }
+                setSimdEnabled(true);
+                auto dispatched = input;
+                tables.forward(dispatched.data());
+                ASSERT_EQ(dispatched, scalar)
+                    << "forward p=" << p << " n=" << n;
+                tables.inverse(dispatched.data());
+                ASSERT_EQ(dispatched, inv_scalar)
+                    << "inverse p=" << p << " n=" << n;
             }
         }
     }
@@ -100,32 +85,31 @@ TEST_F(NttSimdTest, DispatchIsBitIdenticalToScalarAndBaseline)
 
 TEST_F(NttSimdTest, BoundaryOperandsDeepInTheLazyDomain)
 {
-    // The Harvey butterflies accept inputs beyond [0, p): u is lazily
-    // reduced from [0, 4p) and the Shoup multiply takes any 64-bit
-    // operand. The vector lanes must take the exact same reduction
-    // sequence, so out-of-range inputs are part of the bit-identity
-    // contract, not undefined behavior.
-    for (const std::uint64_t p : testPrimes()) {
+    // Both paths accept inputs beyond [0, p): every leg is reduced from
+    // [0, 2p) and the Shoup multiply takes any 32-bit operand. The
+    // vector lanes must take the exact same reduction sequence, so
+    // out-of-range inputs are part of the bit-identity contract, not
+    // undefined behavior.
+    for (const std::uint64_t p : chainPrimes()) {
         const int n = 64;
         const NttTables tables(n, p);
-        const std::uint64_t edges[] = {0,         1,         p - 1,
-                                       p,         2 * p - 1, 2 * p,
-                                       4 * p - 1};
-        std::vector<std::uint64_t> input(static_cast<std::size_t>(n));
+        const std::uint64_t edges[] = {0, 1, p - 1, p, p + 1, 2 * p - 1};
+        std::vector<std::uint32_t> input(static_cast<std::size_t>(n));
         for (int i = 0; i < n; ++i) {
-            input[static_cast<std::size_t>(i)] =
-                edges[static_cast<std::size_t>(i) % std::size(edges)];
+            input[static_cast<std::size_t>(i)] = static_cast<std::uint32_t>(
+                edges[static_cast<std::size_t>(i) % std::size(edges)]);
         }
 
+        setSimdEnabled(false);
         auto scalar = input;
-        tables.forwardScalar(scalar.data());
+        tables.forward(scalar.data());
+        auto inv_scalar = input;
+        tables.inverse(inv_scalar.data());
         setSimdEnabled(true);
         auto vec = input;
         tables.forward(vec.data());
         ASSERT_EQ(vec, scalar) << "forward p=" << p;
-
-        auto inv_scalar = scalar;
-        tables.inverseScalar(inv_scalar.data());
+        vec = input;
         tables.inverse(vec.data());
         ASSERT_EQ(vec, inv_scalar) << "inverse p=" << p;
     }
@@ -133,22 +117,24 @@ TEST_F(NttSimdTest, BoundaryOperandsDeepInTheLazyDomain)
 
 TEST_F(NttSimdTest, TinyDegreesStayScalarAndCorrect)
 {
-    // n < 8 never vectorizes (a 4-wide butterfly needs t >= 4), but the
-    // dispatcher must still produce the exact scalar answer with SIMD
-    // forced on.
+    // n < 16 never vectorizes (the kernel's tail stages take 16 words),
+    // but the dispatcher must still produce the exact scalar answer
+    // with SIMD forced on.
     const std::uint64_t p = findNttPrimes(30, 1, 512)[0];
-    setSimdEnabled(true);
-    for (const int n : {1, 2, 4}) {
+    for (const int n : {1, 2, 4, 8}) {
         const NttTables tables(n, p);
         Rng rng(static_cast<std::uint64_t>(n) + 33);
         const auto input = randomPoly(rng, n, p);
-        auto dispatched = input;
+        setSimdEnabled(false);
         auto scalar = input;
+        tables.forward(scalar.data());
+        setSimdEnabled(true);
+        auto dispatched = input;
         tables.forward(dispatched.data());
-        tables.forwardScalar(scalar.data());
         ASSERT_EQ(dispatched, scalar) << "n=" << n;
         tables.inverse(dispatched.data());
-        tables.inverseScalar(scalar.data());
+        setSimdEnabled(false);
+        tables.inverse(scalar.data());
         ASSERT_EQ(dispatched, scalar) << "n=" << n;
         ASSERT_EQ(dispatched, input) << "n=" << n;
     }
@@ -156,8 +142,8 @@ TEST_F(NttSimdTest, TinyDegreesStayScalarAndCorrect)
 
 TEST_F(NttSimdTest, LaneFuzzAcrossDispatchModes)
 {
-    // Odd sizes around the 4-lane width: every tail/alignment case the
-    // stage loops can hit, fuzzed with the switch toggled per trial.
+    // Sizes around the kernel's 16-word minimum and two wide ones,
+    // fuzzed with the switch toggled per trial.
     Rng rng(22);
     const std::uint64_t p = findNttPrimes(31, 1, 2048)[0];
     for (const int n : {8, 16, 512, 1024}) {
@@ -239,22 +225,23 @@ TEST_F(NttSimdTest, Word32EntriesMatchTheScalarPath)
             const NttTables tables(n, p);
             // The 32-bit entries accept [0, 2p): a key-switch digit can
             // exceed a smaller prime.
-            const auto input = edgeMix(rng, n, p, {p, 2 * p - 1});
+            const auto input = words32(edgeMix(rng, n, p, {p, 2 * p - 1}));
+            setSimdEnabled(false);
             auto fwd_want = input;
-            tables.forwardScalar(fwd_want.data());
+            tables.forward(fwd_want.data());
             auto inv_want = input;
-            tables.inverseScalar(inv_want.data());
+            tables.inverse(inv_want.data());
             for (const bool simd : {false, true}) {
                 SCOPED_TRACE("p=" + std::to_string(p) +
                              " n=" + std::to_string(n) +
                              " simd=" + std::to_string(simd));
                 setSimdEnabled(simd);
-                auto fwd = words32(input);
+                auto fwd = input;
                 tables.forward(fwd.data());
-                ASSERT_EQ(words64(fwd), fwd_want);
-                auto inv = words32(input);
+                ASSERT_EQ(fwd, fwd_want);
+                auto inv = input;
                 tables.inverse(inv.data());
-                ASSERT_EQ(words64(inv), inv_want);
+                ASSERT_EQ(inv, inv_want);
                 tables.inverse(fwd.data());
                 for (std::size_t i = 0; i < input.size(); ++i) {
                     ASSERT_EQ(fwd[i], input[i] % p) << "round trip " << i;
@@ -270,26 +257,31 @@ TEST_F(NttSimdTest, Word64EntriesNarrowIntoTheKernel)
     for (const std::uint64_t p : kernelPrimes()) {
         for (const int n : kKernelDegrees) {
             const NttTables tables(n, p);
-            // forward() keeps the scalar path's lazy [0, 4p) input
-            // domain, inverse() its [0, 2p) one.
+            // The adapters take forward()'s lazy [0, 4p) input domain and
+            // inverse()'s [0, 2p) one; the 32-bit entries see the same
+            // residues.
             const auto fwd_input =
                 edgeMix(rng, n, p, {p, 2 * p - 1, 2 * p, 4 * p - 1});
             const auto inv_input = edgeMix(rng, n, p, {p, 2 * p - 1});
-            auto fwd_want = fwd_input;
-            tables.forwardScalar(fwd_want.data());
-            auto inv_want = inv_input;
-            tables.inverseScalar(inv_want.data());
+            const auto reduced = [p](std::vector<std::uint64_t> poly) {
+                for (std::uint64_t& word : poly) word %= p;
+                return words32(poly);
+            };
             for (const bool simd : {false, true}) {
                 SCOPED_TRACE("p=" + std::to_string(p) +
                              " n=" + std::to_string(n) +
                              " simd=" + std::to_string(simd));
                 setSimdEnabled(simd);
+                auto fwd_want = reduced(fwd_input);
+                tables.forward(fwd_want.data());
+                auto inv_want = reduced(inv_input);
+                tables.inverse(inv_want.data());
                 auto fwd = fwd_input;
                 tables.forward(fwd.data());
-                ASSERT_EQ(fwd, fwd_want);
+                ASSERT_EQ(fwd, words64(fwd_want));
                 auto inv = inv_input;
                 tables.inverse(inv.data());
-                ASSERT_EQ(inv, inv_want);
+                ASSERT_EQ(inv, words64(inv_want));
             }
         }
     }
@@ -308,10 +300,12 @@ TEST_F(NttSimdTest, Word32EntriesMatchQuadraticEvaluation)
 {
     // Slot i of the forward transform holds a(ψ^(2·rev(i) + 1)), ψ the
     // primitive 2n-th root the tables are built from; the inverse
-    // interpolates back with n^-1 and ψ^-1.
+    // interpolates back with n^-1 and ψ^-1. Inputs take the entries'
+    // whole [0, 2p) domain, and each edge word leads once so that n = 1
+    // sees words in [p, 2p) too.
     Rng rng(33);
     for (const std::uint64_t p : kernelPrimes()) {
-        for (const int n : {8, 16, 64}) {
+        for (const int n : {1, 2, 4, 8, 16, 64}) {
             int log_n = 0;
             while ((1 << log_n) < n) ++log_n;
             const NttTables tables(n, p);
@@ -320,40 +314,45 @@ TEST_F(NttSimdTest, Word32EntriesMatchQuadraticEvaluation)
             const std::uint64_t psi_inv = invMod(psi, p);
             const std::uint64_t n_inv =
                 invMod(static_cast<std::uint64_t>(n), p);
-            const auto input = edgeMix(rng, n, p, {});
-            std::vector<std::uint64_t> evals(input.size());
-            for (std::size_t i = 0; i < evals.size(); ++i) {
-                const std::uint64_t point =
-                    powMod(psi, 2 * bitReverse(i, log_n) + 1, p);
-                std::uint64_t acc = 0;
-                std::uint64_t power = 1;
-                for (const std::uint64_t coeff : input) {
-                    acc = addMod(acc, mulMod(coeff, power, p), p);
-                    power = mulMod(power, point, p);
-                }
-                evals[i] = acc;
-            }
-            std::vector<std::uint64_t> interp(input.size());
-            for (std::size_t j = 0; j < interp.size(); ++j) {
-                std::uint64_t acc = 0;
+            for (const std::uint64_t lead :
+                 {std::uint64_t{0}, p - 1, p, 2 * p - 1}) {
+                auto input = edgeMix(rng, n, p, {p, 2 * p - 1});
+                input[0] = lead;
+                std::vector<std::uint64_t> evals(input.size());
                 for (std::size_t i = 0; i < evals.size(); ++i) {
                     const std::uint64_t point =
-                        powMod(psi_inv, (2 * bitReverse(i, log_n) + 1) * j, p);
-                    acc = addMod(acc, mulMod(input[i], point, p), p);
+                        powMod(psi, 2 * bitReverse(i, log_n) + 1, p);
+                    std::uint64_t acc = 0;
+                    std::uint64_t power = 1;
+                    for (const std::uint64_t coeff : input) {
+                        acc = addMod(acc, mulMod(coeff, power, p), p);
+                        power = mulMod(power, point, p);
+                    }
+                    evals[i] = acc;
                 }
-                interp[j] = mulMod(acc, n_inv, p);
-            }
-            for (const bool simd : {false, true}) {
-                SCOPED_TRACE("p=" + std::to_string(p) +
-                             " n=" + std::to_string(n) +
-                             " simd=" + std::to_string(simd));
-                setSimdEnabled(simd);
-                auto fwd = words32(input);
-                tables.forward(fwd.data());
-                ASSERT_EQ(words64(fwd), evals);
-                auto inv = words32(input);
-                tables.inverse(inv.data());
-                ASSERT_EQ(words64(inv), interp);
+                std::vector<std::uint64_t> interp(input.size());
+                for (std::size_t j = 0; j < interp.size(); ++j) {
+                    std::uint64_t acc = 0;
+                    for (std::size_t i = 0; i < evals.size(); ++i) {
+                        const std::uint64_t point = powMod(
+                            psi_inv, (2 * bitReverse(i, log_n) + 1) * j, p);
+                        acc = addMod(acc, mulMod(input[i], point, p), p);
+                    }
+                    interp[j] = mulMod(acc, n_inv, p);
+                }
+                for (const bool simd : {false, true}) {
+                    SCOPED_TRACE("p=" + std::to_string(p) +
+                                 " n=" + std::to_string(n) +
+                                 " lead=" + std::to_string(lead) +
+                                 " simd=" + std::to_string(simd));
+                    setSimdEnabled(simd);
+                    auto fwd = words32(input);
+                    tables.forward(fwd.data());
+                    ASSERT_EQ(words64(fwd), evals);
+                    auto inv = words32(input);
+                    tables.inverse(inv.data());
+                    ASSERT_EQ(words64(inv), interp);
+                }
             }
         }
     }
@@ -447,15 +446,15 @@ TEST_F(NttSimdTest, InvNMemoizedInTableCache)
 }
 
 #if GTEST_HAS_DEATH_TEST
-TEST(NttSimdDeathTest, RejectsPrimesAtOrAbove62Bits)
+TEST(NttSimdDeathTest, RejectsPrimesAtOrAbove2To31)
 {
-    // The lazy representation needs 4p < 2^64; the vector path relies
-    // on it too (lane values in [0, 4p) must not wrap). Find a 63-bit
-    // prime ≡ 1 (mod 8) so only the width precondition trips.
-    std::uint64_t p = (1ULL << 62) + 1;
-    while (!isPrime(p) || p % 8 != 1) p += 8;
-    ASSERT_GE(p, 1ULL << 62);
-    EXPECT_DEATH({ NttTables tables(4, p); }, "2\\^64");
+    // Every leg lives in [0, 2p) in a 32-bit word, so p must stay below
+    // 2^31. Take the smallest prime above 2^31 that is ≡ 1 (mod 32), so
+    // at n = 16 only the width precondition trips.
+    std::uint64_t p = (1ULL << 31) + 1;
+    while (!isPrime(p)) p += 32;
+    ASSERT_GT(p, 1ULL << 31);
+    EXPECT_DEATH({ NttTables tables(16, p); }, "2\\^31");
 }
 #endif
 

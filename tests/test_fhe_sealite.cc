@@ -96,9 +96,9 @@ TEST(NttTest, RoundTrip)
     const std::uint64_t p = findNttPrimes(30, 1, 2 * n)[0];
     const NttTables tables(n, p);
     Rng rng(5);
-    std::vector<std::uint64_t> values(n);
-    for (auto& v : values) v = rng.uniformInt(p);
-    std::vector<std::uint64_t> copy = values;
+    std::vector<std::uint32_t> values(n);
+    for (auto& v : values) v = static_cast<std::uint32_t>(rng.uniformInt(p));
+    std::vector<std::uint32_t> copy = values;
     tables.forward(copy.data());
     tables.inverse(copy.data());
     EXPECT_EQ(copy, values);
@@ -110,27 +110,31 @@ TEST(NttTest, MatchesSchoolbookNegacyclic)
     const std::uint64_t p = findNttPrimes(30, 1, 2 * n)[0];
     const NttTables tables(n, p);
     Rng rng(6);
-    std::vector<std::uint64_t> a(n), b(n);
-    for (auto& v : a) v = rng.uniformInt(p);
-    for (auto& v : b) v = rng.uniformInt(p);
+    std::vector<std::uint32_t> a(n), b(n);
+    for (auto& v : a) v = static_cast<std::uint32_t>(rng.uniformInt(p));
+    for (auto& v : b) v = static_cast<std::uint32_t>(rng.uniformInt(p));
 
     // Schoolbook x^n = -1 product.
-    std::vector<std::uint64_t> expected(n, 0);
+    std::vector<std::uint32_t> expected(n, 0);
     for (int i = 0; i < n; ++i) {
         for (int j = 0; j < n; ++j) {
             const std::uint64_t prod = mulMod(a[i], b[j], p);
             if (i + j < n) {
-                expected[i + j] = addMod(expected[i + j], prod, p);
+                expected[i + j] = static_cast<std::uint32_t>(
+                    addMod(expected[i + j], prod, p));
             } else {
-                expected[i + j - n] = subMod(expected[i + j - n], prod, p);
+                expected[i + j - n] = static_cast<std::uint32_t>(
+                    subMod(expected[i + j - n], prod, p));
             }
         }
     }
 
-    std::vector<std::uint64_t> fa = a, fb = b;
+    std::vector<std::uint32_t> fa = a, fb = b;
     tables.forward(fa.data());
     tables.forward(fb.data());
-    for (int i = 0; i < n; ++i) fa[i] = mulMod(fa[i], fb[i], p);
+    for (int i = 0; i < n; ++i) {
+        fa[i] = static_cast<std::uint32_t>(mulMod(fa[i], fb[i], p));
+    }
     tables.inverse(fa.data());
     EXPECT_EQ(fa, expected);
 }
