@@ -557,10 +557,11 @@ FheRuntime::execute(const FheProgram& program, const RotationKeyPlan& plan,
         const int lane_count = static_cast<int>(member.lanes.size());
         auto out = cts.find(member.output_reg);
         if (out != cts.end()) {
-            row_result.member_final_budgets.push_back(
-                scheme_.noiseBudgetBits(out->second));
-            row_result.member_outputs.push_back(scheme_.decryptLanes(
-                out->second, stride, member.output_width, lane_count,
+            const fhe::SealLite::Readout readout =
+                scheme_.readout(out->second);
+            row_result.member_final_budgets.push_back(readout.budget);
+            row_result.member_outputs.push_back(scheme_.decodeLanes(
+                readout.plain, stride, member.output_width, lane_count,
                 member.lane_base));
         } else {
             // All-plaintext member: nothing homomorphic ran for it.

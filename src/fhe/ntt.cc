@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <utility>
@@ -201,6 +203,13 @@ NttTables::NttTables(int n, std::uint64_t p) : barrett_(p)
     tables_.barrett_shift = s;
     tables_.barrett_ratio =
         static_cast<std::uint32_t>((1ULL << (2 * s)) / p);
+    const std::uint64_t two32 = (1ULL << 32) % p;
+    tables_.two32 = static_cast<std::uint32_t>(two32);
+    tables_.two32_shoup = shoupPrecompute32(two32, p);
+    tables_.one_shoup = shoupPrecompute32(1, p);
+    lazy_terms_ = static_cast<int>(std::min<std::uint64_t>(
+        ~std::uint64_t{0} / ((p - 1) * (p - 1)),
+        std::numeric_limits<int>::max()));
 }
 
 bool
@@ -230,16 +239,122 @@ NttTables::inverse(std::uint32_t* values) const
 }
 
 void
-NttTables::mulAccumulate(std::uint32_t* acc, const std::uint32_t* x,
-                         const std::uint32_t* y) const
+NttTables::pointwiseShoup(std::uint32_t* x, const std::uint32_t* w,
+                          const std::uint32_t* w_shoup) const
 {
     if (vectorized()) {
-        simd::mulAccumulate(acc, x, y, tables_);
+        simd::pointwiseShoup(x, w, w_shoup, tables_);
         return;
     }
     for (int i = 0; i < tables_.n; ++i) {
-        acc[i] = static_cast<std::uint32_t>(
-            addMod(acc[i], barrett_.mulMod(x[i], y[i]), tables_.p));
+        x[i] = mulModShoup32(x[i], w[i], w_shoup[i], tables_.p);
+    }
+}
+
+void
+NttTables::tensor(std::uint32_t* a0, std::uint32_t* a1,
+                  const std::uint32_t* b0, std::uint32_t* b1) const
+{
+    if (vectorized()) {
+        simd::tensor(a0, a1, b0, b1, tables_);
+        return;
+    }
+    for (int i = 0; i < tables_.n; ++i) {
+        const std::uint64_t x0 = a0[i];
+        const std::uint64_t x1 = a1[i];
+        const std::uint64_t y0 = b0[i];
+        const std::uint64_t y1 = b1[i];
+        a0[i] = static_cast<std::uint32_t>(barrett_.mulMod(x0, y0));
+        b1[i] = static_cast<std::uint32_t>(addMod(
+            barrett_.mulMod(x0, y1), barrett_.mulMod(x1, y0), tables_.p));
+        a1[i] = static_cast<std::uint32_t>(barrett_.mulMod(x1, y1));
+    }
+}
+
+namespace {
+
+/// The 64-bit sum at \p slot of a lazy-sum buffer (two 32-bit words,
+/// low first).
+std::uint64_t
+loadSum(const std::uint32_t* sums, int slot)
+{
+    std::uint64_t v = 0;
+    std::memcpy(&v, sums + 2 * slot, sizeof v);
+    return v;
+}
+
+void
+storeSum(std::uint32_t* sums, int slot, std::uint64_t v)
+{
+    std::memcpy(sums + 2 * slot, &v, sizeof v);
+}
+
+/// The slot of coefficient \p i in the block layout: within each block
+/// of eight, the even coefficients' sums come first.
+int
+sumSlot(int i)
+{
+    return (i & ~7) + ((i & 1) << 2) + ((i & 7) >> 1);
+}
+
+} // namespace
+
+int
+NttTables::accumulateProducts(std::uint32_t* sums0, std::uint32_t* sums1,
+                              int terms, const std::uint32_t* x,
+                              const std::uint32_t* y0,
+                              const std::uint32_t* y1) const
+{
+    CHEHAB_ASSERT(tables_.n >= 8, "lazy sums come in blocks of 8");
+    if (terms == lazy_terms_) {
+        reduceLazySums(sums0, false);
+        reduceLazySums(sums1, false);
+        terms = 1;
+    }
+    const bool fresh = terms == 0;
+    if (vectorized()) {
+        simd::accumulateProducts(sums0, sums1, x, y0, y1, fresh, tables_);
+        return terms + 1;
+    }
+    for (int i = 0; i < tables_.n; ++i) {
+        const int slot = sumSlot(i);
+        const std::uint64_t p0 = std::uint64_t{x[i]} * y0[i];
+        const std::uint64_t p1 = std::uint64_t{x[i]} * y1[i];
+        storeSum(sums0, slot, fresh ? p0 : loadSum(sums0, slot) + p0);
+        storeSum(sums1, slot, fresh ? p1 : loadSum(sums1, slot) + p1);
+    }
+    return terms + 1;
+}
+
+void
+NttTables::reduceSums(std::uint32_t* sums0, std::uint32_t* sums1) const
+{
+    CHEHAB_ASSERT(tables_.n >= 8, "lazy sums come in blocks of 8");
+    reduceLazySums(sums0, true);
+    reduceLazySums(sums1, true);
+}
+
+void
+NttTables::reduceLazySums(std::uint32_t* sums, bool compact) const
+{
+    if (vectorized()) {
+        simd::reduceSums(sums, compact, tables_);
+        return;
+    }
+    for (int block = 0; block < tables_.n; block += 8) {
+        // Read the whole block before compacting it below itself.
+        std::uint32_t words[8];
+        for (int i = 0; i < 8; ++i) {
+            words[i] = static_cast<std::uint32_t>(
+                barrett_.reduce(loadSum(sums, sumSlot(block + i))));
+        }
+        for (int i = 0; i < 8; ++i) {
+            if (compact) {
+                sums[block + i] = words[i];
+            } else {
+                storeSum(sums, sumSlot(block + i), words[i]);
+            }
+        }
     }
 }
 

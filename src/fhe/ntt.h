@@ -16,6 +16,13 @@
 ///   n = 8), with SIMD off, on CPUs without AVX2, and in the
 ///   CHEHAB_AVX2=OFF build.
 ///
+/// NttTables also owns SealLite's pointwise products in the NTT domain,
+/// with the same two implementations and equal words: the Shoup product
+/// against a cached form, the degree-2 tensor product (lane Barrett),
+/// and the key switch's lazy inner products, which sum raw 64-bit
+/// products and reduce once per prime (Harvey's lazy reduction; SEAL
+/// sums its key-switch products the same way).
+///
 /// SealLite calls only the std::uint32_t* entries. The two
 /// std::uint64_t* entries adapt 64-bit words for perfbench's frozen
 /// fhe.ntt_* probe; they go with that probe at the next benchmark
@@ -51,11 +58,44 @@ class NttTables
     /// [0, 2p), output fully reduced to [0, p). Dispatch like forward().
     void inverse(std::uint32_t* values) const;
 
-    /// acc[i] = (acc[i] + x[i]·y[i]) mod p for i < n, every operand in
-    /// [0, p): an 8-lane Barrett multiply-accumulate when the kernel
-    /// applies, else the scalar Barrett loop.
-    void mulAccumulate(std::uint32_t* acc, const std::uint32_t* x,
-                       const std::uint32_t* y) const;
+    /// \name Pointwise products in the NTT domain
+    /// Each runs 8 lanes when the kernel applies (see the file comment),
+    /// else a scalar loop, and leaves equal, fully reduced words.
+    /// @{
+    /// x[i] = x[i]·w[i] mod p for i < n: \p w a cached form's words in
+    /// [0, p) with their Shoup companions, any 32-bit x.
+    void pointwiseShoup(std::uint32_t* x, const std::uint32_t* w,
+                        const std::uint32_t* w_shoup) const;
+
+    /// The degree-2 tensor product of two transformed ciphertexts, in
+    /// place: a0 = a0·b0, b1 = a0·b1 + a1·b0 and a1 = a1·b1 mod p for
+    /// i < n, every operand in [0, p). Barrett products (neither operand
+    /// is known ahead of time).
+    void tensor(std::uint32_t* a0, std::uint32_t* a1,
+                const std::uint32_t* b0, std::uint32_t* b1) const;
+
+    /// Lazy, fused inner products for key switching: \p sums0 and
+    /// \p sums1 (2n words each) hold n 64-bit sums, laid out in blocks
+    /// of eight coefficients (fhe/ntt_simd.h), and this adds
+    /// x[i]·y0[i] to the first and x[i]·y1[i] to the second, every
+    /// operand in [0, p). \p terms counts the products the sums already
+    /// hold, 0 for none (their words are then overwritten, not read);
+    /// the count after this call is returned. A sum holds lazyTerms()
+    /// raw products below 2^64; at that count both are reduced first,
+    /// and a reduced sum counts as one term. Requires n >= 8.
+    int accumulateProducts(std::uint32_t* sums0, std::uint32_t* sums1,
+                           int terms, const std::uint32_t* x,
+                           const std::uint32_t* y0,
+                           const std::uint32_t* y1) const;
+
+    /// Reduce both lazy sums mod p, each into the first n words of its
+    /// own buffer: natural order, fully reduced, ready for inverse().
+    void reduceSums(std::uint32_t* sums0, std::uint32_t* sums1) const;
+
+    /// Raw products a 64-bit sum holds: ⌊(2^64 - 1)/(p - 1)^2⌋, which is
+    /// 16 for 30-bit primes near 2^30 and 4 for 31-bit ones near 2^31.
+    int lazyTerms() const { return lazy_terms_; }
+    /// @}
 
     /// \name perfbench adapters
     /// forward() and inverse() on 64-bit words in [0, 4p): narrowed
@@ -66,9 +106,7 @@ class NttTables
     void inverse(std::uint64_t* values) const;
     /// @}
 
-    /// Barrett reducer for this prime (for pointwise products between
-    /// two variable transforms, where Shoup precomputation does not
-    /// apply).
+    /// Barrett reducer for this prime (exact for any 64-bit word).
     const Barrett& reducer() const { return barrett_; }
 
     /// n^-1 mod p, memoized at construction (for tests asserting the
@@ -78,6 +116,10 @@ class NttTables
   private:
     Barrett barrett_;
     simd::Tables32 tables_;
+    int lazy_terms_ = 0;
+
+    /// Every lazy sum of one buffer mod p, in place or compacted.
+    void reduceLazySums(std::uint32_t* sums, bool compact) const;
 
     /// The kernel applies to this call: n >= 16 and SIMD is enabled.
     bool vectorized() const;

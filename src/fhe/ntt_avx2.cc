@@ -17,6 +17,13 @@
 /// to match with one vpermd each. The forward transform's final
 /// normalize and the inverse's n^-1 scaling are fused into their last
 /// stages.
+///
+/// The pointwise kernels: a Shoup product with per-lane companions; the
+/// tensor product's lane Barrett on the even and odd lanes' 64-bit
+/// products; and the key switch's lazy sums, where one digit's even and
+/// odd products with both key entries add into four vectors of 64-bit
+/// sums, and a sum hi·2^32 + lo later reduces as two Shoup products,
+/// hi·(2^32 mod p) and lo·1.
 #include "fhe/ntt_simd.h"
 
 #include "support/error.h"
@@ -338,8 +345,20 @@ inverse(std::uint32_t* values, const Tables32& tables)
 }
 
 void
-mulAccumulate(std::uint32_t* acc, const std::uint32_t* x,
-              const std::uint32_t* y, const Tables32& tables)
+pointwiseShoup(std::uint32_t* x, const std::uint32_t* w,
+               const std::uint32_t* w_shoup, const Tables32& tables)
+{
+    const Vec p = _mm256_set1_epi32(static_cast<int>(tables.p));
+    for (int i = 0; i < tables.n; i += 8) {
+        const Vec ws = load(w_shoup + i);
+        const Twiddle tw{load(w + i), ws, _mm256_srli_epi64(ws, 32)};
+        store(x + i, csub(shoup(load(x + i), tw, p), p));
+    }
+}
+
+void
+tensor(std::uint32_t* a0, std::uint32_t* a1, const std::uint32_t* b0,
+       std::uint32_t* b1, const Tables32& tables)
 {
     const Vec p = _mm256_set1_epi32(static_cast<int>(tables.p));
     const Vec p64 = _mm256_set1_epi64x(tables.p);
@@ -355,15 +374,109 @@ mulAccumulate(std::uint32_t* acc, const std::uint32_t* x,
         const Vec r = _mm256_sub_epi64(v, _mm256_mul_epu32(q, p));
         return csub64(csub64(r, p64), p64);
     };
+    const auto mul = [&](Vec x, Vec y) {
+        const Vec even = reduce(_mm256_mul_epu32(x, y));
+        const Vec odd = reduce(_mm256_mul_epu32(_mm256_srli_epi64(x, 32),
+                                                _mm256_srli_epi64(y, 32)));
+        return _mm256_blend_epi32(even, _mm256_slli_epi64(odd, 32), 0xAA);
+    };
     for (int i = 0; i < tables.n; i += 8) {
+        const Vec x0 = load(a0 + i);
+        const Vec x1 = load(a1 + i);
+        const Vec y0 = load(b0 + i);
+        const Vec y1 = load(b1 + i);
+        store(a0 + i, mul(x0, y0));
+        store(b1 + i,
+              csub(_mm256_add_epi32(mul(x0, y1), mul(x1, y0)), p));
+        store(a1 + i, mul(x1, y1));
+    }
+}
+
+namespace {
+
+/// Both lazy sums, block by block: a block of eight coefficients is two
+/// vectors of four 64-bit sums, the even coefficients' and then the odd
+/// ones'.
+template <bool kFresh>
+void
+accumulateBlocks(std::uint32_t* sums0, std::uint32_t* sums1,
+                 const std::uint32_t* x, const std::uint32_t* y0,
+                 const std::uint32_t* y1, int n)
+{
+    for (int i = 0; i < n; i += 8) {
         const Vec a = load(x + i);
-        const Vec b = load(y + i);
-        const Vec even = reduce(_mm256_mul_epu32(a, b));
-        const Vec odd = reduce(_mm256_mul_epu32(_mm256_srli_epi64(a, 32),
-                                                _mm256_srli_epi64(b, 32)));
-        const Vec product =
-            _mm256_blend_epi32(even, _mm256_slli_epi64(odd, 32), 0xAA);
-        store(acc + i, csub(_mm256_add_epi32(load(acc + i), product), p));
+        const Vec a_odd = _mm256_srli_epi64(a, 32);
+        const Vec b = load(y0 + i);
+        const Vec c = load(y1 + i);
+        Vec even0 = _mm256_mul_epu32(a, b);
+        Vec odd0 = _mm256_mul_epu32(a_odd, _mm256_srli_epi64(b, 32));
+        Vec even1 = _mm256_mul_epu32(a, c);
+        Vec odd1 = _mm256_mul_epu32(a_odd, _mm256_srli_epi64(c, 32));
+        std::uint32_t* s0 = sums0 + 2 * i;
+        std::uint32_t* s1 = sums1 + 2 * i;
+        if (!kFresh) {
+            even0 = _mm256_add_epi64(even0, load(s0));
+            odd0 = _mm256_add_epi64(odd0, load(s0 + 8));
+            even1 = _mm256_add_epi64(even1, load(s1));
+            odd1 = _mm256_add_epi64(odd1, load(s1 + 8));
+        }
+        store(s0, even0);
+        store(s0 + 8, odd0);
+        store(s1, even1);
+        store(s1 + 8, odd1);
+    }
+}
+
+} // namespace
+
+void
+accumulateProducts(std::uint32_t* sums0, std::uint32_t* sums1,
+                   const std::uint32_t* x, const std::uint32_t* y0,
+                   const std::uint32_t* y1, bool fresh,
+                   const Tables32& tables)
+{
+    if (fresh) {
+        accumulateBlocks<true>(sums0, sums1, x, y0, y1, tables.n);
+    } else {
+        accumulateBlocks<false>(sums0, sums1, x, y0, y1, tables.n);
+    }
+}
+
+void
+reduceSums(std::uint32_t* sums, bool compact, const Tables32& tables)
+{
+    const Vec p = _mm256_set1_epi32(static_cast<int>(tables.p));
+    const Vec two32 = _mm256_set1_epi32(static_cast<int>(tables.two32));
+    const Vec two32_shoup =
+        _mm256_set1_epi32(static_cast<int>(tables.two32_shoup));
+    const Vec one_shoup =
+        _mm256_set1_epi32(static_cast<int>(tables.one_shoup));
+    const Vec low = _mm256_set1_epi64x(0xFFFFFFFF);
+    // A sum hi·2^32 + lo as hi·(2^32 mod p) + lo, each term a Shoup
+    // product in [0, 2p) (any 32-bit operand), in the even 32-bit slots.
+    const auto reduce = [&](Vec v) {
+        const Vec hi = _mm256_srli_epi64(v, 32);
+        const Vec q_hi =
+            _mm256_srli_epi64(_mm256_mul_epu32(hi, two32_shoup), 32);
+        const Vec r_hi = _mm256_sub_epi32(_mm256_mul_epu32(hi, two32),
+                                          _mm256_mul_epu32(q_hi, p));
+        const Vec q_lo =
+            _mm256_srli_epi64(_mm256_mul_epu32(v, one_shoup), 32);
+        const Vec r_lo = _mm256_sub_epi32(v, _mm256_mul_epu32(q_lo, p));
+        return csub(_mm256_add_epi32(csub(r_hi, p), csub(r_lo, p)), p);
+    };
+    for (int i = 0; i < tables.n; i += 8) {
+        // Block i's 16 words are read before its 8 compact words are
+        // written below them, so compacting in place is safe.
+        const Vec even = reduce(load(sums + 2 * i));
+        const Vec odd = reduce(load(sums + 2 * i + 8));
+        if (compact) {
+            store(sums + i, _mm256_blend_epi32(
+                                even, _mm256_slli_epi64(odd, 32), 0xAA));
+        } else {
+            store(sums + 2 * i, _mm256_and_si256(even, low));
+            store(sums + 2 * i + 8, _mm256_and_si256(odd, low));
+        }
     }
 }
 
@@ -392,8 +505,29 @@ inverse(std::uint32_t*, const Tables32&)
 }
 
 void
-mulAccumulate(std::uint32_t*, const std::uint32_t*, const std::uint32_t*,
-              const Tables32&)
+pointwiseShoup(std::uint32_t*, const std::uint32_t*, const std::uint32_t*,
+               const Tables32&)
+{
+    CHEHAB_ASSERT(false, "AVX2 kernels not compiled in");
+}
+
+void
+tensor(std::uint32_t*, std::uint32_t*, const std::uint32_t*,
+       std::uint32_t*, const Tables32&)
+{
+    CHEHAB_ASSERT(false, "AVX2 kernels not compiled in");
+}
+
+void
+accumulateProducts(std::uint32_t*, std::uint32_t*, const std::uint32_t*,
+                   const std::uint32_t*, const std::uint32_t*, bool,
+                   const Tables32&)
+{
+    CHEHAB_ASSERT(false, "AVX2 kernels not compiled in");
+}
+
+void
+reduceSums(std::uint32_t*, bool, const Tables32&)
 {
     CHEHAB_ASSERT(false, "AVX2 kernels not compiled in");
 }

@@ -16,6 +16,16 @@
 /// schedule and twiddle order and end fully reduced, so their outputs
 /// are equal word for word (test_fhe_ntt_simd machine-checks this). A
 /// port to other vector widths meets this one contract.
+///
+/// The pointwise entries (the Shoup product against a cached form, the
+/// degree-2 tensor product and the key switch's lazy sums) likewise
+/// come in a vector and a scalar version that return equal words: every
+/// result they leave is fully reduced, so how it was reduced cannot
+/// show. Lazy sums are 64-bit words stored as little-endian pairs of
+/// 32-bit words, in blocks of eight coefficients: a block's 16 words
+/// hold the sums of coefficients 0, 2, 4, 6 and then 1, 3, 5, 7, the
+/// order in which _mm256_mul_epu32 forms a vector's even and odd
+/// products. The scalar path keeps the same layout.
 #pragma once
 
 #include <cstdint>
@@ -42,10 +52,15 @@ struct Tables32
     std::uint32_t inv_n_shoup = 0;
     std::uint32_t inv_n_w = 0;
     std::uint32_t inv_n_w_shoup = 0;
-    /// Lane Barrett for mulAccumulate: s = bit length of p and
+    /// Lane Barrett for the tensor product: s = bit length of p and
     /// r = ⌊2^(2s)/p⌋, which is below 2^32.
     int barrett_shift = 0;
     std::uint32_t barrett_ratio = 0;
+    /// Lazy-sum reduction: 2^32 mod p and the Shoup companions of it
+    /// and of 1, so a sum hi·2^32 + lo reduces as hi·(2^32 mod p) + lo·1.
+    std::uint32_t two32 = 0;
+    std::uint32_t two32_shoup = 0;
+    std::uint32_t one_shoup = 0;
 };
 
 /// In-place forward negacyclic NTT (natural -> scrambled order), n >= 16.
@@ -57,10 +72,28 @@ void forward(std::uint32_t* values, const Tables32& tables);
 /// [0, 2p), output fully reduced to [0, p).
 void inverse(std::uint32_t* values, const Tables32& tables);
 
-/// acc[i] = (acc[i] + x[i]·y[i]) mod p for i < n, every operand in
-/// [0, p): the 64-bit products reduce by lane Barrett and two
+/// x[i] = x[i]·w[i] mod p for i < n: any 32-bit x, w in [0, p) with its
+/// Shoup companion; fully reduced.
+void pointwiseShoup(std::uint32_t* x, const std::uint32_t* w,
+                    const std::uint32_t* w_shoup, const Tables32& tables);
+
+/// a0 = a0·b0, b1 = a0·b1 + a1·b0 and a1 = a1·b1 mod p for i < n, every
+/// operand in [0, p): the 64-bit products reduce by lane Barrett and two
 /// conditional subtracts.
-void mulAccumulate(std::uint32_t* acc, const std::uint32_t* x,
-                   const std::uint32_t* y, const Tables32& tables);
+void tensor(std::uint32_t* a0, std::uint32_t* a1, const std::uint32_t* b0,
+            std::uint32_t* b1, const Tables32& tables);
+
+/// sums0 += x·y0 and sums1 += x·y1 in the lazy-sum layout, or = when
+/// \p fresh, for i < n; operands below 2^32, each sum must stay below
+/// 2^64 (the caller counts terms).
+void accumulateProducts(std::uint32_t* sums0, std::uint32_t* sums1,
+                        const std::uint32_t* x, const std::uint32_t* y0,
+                        const std::uint32_t* y1, bool fresh,
+                        const Tables32& tables);
+
+/// Every lazy sum of \p sums mod p: written back as a 64-bit sum in
+/// the same layout, or with \p compact as n fully reduced 32-bit words
+/// in natural order at the front of the buffer.
+void reduceSums(std::uint32_t* sums, bool compact, const Tables32& tables);
 
 } // namespace chehab::fhe::simd

@@ -351,16 +351,10 @@ SealLite::mulPolyNttInPlace(RnsPoly& a, const NttForm& b) const
                   "NTT form shorter than the operand level");
     // Transforms run directly on a's components — no scratch at all.
     for (int i = 0; i < a.k; ++i) {
-        const auto p = static_cast<std::uint32_t>(
-            primes_[static_cast<std::size_t>(i)]);
         const NttTables& tables = *ntt_[static_cast<std::size_t>(i)];
         std::uint32_t* x = a.component(i);
         tables.forward(x);
-        const std::uint32_t* w = b.component(i);
-        const std::uint32_t* ws = b.shoupComponent(i);
-        for (int j = 0; j < params_.n; ++j) {
-            x[j] = mulModShoup32(x[j], w[j], ws[j], p);
-        }
+        tables.pointwiseShoup(x, b.component(i), b.shoupComponent(i));
         tables.inverse(x);
     }
 }
@@ -391,22 +385,34 @@ RnsPoly
 SealLite::applyAutomorphism(const RnsPoly& a,
                             std::uint64_t galois_element) const
 {
-    RnsPoly result = zeroPoly(a.k);
-    const auto two_n = static_cast<std::uint64_t>(2 * params_.n);
+    // x^j -> x^(j·g) = ±x^((j·g) mod n): g is odd, so j -> j·g mod 2n
+    // permutes the indices and every output word is written once.
+    RnsPoly result;
+    result.k = a.k;
+    result.n = a.n;
+    result.data = arena_.acquire(a.data.size());
+    const auto n = static_cast<std::uint32_t>(params_.n);
+    const std::uint32_t two_n_mask = 2 * n - 1;
+    const auto g = static_cast<std::uint32_t>(galois_element & two_n_mask);
+    int log_n = 0;
+    while ((1U << log_n) < n) ++log_n;
+    std::uint32_t primes[SealLiteParams::kMaxPrimeCount];
     for (int i = 0; i < a.k; ++i) {
-        const auto p = static_cast<std::uint32_t>(
+        primes[i] = static_cast<std::uint32_t>(
             primes_[static_cast<std::size_t>(i)]);
-        const std::uint32_t* x = a.component(i);
-        std::uint32_t* y = result.component(i);
-        for (int j = 0; j < params_.n; ++j) {
-            const std::uint64_t raw =
-                (static_cast<std::uint64_t>(j) * galois_element) % two_n;
-            if (raw < static_cast<std::uint64_t>(params_.n)) {
-                y[raw] = x[j];
-            } else {
-                const std::uint64_t idx = raw - params_.n;
-                y[idx] = x[j] == 0 ? 0 : p - x[j];
-            }
+    }
+    for (std::uint32_t j = 0; j < n; ++j) {
+        // 2n is a power of two, so the mask takes j·g mod 2n, and its
+        // top bit says whether x^n = -1 negates the word.
+        const std::uint32_t raw = (j * g) & two_n_mask;
+        const std::uint32_t idx = raw & (n - 1);
+        const std::uint32_t sign = 0U - (raw >> log_n);
+        for (int i = 0; i < a.k; ++i) {
+            // The word, or p - word when sign is all ones (~v + 1 = -v);
+            // the conditional subtract maps p - 0 back to 0.
+            const std::uint32_t v = a.component(i)[j];
+            result.component(i)[idx] =
+                csub32((v ^ sign) - sign + (primes[i] & sign), primes[i]);
         }
     }
     return result;
@@ -417,11 +423,11 @@ SealLite::liftPlain(const Plaintext& plain, int k) const
 {
     RnsPoly poly = zeroPoly(k);
     for (int i = 0; i < poly.k; ++i) {
-        const std::uint64_t p = primes_[static_cast<std::size_t>(i)];
+        const Barrett& reducer = ntt_[static_cast<std::size_t>(i)]->reducer();
         std::uint32_t* c = poly.component(i);
         for (int j = 0; j < poly.n; ++j) {
             c[j] = static_cast<std::uint32_t>(
-                plain.coeffs[static_cast<std::size_t>(j)] % p);
+                reducer.reduce(plain.coeffs[static_cast<std::size_t>(j)]));
         }
     }
     return poly;
@@ -614,14 +620,6 @@ SealLite::decodeLanes(const Plaintext& plain, int lane_stride, int width,
     return out;
 }
 
-std::vector<std::vector<std::int64_t>>
-SealLite::decryptLanes(const Ciphertext& ct, int lane_stride, int width,
-                       int num_lanes, int first_lane) const
-{
-    return decodeLanes(decryptPlain(ct), lane_stride, width, num_lanes,
-                       first_lane);
-}
-
 // ---------------------------------------------------------------------
 // Encryption / decryption.
 // ---------------------------------------------------------------------
@@ -744,26 +742,38 @@ SealLite::decryptionPhase(const Ciphertext& ct) const
     return v;
 }
 
+SealLite::Readout
+SealLite::readout(const Ciphertext& ct) const
+{
+    // m = (centered phase) mod t, and the budget from the largest
+    // centered magnitude. q here is the ciphertext's *current* chain
+    // product: decryption works at every level.
+    RnsPoly v = decryptionPhase(ct);
+    const LevelTables& tab =
+        level_tables_[static_cast<std::size_t>(v.k) - 1];
+    const std::uint64_t t = params_.plain_modulus;
+
+    Readout out;
+    out.plain.coeffs.resize(static_cast<std::size_t>(params_.n));
+    int max_bits = 0;
+    for (int j = 0; j < params_.n; ++j) {
+        Recomposed c = recomposeCoeff(v, j);
+        // Upper half: the true integer is value - q (negative lift),
+        // whose magnitude is q - value exactly (q is odd).
+        out.plain.coeffs[static_cast<std::size_t>(j)] =
+            c.upper ? subMod(c.mod_t, tab.q_mod_t, t) : c.mod_t;
+        if (c.upper) subtractLimbs(tab.q, c.value, c.value, tab.limbs);
+        max_bits = std::max(max_bits, bitLengthLimbs(c.value, tab.limbs));
+    }
+    recycle(std::move(v));
+    out.budget = (tab.q_bits - 1) - max_bits;
+    return out;
+}
+
 Plaintext
 SealLite::decryptPlain(const Ciphertext& ct) const
 {
-    // m = (centered phase) mod t. q here is the ciphertext's *current*
-    // chain product — decryption works at every level.
-    RnsPoly v = decryptionPhase(ct);
-    const std::uint64_t t = params_.plain_modulus;
-    const std::uint64_t q_mod_t =
-        level_tables_[static_cast<std::size_t>(v.k) - 1].q_mod_t;
-
-    Plaintext plain;
-    plain.coeffs.assign(static_cast<std::size_t>(params_.n), 0);
-    for (int j = 0; j < params_.n; ++j) {
-        const Recomposed c = recomposeCoeff(v, j);
-        // Upper half: the true integer is value - q (negative lift).
-        plain.coeffs[static_cast<std::size_t>(j)] =
-            c.upper ? subMod(c.mod_t, q_mod_t, t) : c.mod_t;
-    }
-    recycle(std::move(v));
-    return plain;
+    return readout(ct).plain;
 }
 
 std::vector<std::int64_t>
@@ -947,77 +957,58 @@ SealLite::keySwitch(const RnsPoly& poly, const KeySwitchKey& key,
     const int n = params_.n;
     std::vector<std::uint32_t> digit =
         arena_.acquire(static_cast<std::size_t>(n));
-    std::vector<std::uint32_t> transformed =
-        arena_.acquire(static_cast<std::size_t>(n));
-    // NTT-domain accumulators: pointwise products are summed (fully
-    // reduced) across every (prime, digit) pair, and each prime pays for
-    // ONE inverse transform per output component at the end — the
-    // inverse NTT is exactly linear mod p, so this is bit-identical to
-    // the seed's inverse-per-digit path while doing k inverses instead
-    // of k * digits * k.
-    std::vector<std::uint32_t> acc0 =
-        arena_.acquireZeroed(static_cast<std::size_t>(k) * n);
-    std::vector<std::uint32_t> acc1 =
-        arena_.acquireZeroed(static_cast<std::size_t>(k) * n);
-    bool any_digit = false;
-    for (int i = 0; i < k; ++i) {
-        const std::uint32_t* residues = poly.component(i);
-        for (int d = 0; d < digits; ++d) {
-            // Base-2^w digit of the i-th residue polynomial. With
-            // w = prime_bits a digit can exceed a smaller prime p_j, but
-            // it stays below 2^w <= 2^prime_bits < 2p_j, inside the
-            // 32-bit transform's [0, 2p) input domain, so the RNS lift
-            // is a plain copy shared across components.
-            const int shift = d * params_.decomp_bits;
-            std::uint32_t* dg = digit.data();
-            bool nonzero = false;
-            for (int x = 0; x < n; ++x) {
-                const std::uint32_t v = (residues[x] >> shift) & mask;
-                dg[x] = v;
-                nonzero = nonzero || v != 0;
-            }
-            if (!nonzero) continue;
-            any_digit = true;
-            const std::size_t idx =
-                static_cast<std::size_t>(i) * digits + d;
-            // One forward transform of the digit per prime serves both
-            // key components (the seed path re-transformed it for each).
-            for (int j = 0; j < k; ++j) {
-                const NttTables& tables = *ntt_[static_cast<std::size_t>(j)];
-                std::copy(digit.begin(), digit.end(), transformed.begin());
-                tables.forward(transformed.data());
-                const std::size_t offset = static_cast<std::size_t>(j) * n;
-                tables.mulAccumulate(acc0.data() + offset,
-                                     transformed.data(),
-                                     key.b[idx].data() + offset);
-                tables.mulAccumulate(acc1.data() + offset,
-                                     transformed.data(),
-                                     key.a[idx].data() + offset);
+    // One prime's two lazy sums, 2n words each. Summing raw products
+    // and reducing once per prime is exact: the sums are reduced fully
+    // before the inverse NTT, which is linear mod p, so the words equal
+    // those of a product reduced term by term.
+    std::vector<std::uint32_t> sums =
+        arena_.acquire(4 * static_cast<std::size_t>(n));
+    std::uint32_t* sums0 = sums.data();
+    std::uint32_t* sums1 = sums0 + 2 * static_cast<std::size_t>(n);
+    for (int j = 0; j < k; ++j) {
+        const NttTables& tables = *ntt_[static_cast<std::size_t>(j)];
+        const std::size_t offset = static_cast<std::size_t>(j) * n;
+        int terms = 0;
+        for (int i = 0; i < k; ++i) {
+            const std::uint32_t* residues = poly.component(i);
+            for (int d = 0; d < digits; ++d) {
+                // Base-2^w digit of the i-th residue polynomial, straight
+                // into the transform buffer. With w = prime_bits a digit
+                // can exceed a smaller prime p_j, but it stays below
+                // 2^w <= 2^prime_bits < 2p_j, inside the transform's
+                // [0, 2p) input domain, so the RNS lift is the digit
+                // itself. An all-zero digit adds nothing.
+                const int shift = d * params_.decomp_bits;
+                std::uint32_t any = 0;
+                for (int x = 0; x < n; ++x) {
+                    const std::uint32_t v = (residues[x] >> shift) & mask;
+                    digit[static_cast<std::size_t>(x)] = v;
+                    any |= v;
+                }
+                if (any == 0) continue;
+                tables.forward(digit.data());
+                const std::size_t idx =
+                    static_cast<std::size_t>(i) * digits + d;
+                terms = tables.accumulateProducts(
+                    sums0, sums1, terms, digit.data(),
+                    key.b[idx].data() + offset, key.a[idx].data() + offset);
             }
         }
-    }
-    if (any_digit) {
-        for (int j = 0; j < k; ++j) {
-            const std::uint64_t p = primes_[static_cast<std::size_t>(j)];
-            const NttTables& tables = *ntt_[static_cast<std::size_t>(j)];
-            std::uint32_t* a0 =
-                acc0.data() + static_cast<std::size_t>(j) * n;
-            std::uint32_t* a1 =
-                acc1.data() + static_cast<std::size_t>(j) * n;
-            tables.inverse(a0);
-            tables.inverse(a1);
-            std::uint32_t* dst0 = delta_c0.component(j);
-            std::uint32_t* dst1 = delta_c1.component(j);
-            for (int x = 0; x < n; ++x) {
-                dst0[x] = static_cast<std::uint32_t>(addMod(dst0[x], a0[x], p));
-                dst1[x] = static_cast<std::uint32_t>(addMod(dst1[x], a1[x], p));
-            }
+        // Every digit was zero: nothing to add at any prime.
+        if (terms == 0) break;
+        tables.reduceSums(sums0, sums1);
+        tables.inverse(sums0);
+        tables.inverse(sums1);
+        const auto p = static_cast<std::uint32_t>(tables.modulus());
+        std::uint32_t* dst0 = delta_c0.component(j);
+        std::uint32_t* dst1 = delta_c1.component(j);
+        for (int x = 0; x < n; ++x) {
+            dst0[x] = csub32(dst0[x] + sums0[x], p);
+            dst1[x] = csub32(dst1[x] + sums1[x], p);
         }
     }
     arena_.release(std::move(digit));
-    arena_.release(std::move(transformed));
-    arena_.release(std::move(acc0));
-    arena_.release(std::move(acc1));
+    arena_.release(std::move(sums));
 }
 
 Ciphertext
@@ -1038,9 +1029,7 @@ SealLite::multiply(const Ciphertext& a, const Ciphertext& b) const
     std::vector<std::uint32_t> fb0 =
         arena_.acquire(static_cast<std::size_t>(params_.n));
     for (int i = 0; i < e2.k; ++i) {
-        const std::uint64_t p = primes_[static_cast<std::size_t>(i)];
         const NttTables& tables = *ntt_[static_cast<std::size_t>(i)];
-        const Barrett& reducer = tables.reducer();
         std::uint32_t* x0 = out.c0.component(i);
         std::uint32_t* x1 = out.c1.component(i);
         std::uint32_t* x2 = e2.component(i);
@@ -1050,16 +1039,7 @@ SealLite::multiply(const Ciphertext& a, const Ciphertext& b) const
         tables.forward(x1);
         tables.forward(x2);
         tables.forward(fb0.data());
-        for (int j = 0; j < params_.n; ++j) {
-            const std::uint64_t a0 = x0[j];
-            const std::uint64_t b1 = x1[j];
-            const std::uint64_t a1 = x2[j];
-            const std::uint64_t b0 = fb0[static_cast<std::size_t>(j)];
-            x0[j] = static_cast<std::uint32_t>(reducer.mulMod(a0, b0));
-            x1[j] = static_cast<std::uint32_t>(addMod(
-                reducer.mulMod(a0, b1), reducer.mulMod(a1, b0), p));
-            x2[j] = static_cast<std::uint32_t>(reducer.mulMod(a1, b1));
-        }
+        tables.tensor(x0, x2, fb0.data(), x1);
         tables.inverse(x0);
         tables.inverse(x1);
         tables.inverse(x2);
@@ -1138,20 +1118,7 @@ SealLite::rotate(const Ciphertext& a, int step) const
 int
 SealLite::noiseBudgetBits(const Ciphertext& ct) const
 {
-    RnsPoly v = decryptionPhase(ct);
-    const LevelTables& tab =
-        level_tables_[static_cast<std::size_t>(v.k) - 1];
-
-    // The magnitude of the centered lift is min(value, q - value), i.e.
-    // q - value exactly for the upper half (q is odd).
-    int max_bits = 0;
-    for (int j = 0; j < params_.n; ++j) {
-        Recomposed c = recomposeCoeff(v, j);
-        if (c.upper) subtractLimbs(tab.q, c.value, c.value, tab.limbs);
-        max_bits = std::max(max_bits, bitLengthLimbs(c.value, tab.limbs));
-    }
-    recycle(std::move(v));
-    return (tab.q_bits - 1) - max_bits;
+    return readout(ct).budget;
 }
 
 int

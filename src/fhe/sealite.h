@@ -119,7 +119,7 @@ struct RnsPoly
 /// A polynomial cached in per-prime NTT (evaluation) form with a 32-bit
 /// Shoup companion ⌊w·2^32/p⌋ per slot: multiplying a variable
 /// coefficient-form operand against a cached form costs one forward +
-/// pointwise mulModShoup32 + one inverse (the secret and repeated
+/// NttTables::pointwiseShoup + one inverse (the secret and repeated
 /// plaintext constants qualify). Always built at the full level; a
 /// level-k consumer reads the first k components (RNS primes are
 /// independent).
@@ -224,21 +224,28 @@ class SealLite
     std::vector<std::vector<std::int64_t>>
     decodeLanes(const Plaintext& plain, int lane_stride, int width,
                 int num_lanes, int first_lane = 0) const;
-    /// Decrypt, then decodeLanes.
-    std::vector<std::vector<std::int64_t>>
-    decryptLanes(const Ciphertext& ct, int lane_stride, int width,
-                 int num_lanes, int first_lane = 0) const;
     /// @}
 
     /// \name Encryption
     /// @{
     Ciphertext encrypt(const Plaintext& plain);
+    /// What decryption reads off a ciphertext: its plaintext and its
+    /// remaining noise budget (see noiseBudgetBits).
+    struct Readout
+    {
+        Plaintext plain;
+        int budget = 0;
+    };
+    /// The one readout loop: the phase is computed once and each
+    /// coefficient recomposed once, for both the plaintext and the
+    /// budget. decryptPlain and noiseBudgetBits return its parts.
+    Readout readout(const Ciphertext& ct) const;
     Plaintext decryptPlain(const Ciphertext& ct) const;
     std::vector<std::int64_t> decrypt(const Ciphertext& ct) const;
-    /// The phase c0 + c1·s mod q at ct's level, which decryptPlain and
-    /// noiseBudgetBits recompose coefficient by coefficient (exposed
-    /// for noise analysis and the differential tests). Arena-backed:
-    /// hand it back with recycle().
+    /// The phase c0 + c1·s mod q at ct's level, which readout
+    /// recomposes coefficient by coefficient (exposed for noise
+    /// analysis and the differential tests). Arena-backed: hand it back
+    /// with recycle().
     RnsPoly decryptionPhase(const Ciphertext& ct) const;
     /// @}
 
@@ -255,7 +262,8 @@ class SealLite
     /// Ciphertext-ciphertext multiply with relinearization. The tensor
     /// product forward-transforms each of a.c0, a.c1, b.c0, b.c1 once
     /// per prime, forms e0 = A0·B0, e1 = A0·B1 + A1·B0 and e2 = A1·B1
-    /// pointwise, and inverse-transforms each once: 4 + 3 NTTs per prime.
+    /// pointwise in one pass (NttTables::tensor), and inverse-transforms
+    /// each once: 4 + 3 NTTs per prime.
     Ciphertext multiply(const Ciphertext& a, const Ciphertext& b) const;
     /// Cyclic left rotation of the batching row by \p step slots
     /// (negative = right). Requires the matching Galois key.
@@ -312,13 +320,19 @@ class SealLite
     void makeGaloisKeys(const std::vector<int>& steps);
     bool hasGaloisKey(int step) const;
     int numGaloisKeys() const { return static_cast<int>(galois_keys_.size()); }
+    /// Apply x -> x^galois_element (odd, below 2n) to every RNS
+    /// component: coefficient j moves to (j·g) mod 2n, negated when that
+    /// index is n or above (x^n = -1). Exposed for the differential
+    /// tests; arena-backed.
+    RnsPoly applyAutomorphism(const RnsPoly& a,
+                              std::uint64_t galois_element) const;
     /// @}
 
     /// \name Noise measurement (App. H.1)
     /// @{
     /// Remaining invariant noise budget in bits, measured against the
     /// ciphertext's *current* coefficient modulus (<= 0 means
-    /// decryption is no longer guaranteed).
+    /// decryption is no longer guaranteed). readout(ct).budget.
     int noiseBudgetBits(const Ciphertext& ct) const;
     /// Budget of a fresh encryption under these parameters.
     int freshNoiseBudget();
@@ -336,10 +350,11 @@ class SealLite
         // the full-level NTT form, prime-major (k * n words): the
         // transformed key poly's own 32-bit data, with no Shoup
         // companions. Key switching multiplies them against freshly
-        // transformed 32-bit digits, both operands below p, with
-        // NttTables::mulAccumulate (an 8-lane Barrett product where the
-        // vector kernel applies). A Galois key at n = 4096 with six
-        // primes and two digits is 2.4 MB.
+        // transformed 32-bit digits, both operands below p, into lazy
+        // 64-bit sums (NttTables::accumulateProducts: one pass per
+        // digit feeds both entries, in 8 lanes where the vector kernel
+        // applies). A Galois key at n = 4096 with six primes and two
+        // digits is 2.4 MB.
         std::vector<std::vector<std::uint32_t>> b;
         std::vector<std::vector<std::uint32_t>> a;
     };
@@ -392,15 +407,12 @@ class SealLite
     /// Negacyclic product against a cached NTT form into a fresh poly
     /// at a's level: clonePoly + mulPolyNttInPlace.
     RnsPoly mulPolyNtt(const RnsPoly& a, const NttForm& b) const;
-    /// The product written back into \p a's own buffer: one forward, n
-    /// 32-bit Shoup pointwise multiplies, one inverse per prime (the
-    /// form is full-level).
+    /// The product written back into \p a's own buffer: one forward,
+    /// NttTables::pointwiseShoup (8 lanes where the kernel applies), one
+    /// inverse per prime (the form is full-level).
     void mulPolyNttInPlace(RnsPoly& a, const NttForm& b) const;
     /// Transform \p a (full level) into cached NTT form.
     NttForm toNttForm(const RnsPoly& a) const;
-    /// Apply x -> x^galois_element to every RNS component.
-    RnsPoly applyAutomorphism(const RnsPoly& a,
-                              std::uint64_t galois_element) const;
 
     /// Lift a plaintext (mod t) into RNS form at level \p k (0 = full).
     RnsPoly liftPlain(const Plaintext& plain, int k = 0) const;
@@ -427,12 +439,14 @@ class SealLite
     /// target) onto (delta_c0, delta_c1). Operates at poly's level: only
     /// the first poly.k primes' digits and key components participate
     /// (valid because the full-level CRT basis T_i reduces to the
-    /// level-k basis mod the surviving primes). Each digit is extracted
-    /// from the 32-bit residues, forward-transformed once per prime, and
-    /// multiply-accumulated against both key components into fully
-    /// reduced accumulators, which take one inverse per prime per output
-    /// component and add straight into the deltas' words. Its digit,
-    /// transform and accumulator buffers come from arena_.
+    /// level-k basis mod the surviving primes). Prime-major: for each
+    /// output prime, every nonzero digit is extracted from the 32-bit
+    /// residues straight into the transform buffer, forward-transformed,
+    /// and its raw products with both key components added to two lazy
+    /// 64-bit sums in one pass (NttTables::accumulateProducts, which
+    /// reduces early past lazyTerms()). Each prime's sums are reduced
+    /// once, take one inverse per output component and add into the
+    /// deltas' words. Its digit and sum buffers come from arena_.
     void keySwitch(const RnsPoly& poly, const KeySwitchKey& key,
                    RnsPoly& delta_c0, RnsPoly& delta_c1) const;
 

@@ -6,11 +6,13 @@
 /// smaller prime), for 30- and 31-bit primes and t = 65537 at n from 1
 /// to 32768, and both paths meet an O(n^2) evaluation reference at small
 /// n. The std::uint64_t* adapters take [0, 4p) and must agree with the
-/// 32-bit entries. The kernel's Barrett multiply-accumulate is pinned
-/// against the scalar Barrett::mulMod. Also pins two table contracts:
-/// n^-1 mod p is memoized in the shared table cache (no repeated
-/// inversions or root searches per transform), and NttTables' p < 2^31
-/// precondition aborts instead of silently overflowing.
+/// 32-bit entries. The pointwise entries are pinned against scalar
+/// references with SIMD on and off: the key switch's lazy sums and the
+/// tensor product against Barrett::mulMod one product at a time, and
+/// the Shoup product against a 128-bit mulMod. Also pins two table
+/// contracts: n^-1 mod p is memoized in the shared table cache (no
+/// repeated inversions or root searches per transform), and NttTables'
+/// p < 2^31 precondition aborts instead of silently overflowing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -358,46 +360,128 @@ TEST_F(NttSimdTest, Word32EntriesMatchQuadraticEvaluation)
     }
 }
 
-TEST_F(NttSimdTest, MulAccumulateMatchesScalarBarrett)
+TEST_F(NttSimdTest, AccumulateProductsMatchesScalarBarrett)
 {
+    // The key switch's lazy sums against products reduced one by one,
+    // for exactly lazyTerms() terms (the sums fill up) and for three
+    // past it (the early reduction runs, then three more products). A
+    // leading block of p - 1 in every operand puts the largest
+    // product, (p - 1)^2, into every term there, so a sum that held one
+    // term too many would wrap past 2^64.
     Rng rng(34);
     for (const std::uint64_t p : {findNttPrimes(30, 1, 1 << 16)[0],
                                   findNttPrimes(31, 1, 1 << 16)[0]}) {
         const Barrett barrett(p);
-        for (const int n : {16, 4096}) {
+        for (const int n : {8, 16, 4096}) {
             const NttTables tables(n, p);
-            const auto x = edgeMix(rng, n, p, {});
-            auto y = edgeMix(rng, n, p, {});
-            // Shift y against x so edge meets edge and uniform alike.
-            std::rotate(y.begin(), y.begin() + 1, y.end());
-            const auto acc = edgeMix(rng, n, p, {});
-            std::vector<std::uint64_t> want(acc.size());
-            for (std::size_t i = 0; i < want.size(); ++i) {
-                want[i] = addMod(acc[i], barrett.mulMod(x[i], y[i]), p);
-            }
-            const auto x32 = words32(x);
-            const auto y32 = words32(y);
-            for (const bool simd : {false, true}) {
-                SCOPED_TRACE("p=" + std::to_string(p) +
-                             " n=" + std::to_string(n) +
-                             " simd=" + std::to_string(simd));
-                setSimdEnabled(simd);
-                auto got = words32(acc);
-                tables.mulAccumulate(got.data(), x32.data(), y32.data());
-                ASSERT_EQ(words64(got), want);
+            const int bound = tables.lazyTerms();
+            ASSERT_EQ(static_cast<std::uint64_t>(bound),
+                      ~std::uint64_t{0} / ((p - 1) * (p - 1)));
+            for (const int count : {bound, bound + 3}) {
+                std::vector<std::vector<std::uint32_t>> x, y0, y1;
+                std::vector<std::uint64_t> want0(
+                    static_cast<std::size_t>(n));
+                std::vector<std::uint64_t> want1(want0.size());
+                for (int term = 0; term < count; ++term) {
+                    auto a = edgeMix(rng, n, p, {});
+                    auto b = edgeMix(rng, n, p, {});
+                    auto c = edgeMix(rng, n, p, {});
+                    // Shift the operands against each other so edge
+                    // meets edge and uniform alike.
+                    std::rotate(b.begin(), b.begin() + term % 5, b.end());
+                    std::rotate(c.begin(), c.begin() + term % 7, c.end());
+                    for (int i = 0; i < 8; ++i) a[i] = b[i] = c[i] = p - 1;
+                    for (std::size_t i = 0; i < want0.size(); ++i) {
+                        want0[i] =
+                            addMod(want0[i], barrett.mulMod(a[i], b[i]), p);
+                        want1[i] =
+                            addMod(want1[i], barrett.mulMod(a[i], c[i]), p);
+                    }
+                    x.push_back(words32(a));
+                    y0.push_back(words32(b));
+                    y1.push_back(words32(c));
+                }
+                for (const bool simd : {false, true}) {
+                    SCOPED_TRACE("p=" + std::to_string(p) +
+                                 " n=" + std::to_string(n) +
+                                 " terms=" + std::to_string(count) +
+                                 " simd=" + std::to_string(simd));
+                    setSimdEnabled(simd);
+                    // Garbage in the buffer: the first term overwrites.
+                    std::vector<std::uint32_t> sums(
+                        4 * static_cast<std::size_t>(n), 0xdeadbeef);
+                    std::uint32_t* sums0 = sums.data();
+                    std::uint32_t* sums1 = sums0 + 2 * n;
+                    int terms = 0;
+                    for (int term = 0; term < count; ++term) {
+                        terms = tables.accumulateProducts(
+                            sums0, sums1, terms, x[term].data(),
+                            y0[term].data(), y1[term].data());
+                    }
+                    EXPECT_EQ(terms,
+                              count <= bound ? count : count - bound + 1);
+                    tables.reduceSums(sums0, sums1);
+                    ASSERT_EQ(words64(std::vector<std::uint32_t>(
+                                  sums0, sums0 + n)),
+                              want0);
+                    ASSERT_EQ(words64(std::vector<std::uint32_t>(
+                                  sums1, sums1 + n)),
+                              want1);
+                }
             }
         }
     }
 }
 
-TEST_F(NttSimdTest, MulAccumulateTakesBothBarrettSubtracts)
+TEST_F(NttSimdTest, TensorMatchesScalarBarrett)
+{
+    Rng rng(35);
+    for (const std::uint64_t p : {findNttPrimes(30, 1, 1 << 16)[0],
+                                  findNttPrimes(31, 1, 1 << 16)[0]}) {
+        const Barrett barrett(p);
+        for (const int n : {8, 16, 4096}) {
+            const NttTables tables(n, p);
+            const auto a0 = edgeMix(rng, n, p, {});
+            auto a1 = edgeMix(rng, n, p, {});
+            auto b0 = edgeMix(rng, n, p, {});
+            auto b1 = edgeMix(rng, n, p, {});
+            std::rotate(a1.begin(), a1.begin() + 1, a1.end());
+            std::rotate(b0.begin(), b0.begin() + 2, b0.end());
+            std::rotate(b1.begin(), b1.begin() + 3, b1.end());
+            std::vector<std::uint64_t> e0(a0.size()), e1(a0.size()),
+                e2(a0.size());
+            for (std::size_t i = 0; i < a0.size(); ++i) {
+                e0[i] = barrett.mulMod(a0[i], b0[i]);
+                e1[i] = addMod(barrett.mulMod(a0[i], b1[i]),
+                               barrett.mulMod(a1[i], b0[i]), p);
+                e2[i] = barrett.mulMod(a1[i], b1[i]);
+            }
+            for (const bool simd : {false, true}) {
+                SCOPED_TRACE("p=" + std::to_string(p) +
+                             " n=" + std::to_string(n) +
+                             " simd=" + std::to_string(simd));
+                setSimdEnabled(simd);
+                auto x0 = words32(a0);
+                auto x1 = words32(a1);
+                auto y1 = words32(b1);
+                tables.tensor(x0.data(), x1.data(), words32(b0).data(),
+                              y1.data());
+                ASSERT_EQ(words64(x0), e0);
+                ASSERT_EQ(words64(y1), e1);
+                ASSERT_EQ(words64(x1), e2);
+            }
+        }
+    }
+}
+
+TEST_F(NttSimdTest, TensorTakesBothBarrettSubtracts)
 {
     // The lane Barrett quotient undershoots x·y / p by two only for
     // rare operands; these pairs (found by search, one in ~20000 near
     // p) leave a remainder in [2p, 3p), so a kernel that subtracts p
-    // once fails here. Primes just above 2^(s-1), ≡ 1 (mod 32). The
-    // accumulator starts at p - 1 so the final add's own subtract
-    // cannot mask a missing one.
+    // once fails here. Primes just above 2^(s-1), ≡ 1 (mod 32). With
+    // a0 = a1 = x and b0 = b1 = y, e0 and e2 are the bare product, which
+    // no later add's subtract can mask.
     struct Case
     {
         std::uint64_t p, x, y;
@@ -406,17 +490,54 @@ TEST_F(NttSimdTest, MulAccumulateTakesBothBarrettSubtracts)
                           Case{1073745121, 969810776, 925953595}}) {
         const int n = 16;
         const NttTables tables(n, c.p);
-        const std::uint64_t want =
-            addMod(c.p - 1, Barrett(c.p).mulMod(c.x, c.y), c.p);
-        const std::vector<std::uint32_t> x(n, static_cast<std::uint32_t>(c.x));
-        const std::vector<std::uint32_t> y(n, static_cast<std::uint32_t>(c.y));
+        const Barrett barrett(c.p);
+        const std::uint64_t product = barrett.mulMod(c.x, c.y);
+        const std::uint64_t twice = addMod(product, product, c.p);
         for (const bool simd : {false, true}) {
             setSimdEnabled(simd);
-            std::vector<std::uint32_t> acc(
-                n, static_cast<std::uint32_t>(c.p - 1));
-            tables.mulAccumulate(acc.data(), x.data(), y.data());
-            for (const std::uint32_t word : acc) {
-                ASSERT_EQ(word, want) << "p=" << c.p << " simd=" << simd;
+            std::vector<std::uint32_t> a0(
+                n, static_cast<std::uint32_t>(c.x));
+            std::vector<std::uint32_t> a1 = a0;
+            const std::vector<std::uint32_t> b0(
+                n, static_cast<std::uint32_t>(c.y));
+            std::vector<std::uint32_t> b1 = b0;
+            tables.tensor(a0.data(), a1.data(), b0.data(), b1.data());
+            for (int i = 0; i < n; ++i) {
+                ASSERT_EQ(a0[i], product) << "p=" << c.p << " simd=" << simd;
+                ASSERT_EQ(b1[i], twice) << "p=" << c.p << " simd=" << simd;
+                ASSERT_EQ(a1[i], product) << "p=" << c.p << " simd=" << simd;
+            }
+        }
+    }
+}
+
+TEST_F(NttSimdTest, PointwiseShoupMatchesModularProduct)
+{
+    // x may be any 32-bit word (a transform's [0, 2p) leg or beyond);
+    // w is a cached form's word in [0, p) with its Shoup companion.
+    Rng rng(36);
+    for (const std::uint64_t p : {findNttPrimes(30, 1, 1 << 16)[0],
+                                  findNttPrimes(31, 1, 1 << 16)[0]}) {
+        for (const int n : {8, 16, 4096}) {
+            const NttTables tables(n, p);
+            const auto x = edgeMix(rng, n, p, {p, 2 * p - 1, 0xffffffff});
+            auto w = edgeMix(rng, n, p, {});
+            std::rotate(w.begin(), w.begin() + 1, w.end());
+            std::vector<std::uint32_t> ws(w.size());
+            std::vector<std::uint64_t> want(w.size());
+            for (std::size_t i = 0; i < w.size(); ++i) {
+                ws[i] = shoupPrecompute32(w[i], p);
+                want[i] = mulMod(x[i], w[i], p);
+            }
+            const auto w32 = words32(w);
+            for (const bool simd : {false, true}) {
+                SCOPED_TRACE("p=" + std::to_string(p) +
+                             " n=" + std::to_string(n) +
+                             " simd=" + std::to_string(simd));
+                setSimdEnabled(simd);
+                auto got = words32(x);
+                tables.pointwiseShoup(got.data(), w32.data(), ws.data());
+                ASSERT_EQ(words64(got), want);
             }
         }
     }

@@ -749,6 +749,125 @@ TEST(SealLiteDifferentialTest, DecryptionMatchesBigIntOnBoundaryPhases)
     expectDecryptionMatchesAtEveryLevel(s, ct);
 }
 
+/// readout() against the reference at every level from \p ct's down to
+/// 1, with SIMD on and off.
+void
+expectReadoutMatchesAtEveryLevel(const SealLite& s, const Ciphertext& ct)
+{
+    const SimdRestore restore;
+    Ciphertext at_level = s.clone(ct);
+    for (int level = s.level(ct); level >= 1; --level) {
+        SCOPED_TRACE("level " + std::to_string(level));
+        s.modSwitchTo(at_level, level);
+        const ReferenceDecryption want = referenceDecrypt(s, at_level);
+        for (bool simd : {true, false}) {
+            setSimdEnabled(simd);
+            const SealLite::Readout got = s.readout(at_level);
+            EXPECT_EQ(got.plain.coeffs, want.plain) << simd;
+            EXPECT_EQ(got.budget, want.budget) << simd;
+        }
+    }
+}
+
+TEST(SealLiteDifferentialTest, ReadoutMatchesBigIntOnFreshMultipliedAndExhausted)
+{
+    // The one-pass readout's plaintext and budget both come from one
+    // recomposition per coefficient; each must equal the BigInt
+    // reference's on a fresh, a once-multiplied and a budget-exhausted
+    // ciphertext, at every level.
+    for (const RingCase& ring : ringCases()) {
+        for (const int prime_count : {3, 6}) {
+            SCOPED_TRACE("n=" + std::to_string(ring.n) + " t=" +
+                         std::to_string(ring.t) +
+                         " k=" + std::to_string(prime_count));
+            SealLite s(ringParams(ring, prime_count));
+            Rng rng(static_cast<std::uint64_t>(prime_count) * 11 + ring.t);
+            const auto row = [&] {
+                std::vector<std::int64_t> values(
+                    static_cast<std::size_t>(s.slots()));
+                for (std::int64_t& v : values) {
+                    v = rng.uniformRange(
+                        0, static_cast<std::int64_t>(ring.t) - 1);
+                }
+                return values;
+            };
+            const Ciphertext fresh = s.encrypt(s.encode(row()));
+            const Ciphertext other = s.encrypt(s.encode(row()));
+            expectReadoutMatchesAtEveryLevel(s, fresh);
+            const Ciphertext product = s.multiply(fresh, other);
+            expectReadoutMatchesAtEveryLevel(s, product);
+            Ciphertext exhausted = s.clone(product);
+            int squarings = 0;
+            while (s.readout(exhausted).budget > 0 && squarings < 16) {
+                exhausted = s.multiply(exhausted, exhausted);
+                ++squarings;
+            }
+            exhausted = s.multiply(exhausted, exhausted);
+            ASSERT_EQ(s.readout(exhausted).budget, 0);
+            expectReadoutMatchesAtEveryLevel(s, exhausted);
+        }
+    }
+}
+
+// -- differential: masked automorphism vs. the division-and-branch map -------
+
+/// The automorphism with a 64-bit `%` and a negate branch per word, as
+/// SealLite computed it before the mask: the word-level reference.
+RnsPoly
+referenceAutomorphism(const SealLite& s, const RnsPoly& a, std::uint64_t g)
+{
+    RnsPoly out = a;
+    const auto two_n = static_cast<std::uint64_t>(2 * a.n);
+    for (int i = 0; i < a.k; ++i) {
+        const auto p = static_cast<std::uint32_t>(
+            s.primeChain()[static_cast<std::size_t>(i)]);
+        const std::uint32_t* x = a.component(i);
+        std::uint32_t* y = out.component(i);
+        for (int j = 0; j < a.n; ++j) {
+            const std::uint64_t raw =
+                (static_cast<std::uint64_t>(j) * g) % two_n;
+            if (raw < static_cast<std::uint64_t>(a.n)) {
+                y[raw] = x[j];
+            } else {
+                y[raw - a.n] = x[j] == 0 ? 0 : p - x[j];
+            }
+        }
+    }
+    return out;
+}
+
+TEST(SealLiteDifferentialTest, AutomorphismMatchesDivisionReference)
+{
+    // Every odd g below 2n: the row's rotations 3^s and their
+    // conjugates 2n - 3^s, i.e. the whole Galois group. A third of the
+    // input words are 0 (whose negation must stay 0) and a sixth p - 1.
+    for (const RingCase ring :
+         {RingCase{8, 17}, RingCase{16, 97}, RingCase{1024, 65537}}) {
+        SCOPED_TRACE("n=" + std::to_string(ring.n));
+        const SealLite s(ringParams(ring, 3));
+        Rng rng(static_cast<std::uint64_t>(ring.n));
+        RnsPoly input;
+        input.k = s.levels();
+        input.n = ring.n;
+        input.data.resize(static_cast<std::size_t>(input.k) * ring.n);
+        for (int i = 0; i < input.k; ++i) {
+            const std::uint64_t p = s.primeChain()[static_cast<std::size_t>(i)];
+            for (int j = 0; j < ring.n; ++j) {
+                const int slot = (j + i) % 6;
+                input.component(i)[j] = static_cast<std::uint32_t>(
+                    slot < 2 ? 0 : slot == 2 ? p - 1 : rng.uniformInt(p));
+            }
+        }
+        for (std::uint64_t g = 1; g < 2 * static_cast<std::uint64_t>(ring.n);
+             g += 2) {
+            const RnsPoly got = s.applyAutomorphism(input, g);
+            ASSERT_EQ(got.k, input.k);
+            ASSERT_EQ(got.data, referenceAutomorphism(s, input, g).data)
+                << "g=" << g;
+        }
+    }
+}
+
 // -- differential: division-free mod switch vs. the `%`/mulMod drop ----------
 
 /// The mod-switch drop with a `%` or a 128-bit mulMod per coefficient,
@@ -1032,6 +1151,57 @@ TEST(SealLiteGoldenTest, ThirtyOneBitChainIsSimdInvariant)
         for (std::size_t i = 0; i < va.size(); ++i) {
             ASSERT_EQ(product[i], tmod(va[i] * vb[i])) << i;
             ASSERT_EQ(rotated[i], va[(i + 1) % va.size()]) << i;
+        }
+    }
+}
+
+TEST(SealLiteGoldenTest, ThirtyOneBitChainWordsMatchRecordedHashes)
+{
+    // 31-bit primes leave the fused key switch room for only four raw
+    // products per 64-bit sum, so at decomp_bits = 16 (two digits per
+    // prime, eight terms per output prime) its early reduction runs,
+    // and at 31 a digit can exceed a smaller chain prime. Recorded from
+    // the key switch that reduced every product before summing.
+    struct Case
+    {
+        int decomp_bits;
+        /// multiply(a, b), rotate(a, +1), rotate(a, -3).
+        std::array<std::uint64_t, 3> hashes;
+    };
+    const std::vector<Case> cases = {
+        {16, {0x4ac03bb6dd188d2f, 0xab14b0e448c0d3c1, 0x1d5122effed4f109}},
+        {31, {0x5ba5cdb36a4b5d5d, 0x5b855a798adfba99, 0x74c187917fb9d413}},
+    };
+    const SimdRestore restore;
+    for (const Case& golden : cases) {
+        SCOPED_TRACE("decomp_bits=" + std::to_string(golden.decomp_bits));
+        SealLiteParams params;
+        params.n = 1024;
+        params.prime_bits = 31;
+        params.prime_count = 4;
+        params.decomp_bits = golden.decomp_bits;
+        params.seed = 0x31b + static_cast<std::uint64_t>(golden.decomp_bits);
+        SealLite s(params);
+        s.makeGaloisKeys({1, -3});
+        Rng rng(static_cast<std::uint64_t>(golden.decomp_bits));
+        const auto row = [&] {
+            std::vector<std::int64_t> values(
+                static_cast<std::size_t>(s.slots()));
+            for (std::int64_t& v : values) v = rng.uniformRange(0, 65536);
+            return values;
+        };
+        const Ciphertext a = s.encrypt(s.encode(row()));
+        const Ciphertext b = s.encrypt(s.encode(row()));
+        for (bool simd : {true, false}) {
+            SCOPED_TRACE(simd ? "simd on" : "simd off");
+            setSimdEnabled(simd);
+            const std::array<std::uint64_t, 3> got = {
+                wordHash(s.multiply(a, b)), wordHash(s.rotate(a, 1)),
+                wordHash(s.rotate(a, -3))};
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                EXPECT_EQ(got[i], golden.hashes[i])
+                    << "op " << i << ": 0x" << std::hex << got[i];
+            }
         }
     }
 }
