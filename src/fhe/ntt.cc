@@ -358,6 +358,66 @@ NttTables::reduceLazySums(std::uint32_t* sums, bool compact) const
     }
 }
 
+namespace {
+
+/// A two's-complement word of magnitude below \p p, mod p.
+std::uint32_t
+liftSigned(std::uint32_t v, std::uint32_t p)
+{
+    return v + (p & (0U - (v >> 31)));
+}
+
+} // namespace
+
+void
+NttTables::dropCorrection(const std::uint32_t* last, std::uint32_t q_last,
+                          std::uint32_t inv_q_last,
+                          std::uint32_t inv_q_last_shoup,
+                          std::uint32_t* delta0, std::uint32_t* u) const
+{
+    const std::uint32_t t = tables_.p;
+    const std::uint32_t half_ql = q_last / 2;
+    // A multiple of t in [⌊q_last/2⌋, ⌊q_last/2⌋ + t): as |δ0| <=
+    // ⌊q_last/2⌋, offset - δ0 is ≡ -δ0 (mod t) and in [0, q_last + t).
+    const std::uint32_t offset = (half_ql + t - 1) / t * t;
+    if (vectorized()) {
+        simd::dropCorrection(last, q_last, offset, inv_q_last,
+                             inv_q_last_shoup, delta0, u, tables_);
+        return;
+    }
+    for (int i = 0; i < tables_.n; ++i) {
+        const std::uint32_t r = last[i];
+        const std::uint32_t d0 =
+            r - (q_last & (0U - static_cast<std::uint32_t>(r > half_ql)));
+        const std::uint32_t v =
+            mulModShoup32(offset - d0, inv_q_last, inv_q_last_shoup, t);
+        delta0[i] = d0;
+        u[i] = v - (t & (0U - static_cast<std::uint32_t>(v > t / 2)));
+    }
+}
+
+void
+NttTables::dropRescale(std::uint32_t* c, const std::uint32_t* delta0,
+                       const std::uint32_t* u, std::uint32_t q_last_mod,
+                       std::uint32_t q_last_mod_shoup, std::uint32_t factor,
+                       std::uint32_t factor_shoup) const
+{
+    if (vectorized()) {
+        simd::dropRescale(c, delta0, u, q_last_mod, q_last_mod_shoup, factor,
+                          factor_shoup, tables_);
+        return;
+    }
+    const std::uint32_t p = tables_.p;
+    for (int i = 0; i < tables_.n; ++i) {
+        const std::uint32_t d = csub32(
+            liftSigned(delta0[i], p) +
+                mulModShoup32(liftSigned(u[i], p), q_last_mod,
+                              q_last_mod_shoup, p),
+            p);
+        c[i] = mulModShoup32(c[i] - d + p, factor, factor_shoup, p);
+    }
+}
+
 void
 NttTables::forward(std::uint64_t* values) const
 {

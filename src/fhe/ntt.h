@@ -21,7 +21,8 @@
 /// against a cached form, the degree-2 tensor product (lane Barrett),
 /// and the key switch's lazy inner products, which sum raw 64-bit
 /// products and reduce once per prime (Harvey's lazy reduction; SEAL
-/// sums its key-switch products the same way).
+/// sums its key-switch products the same way). The mod-switch drop's
+/// two coefficient-wise passes come the same two ways.
 ///
 /// SealLite calls only the std::uint32_t* entries. The two
 /// std::uint64_t* entries adapt 64-bit words for perfbench's frozen
@@ -95,6 +96,32 @@ class NttTables
     /// Raw products a 64-bit sum holds: ⌊(2^64 - 1)/(p - 1)^2⌋, which is
     /// 16 for 30-bit primes near 2^30 and 4 for 31-bit ones near 2^31.
     int lazyTerms() const { return lazy_terms_; }
+    /// @}
+
+    /// \name The mod-switch drop (SealLite::modSwitchTo)
+    /// Two passes with the same dispatch as the pointwise entries, and
+    /// equal, fully reduced words. Dropping q_last rescales by a
+    /// correction δ ≡ c (mod q_last), δ ≡ 0 (mod t); δ is never formed
+    /// (|δ| reaches q_last·t/2), only its two 32-bit parts.
+    /// @{
+    /// On the tables of t: for i < n, delta0[i] = δ0, the centered
+    /// residue of last[i] mod q_last, and u[i] = -δ0·q_last^-1 mod t,
+    /// centered, both two's-complement words (δ = δ0 + q_last·u).
+    /// \p inv_q_last is q_last^-1 mod t with its Shoup companion.
+    void dropCorrection(const std::uint32_t* last, std::uint32_t q_last,
+                        std::uint32_t inv_q_last,
+                        std::uint32_t inv_q_last_shoup,
+                        std::uint32_t* delta0, std::uint32_t* u) const;
+
+    /// On the tables of a surviving prime p, for i < n:
+    /// c[i] = (c[i] - δ)·factor mod p, with δ mod p built from
+    /// dropCorrection's words as (δ0 mod p) + (q_last mod p)·(u mod p).
+    /// Requires |δ0|, |u| < p (every chain prime exceeds
+    /// 2^(prime_bits-1) > q_last/2, and t < p) and c[i] in [0, p).
+    void dropRescale(std::uint32_t* c, const std::uint32_t* delta0,
+                     const std::uint32_t* u, std::uint32_t q_last_mod,
+                     std::uint32_t q_last_mod_shoup, std::uint32_t factor,
+                     std::uint32_t factor_shoup) const;
     /// @}
 
     /// \name perfbench adapters

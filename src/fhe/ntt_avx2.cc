@@ -24,6 +24,12 @@
 /// odd products with both key entries add into four vectors of 64-bit
 /// sums, and a sum hi·2^32 + lo later reduces as two Shoup products,
 /// hi·(2^32 mod p) and lo·1.
+///
+/// The mod-switch drop's two passes: eight coefficients' centered δ0
+/// and u = -δ0·q_last^-1 mod t (signed compares pick the centered
+/// words, one Shoup product mod t forms u), then per surviving prime
+/// two broadcast Shoup products, q_last·u and the rescale by the
+/// folded factor.
 #include "fhe/ntt_simd.h"
 
 #include "support/error.h"
@@ -480,6 +486,54 @@ reduceSums(std::uint32_t* sums, bool compact, const Tables32& tables)
     }
 }
 
+void
+dropCorrection(const std::uint32_t* last, std::uint32_t q_last,
+               std::uint32_t offset, std::uint32_t inv_q_last,
+               std::uint32_t inv_q_last_shoup, std::uint32_t* delta0,
+               std::uint32_t* u, const Tables32& tables)
+{
+    const Vec t = _mm256_set1_epi32(static_cast<int>(tables.p));
+    const Vec half_t = _mm256_set1_epi32(static_cast<int>(tables.p / 2));
+    const Vec ql = _mm256_set1_epi32(static_cast<int>(q_last));
+    const Vec half_ql = _mm256_set1_epi32(static_cast<int>(q_last / 2));
+    const Vec off = _mm256_set1_epi32(static_cast<int>(offset));
+    const Twiddle inv = broadcast(inv_q_last, inv_q_last_shoup);
+    for (int i = 0; i < tables.n; i += 8) {
+        // Residues below 2^31 compare correctly as signed words.
+        const Vec r = load(last + i);
+        const Vec d0 = _mm256_sub_epi32(
+            r, _mm256_and_si256(_mm256_cmpgt_epi32(r, half_ql), ql));
+        const Vec v = csub(shoup(_mm256_sub_epi32(off, d0), inv, t), t);
+        const Vec upper = _mm256_cmpgt_epi32(v, half_t);
+        store(delta0 + i, d0);
+        store(u + i, _mm256_sub_epi32(v, _mm256_and_si256(upper, t)));
+    }
+}
+
+void
+dropRescale(std::uint32_t* c, const std::uint32_t* delta0,
+            const std::uint32_t* u, std::uint32_t q_last_mod,
+            std::uint32_t q_last_mod_shoup, std::uint32_t factor,
+            std::uint32_t factor_shoup, const Tables32& tables)
+{
+    const Vec p = _mm256_set1_epi32(static_cast<int>(tables.p));
+    const Twiddle ql = broadcast(q_last_mod, q_last_mod_shoup);
+    const Twiddle f = broadcast(factor, factor_shoup);
+    // A negative word's sign mask adds p once.
+    const auto lift = [&](Vec v) {
+        return _mm256_add_epi32(
+            v, _mm256_and_si256(_mm256_srai_epi32(v, 31), p));
+    };
+    for (int i = 0; i < tables.n; i += 8) {
+        const Vec d = csub(
+            _mm256_add_epi32(lift(load(delta0 + i)),
+                             csub(shoup(lift(load(u + i)), ql, p), p)),
+            p);
+        const Vec x = _mm256_add_epi32(_mm256_sub_epi32(load(c + i), d), p);
+        store(c + i, csub(shoup(x, f, p), p));
+    }
+}
+
 } // namespace chehab::fhe::simd
 
 #else // !CHEHAB_HAVE_AVX2
@@ -528,6 +582,22 @@ accumulateProducts(std::uint32_t*, std::uint32_t*, const std::uint32_t*,
 
 void
 reduceSums(std::uint32_t*, bool, const Tables32&)
+{
+    CHEHAB_ASSERT(false, "AVX2 kernels not compiled in");
+}
+
+void
+dropCorrection(const std::uint32_t*, std::uint32_t, std::uint32_t,
+               std::uint32_t, std::uint32_t, std::uint32_t*, std::uint32_t*,
+               const Tables32&)
+{
+    CHEHAB_ASSERT(false, "AVX2 kernels not compiled in");
+}
+
+void
+dropRescale(std::uint32_t*, const std::uint32_t*, const std::uint32_t*,
+            std::uint32_t, std::uint32_t, std::uint32_t, std::uint32_t,
+            const Tables32&)
 {
     CHEHAB_ASSERT(false, "AVX2 kernels not compiled in");
 }

@@ -18,11 +18,12 @@
 /// port to other vector widths meets this one contract.
 ///
 /// The pointwise entries (the Shoup product against a cached form, the
-/// degree-2 tensor product and the key switch's lazy sums) likewise
-/// come in a vector and a scalar version that return equal words: every
-/// result they leave is fully reduced, so how it was reduced cannot
-/// show. Lazy sums are 64-bit words stored as little-endian pairs of
-/// 32-bit words, in blocks of eight coefficients: a block's 16 words
+/// degree-2 tensor product and the key switch's lazy sums) and the
+/// mod-switch drop's two passes likewise come in a vector and a scalar
+/// version that return equal words: every result they leave is fully
+/// reduced, so how it was reduced cannot show. Lazy sums are 64-bit
+/// words stored as little-endian pairs of 32-bit words, in blocks of
+/// eight coefficients: a block's 16 words
 /// hold the sums of coefficients 0, 2, 4, 6 and then 1, 3, 5, 7, the
 /// order in which _mm256_mul_epu32 forms a vector's even and odd
 /// products. The scalar path keeps the same layout.
@@ -95,5 +96,27 @@ void accumulateProducts(std::uint32_t* sums0, std::uint32_t* sums1,
 /// the same layout, or with \p compact as n fully reduced 32-bit words
 /// in natural order at the front of the buffer.
 void reduceSums(std::uint32_t* sums, bool compact, const Tables32& tables);
+
+/// The mod-switch drop's first pass, on the tables of t = tables.p:
+/// for i < n, delta0[i] = the centered residue δ0 of last[i] mod
+/// q_last and u[i] = -δ0·q_last^-1 mod t, centered, both as
+/// two's-complement words. u is one Shoup product on offset - δ0: with
+/// offset a multiple of t in [⌊q_last/2⌋, ⌊q_last/2⌋ + t), that word is
+/// ≡ -δ0 (mod t) and lies in [0, q_last + t), below 2^32 for q_last
+/// and t below 2^31.
+void dropCorrection(const std::uint32_t* last, std::uint32_t q_last,
+                    std::uint32_t offset, std::uint32_t inv_q_last,
+                    std::uint32_t inv_q_last_shoup, std::uint32_t* delta0,
+                    std::uint32_t* u, const Tables32& tables);
+
+/// The drop's pass over one surviving prime p: for i < n,
+/// δ mod p = (δ0 mod p) + (q_last mod p)·(u mod p), both terms lifted
+/// from their two's-complement words (|δ0|, |u| < p), then
+/// c[i] = (c[i] - δ)·factor mod p as one Shoup product on
+/// c - δ + p < 2p. Fully reduced.
+void dropRescale(std::uint32_t* c, const std::uint32_t* delta0,
+                 const std::uint32_t* u, std::uint32_t q_last_mod,
+                 std::uint32_t q_last_mod_shoup, std::uint32_t factor,
+                 std::uint32_t factor_shoup, const Tables32& tables);
 
 } // namespace chehab::fhe::simd

@@ -27,18 +27,6 @@ validated(SealLiteParams params)
     return params;
 }
 
-/// v mod p for any signed 64-bit v, without a division or a branch:
-/// Barrett reduces v's two's-complement word, which is v + 2^64 when v
-/// is negative, and subtracting 2^64 mod p = 2^64 - ratio·p undoes that.
-std::uint64_t
-reduceSigned(std::int64_t v, const Barrett& reducer)
-{
-    const std::uint64_t r = reducer.reduce(static_cast<std::uint64_t>(v));
-    const std::uint64_t wrap =
-        v < 0 ? std::uint64_t{0} - reducer.ratio * reducer.modulus : 0;
-    return subMod(r, wrap, reducer.modulus);
-}
-
 } // namespace
 
 std::string
@@ -145,10 +133,13 @@ SealLite::SealLite(SealLiteParams params)
 
     // Modulus-switch constants for dropping prime index l (level l+1
     // -> l): q_l^{-1} mod t for the δ construction, and per surviving
-    // prime the rescale factor q_l^{-1} folded with the centered scalar
-    // φ ≡ q_l (mod t) that restores the plaintext scaling (see header).
+    // prime q_l mod q_i (δ's second part) and the rescale factor
+    // q_l^{-1} folded with the centered scalar φ ≡ q_l (mod t) that
+    // restores the plaintext scaling (see header).
     inv_prime_mod_t_.assign(primes_.size(), 0);
     inv_prime_mod_t_shoup_.assign(primes_.size(), 0);
+    switch_prime_mod_.resize(primes_.size());
+    switch_prime_mod_shoup_.resize(primes_.size());
     switch_factor_.resize(primes_.size());
     switch_factor_shoup_.resize(primes_.size());
     for (std::size_t l = 1; l < primes_.size(); ++l) {
@@ -160,18 +151,19 @@ SealLite::SealLite(SealLiteParams params)
         inv_prime_mod_t_shoup_[l] = shoupPrecompute32(inv_ql_t, t);
         const bool phi_negative = ql_mod_t > t / 2;
         const std::uint64_t phi_abs = phi_negative ? t - ql_mod_t : ql_mod_t;
-        auto& factors = switch_factor_[l];
-        auto& factors_shoup = switch_factor_shoup_[l];
-        factors.resize(l);
-        factors_shoup.resize(l);
         for (std::size_t i = 0; i < l; ++i) {
             const std::uint64_t qi = primes_[i];
-            const std::uint64_t inv_ql = invMod(ql % qi, qi);
+            const std::uint64_t ql_mod_qi = ql % qi;
+            switch_prime_mod_[l].push_back(
+                static_cast<std::uint32_t>(ql_mod_qi));
+            switch_prime_mod_shoup_[l].push_back(
+                shoupPrecompute32(ql_mod_qi, qi));
             std::uint64_t phi_mod = phi_abs % qi;
             if (phi_negative && phi_mod != 0) phi_mod = qi - phi_mod;
-            const std::uint64_t factor = mulMod(inv_ql, phi_mod, qi);
-            factors[i] = static_cast<std::uint32_t>(factor);
-            factors_shoup[i] = shoupPrecompute32(factor, qi);
+            const std::uint64_t factor =
+                mulMod(invMod(ql_mod_qi, qi), phi_mod, qi);
+            switch_factor_[l].push_back(static_cast<std::uint32_t>(factor));
+            switch_factor_shoup_[l].push_back(shoupPrecompute32(factor, qi));
         }
     }
 
@@ -297,17 +289,22 @@ SealLite::sampleError()
     return coeffs;
 }
 
+// Residues are below p < 2^31, so x + y and x - y + p stay inside a
+// word, and one conditional subtract fully reduces each. The word
+// loops read n from a local: a store through a 32-bit word pointer
+// may alias the poly's int fields, which would stop vectorization.
+
 void
 SealLite::addInPlace(RnsPoly& a, const RnsPoly& b) const
 {
     CHEHAB_ASSERT(a.k == b.k, "RNS add across mismatched levels");
+    const int n = a.n;
     for (int i = 0; i < a.k; ++i) {
-        const std::uint64_t p = primes_[static_cast<std::size_t>(i)];
+        const auto p = static_cast<std::uint32_t>(
+            primes_[static_cast<std::size_t>(i)]);
         std::uint32_t* x = a.component(i);
         const std::uint32_t* y = b.component(i);
-        for (int j = 0; j < a.n; ++j) {
-            x[j] = static_cast<std::uint32_t>(addMod(x[j], y[j], p));
-        }
+        for (int j = 0; j < n; ++j) x[j] = csub32(x[j] + y[j], p);
     }
 }
 
@@ -315,24 +312,67 @@ void
 SealLite::subInPlace(RnsPoly& a, const RnsPoly& b) const
 {
     CHEHAB_ASSERT(a.k == b.k, "RNS sub across mismatched levels");
+    const int n = a.n;
     for (int i = 0; i < a.k; ++i) {
-        const std::uint64_t p = primes_[static_cast<std::size_t>(i)];
+        const auto p = static_cast<std::uint32_t>(
+            primes_[static_cast<std::size_t>(i)]);
         std::uint32_t* x = a.component(i);
         const std::uint32_t* y = b.component(i);
-        for (int j = 0; j < a.n; ++j) {
-            x[j] = static_cast<std::uint32_t>(subMod(x[j], y[j], p));
-        }
+        for (int j = 0; j < n; ++j) x[j] = csub32(x[j] - y[j] + p, p);
     }
 }
 
 void
 SealLite::negateInPlace(RnsPoly& a) const
 {
+    const int n = a.n;
     for (int i = 0; i < a.k; ++i) {
         const auto p = static_cast<std::uint32_t>(
             primes_[static_cast<std::size_t>(i)]);
         std::uint32_t* x = a.component(i);
-        for (int j = 0; j < a.n; ++j) x[j] = x[j] == 0 ? 0 : p - x[j];
+        for (int j = 0; j < n; ++j) x[j] = csub32(p - x[j], p);
+    }
+}
+
+void
+SealLite::assemble(RnsPoly& poly, bool subtract,
+                   const std::vector<int>& error,
+                   const Plaintext* plain) const
+{
+    const auto t = static_cast<std::uint32_t>(params_.plain_modulus);
+    const int n = poly.n;
+    const int* e = error.empty() ? nullptr : error.data();
+    const std::uint64_t* m = plain != nullptr ? plain->coeffs.data() : nullptr;
+    // A word below the level's smallest prime is its own residue at
+    // every prime (an encoded plaintext's words are below t).
+    bool reduce = false;
+    if (m != nullptr) {
+        const std::uint64_t p_min =
+            *std::min_element(primes_.begin(), primes_.begin() + poly.k);
+        reduce = *std::max_element(plain->coeffs.begin(),
+                                   plain->coeffs.end()) >= p_min;
+    }
+    for (int i = 0; i < poly.k; ++i) {
+        const auto pi = static_cast<std::size_t>(i);
+        const auto p = static_cast<std::uint32_t>(primes_[pi]);
+        const Barrett& reducer = ntt_[pi]->reducer();
+        std::uint32_t* x = poly.component(i);
+        for (int j = 0; j < n; ++j) {
+            std::uint32_t v = 0;
+            if (e != nullptr) {
+                // t·e as a two's-complement word; validate() keeps
+                // |t·e| below 2^(prime_bits-1) < p, so a negative one
+                // lifts by adding p once.
+                v = static_cast<std::uint32_t>(e[j]) * t;
+                v += p & (0U - (v >> 31));
+            }
+            if (m != nullptr) {
+                v = csub32(v + static_cast<std::uint32_t>(
+                                   reduce ? reducer.reduce(m[j]) : m[j]),
+                           p);
+            }
+            x[j] = subtract ? csub32(v - x[j] + p, p) : csub32(v + x[j], p);
+        }
     }
 }
 
@@ -418,21 +458,6 @@ SealLite::applyAutomorphism(const RnsPoly& a,
     return result;
 }
 
-RnsPoly
-SealLite::liftPlain(const Plaintext& plain, int k) const
-{
-    RnsPoly poly = zeroPoly(k);
-    for (int i = 0; i < poly.k; ++i) {
-        const Barrett& reducer = ntt_[static_cast<std::size_t>(i)]->reducer();
-        std::uint32_t* c = poly.component(i);
-        for (int j = 0; j < poly.n; ++j) {
-            c[j] = static_cast<std::uint32_t>(
-                reducer.reduce(plain.coeffs[static_cast<std::size_t>(j)]));
-        }
-    }
-    return poly;
-}
-
 std::shared_ptr<const NttForm>
 SealLite::plainNttForm(const Plaintext& plain) const
 {
@@ -454,7 +479,8 @@ SealLite::plainNttForm(const Plaintext& plain) const
     }
     auto entry = std::make_shared<PlainCacheEntry>();
     entry->coeffs = plain.coeffs;
-    RnsPoly lifted = liftPlain(plain);
+    RnsPoly lifted = zeroPoly();
+    assemble(lifted, false, {}, &plain);
     entry->form = toNttForm(lifted);
     recycle(std::move(lifted));
     std::lock_guard<std::mutex> lock(plain_cache_mutex_);
@@ -471,48 +497,30 @@ SealLite::modSwitchPolyDown(RnsPoly& poly) const
     CHEHAB_ASSERT(poly.k >= 2, "cannot drop the last chain prime");
     const int l = poly.k - 1;
     const auto li = static_cast<std::size_t>(l);
-    const std::uint64_t ql = primes_[li];
-    const std::uint64_t t = params_.plain_modulus;
-    const Barrett& t_reducer = plain_ntt_->reducer();
-    const std::uint32_t inv_ql_t = inv_prime_mod_t_[li];
-    const std::uint32_t inv_ql_t_shoup = inv_prime_mod_t_shoup_[li];
-    const auto& factors = switch_factor_[li];
-    const auto& factors_shoup = switch_factor_shoup_[li];
-    const std::uint32_t* last = poly.component(l);
-    const auto half_ql = static_cast<std::int64_t>(ql / 2);
-
-    for (int x = 0; x < poly.n; ++x) {
-        // δ ≡ c (mod q_l) and δ ≡ 0 (mod t), built as the centered
-        // residue δ0 of c mod q_l plus q_l times the centered lift of
-        // -δ0·q_l^{-1} mod t, so |δ| <= q_l(t+1)/2 < 2^61 (validate()
-        // keeps q_l below 2^31 and t below 2^30): inside Barrett's
-        // domain, so no reduction below divides.
-        const auto r = static_cast<std::int64_t>(last[x]);
-        const std::int64_t delta0 =
-            r > half_ql ? r - static_cast<std::int64_t>(ql) : r;
-        const std::uint64_t u = mulModShoup32(
-            static_cast<std::uint32_t>(reduceSigned(-delta0, t_reducer)),
-            inv_ql_t, inv_ql_t_shoup, static_cast<std::uint32_t>(t));
-        const std::int64_t uc =
-            u > t / 2 ? static_cast<std::int64_t>(u - t)
-                      : static_cast<std::int64_t>(u);
-        const std::int64_t delta =
-            delta0 + static_cast<std::int64_t>(ql) * uc;
-        // Surviving components: c' = (c - δ) * q_l^{-1} * φ mod q_i
-        // with the two scalars folded into one precomputed factor. The
-        // Shoup multiply takes c - δ + q_i, in (0, 2q_i), as it is.
-        for (int i = 0; i < l; ++i) {
-            const auto pi = static_cast<std::size_t>(i);
-            const auto qi = static_cast<std::uint32_t>(primes_[pi]);
-            std::uint32_t& c = poly.component(i)[x];
-            const auto d_mod = static_cast<std::uint32_t>(
-                reduceSigned(delta, ntt_[pi]->reducer()));
-            c = mulModShoup32(c - d_mod + qi, factors[pi], factors_shoup[pi],
-                              qi);
-        }
+    const auto n = static_cast<std::size_t>(poly.n);
+    // δ ≡ c (mod q_l) and δ ≡ 0 (mod t) is δ0 + q_l·u: δ0 the centered
+    // residue of c mod q_l and u the centered -δ0·q_l^{-1} mod t. Each
+    // surviving component becomes c' = (c - δ)·q_l^{-1}·φ mod q_i, the
+    // two scalars folded into one factor.
+    std::vector<std::uint32_t> delta0 = arena_.acquire(n);
+    std::vector<std::uint32_t> u = arena_.acquire(n);
+    plain_ntt_->dropCorrection(poly.component(l),
+                               static_cast<std::uint32_t>(primes_[li]),
+                               inv_prime_mod_t_[li],
+                               inv_prime_mod_t_shoup_[li], delta0.data(),
+                               u.data());
+    for (int i = 0; i < l; ++i) {
+        const auto pi = static_cast<std::size_t>(i);
+        ntt_[pi]->dropRescale(poly.component(i), delta0.data(), u.data(),
+                              switch_prime_mod_[li][pi],
+                              switch_prime_mod_shoup_[li][pi],
+                              switch_factor_[li][pi],
+                              switch_factor_shoup_[li][pi]);
     }
+    arena_.release(std::move(delta0));
+    arena_.release(std::move(u));
     poly.k = l;
-    poly.data.resize(static_cast<std::size_t>(l) * poly.n);
+    poly.data.resize(static_cast<std::size_t>(l) * n);
 }
 
 void
@@ -629,18 +637,9 @@ SealLite::encrypt(const Plaintext& plain)
 {
     Ciphertext ct;
     ct.c1 = uniformPoly();
-    // c0 = -(a*s) + t*e + m.
+    // c0 = t·e + m - a·s, assembled over the product a·s.
     ct.c0 = mulPolyNtt(ct.c1, secret_ntt_);
-    negateInPlace(ct.c0);
-    std::vector<int> error = sampleError();
-    const auto t = static_cast<int>(params_.plain_modulus);
-    for (auto& e : error) e *= t;
-    RnsPoly error_rns = liftSmall(error);
-    addInPlace(ct.c0, error_rns);
-    recycle(std::move(error_rns));
-    RnsPoly plain_rns = liftPlain(plain);
-    addInPlace(ct.c0, plain_rns);
-    recycle(std::move(plain_rns));
+    assemble(ct.c0, true, sampleError(), &plain);
     return ct;
 }
 
@@ -833,9 +832,7 @@ SealLite::negateInPlace(Ciphertext& a) const
 void
 SealLite::addPlainInPlace(Ciphertext& a, const Plaintext& plain) const
 {
-    RnsPoly lifted = liftPlain(plain, a.c0.k);
-    addInPlace(a.c0, lifted);
-    recycle(std::move(lifted));
+    assemble(a.c0, false, {}, &plain);
 }
 
 void
@@ -904,7 +901,6 @@ SealLite::makeKeySwitchKey(const RnsPoly& target)
     KeySwitchKey key;
     const int k = static_cast<int>(primes_.size());
     const int digits = digitsPerPrime();
-    const auto t = static_cast<int>(params_.plain_modulus);
     // Transform every component in place; the poly's words become the
     // key entry as they are.
     const auto key_words = [this](RnsPoly&& poly) {
@@ -917,14 +913,11 @@ SealLite::makeKeySwitchKey(const RnsPoly& target)
         const std::uint64_t p_i = primes_[static_cast<std::size_t>(i)];
         const Barrett& reducer = ntt_[static_cast<std::size_t>(i)]->reducer();
         for (int d = 0; d < digits; ++d) {
+            // b = t·e - a·s, assembled over the product a·s as in
+            // encrypt.
             RnsPoly a_id = uniformPoly();
             RnsPoly b_id = mulPolyNtt(a_id, secret_ntt_);
-            negateInPlace(b_id);
-            std::vector<int> error = sampleError();
-            for (auto& e : error) e *= t;
-            RnsPoly error_rns = liftSmall(error);
-            addInPlace(b_id, error_rns);
-            recycle(std::move(error_rns));
+            assemble(b_id, true, sampleError(), nullptr);
             // + T_i * B^d * target: the CRT basis vector T_i is 1 mod q_i
             // and 0 mod q_j, so in RNS this touches component i alone.
             const std::uint64_t base_power = powMod(

@@ -228,6 +228,9 @@ class SealLite
 
     /// \name Encryption
     /// @{
+    /// c1 = a uniform, c0 = t·e + m - a·s: the product a·s, then one
+    /// 32-bit pass per prime adds t·e and m into it. \p plain's words
+    /// may be any 64-bit value (each is taken mod t by decryption).
     Ciphertext encrypt(const Plaintext& plain);
     /// What decryption reads off a ciphertext: its plaintext and its
     /// remaining noise budget (see noiseBudgetBits).
@@ -252,7 +255,8 @@ class SealLite
     /// \name Homomorphic evaluation
     /// Binary ciphertext operations require both operands at the same
     /// level (the runtime's drop points switch every live ciphertext in
-    /// lockstep, so this holds by construction).
+    /// lockstep, so this holds by construction). add, sub and negate
+    /// are one branch-free 32-bit loop per component and prime.
     /// @{
     Ciphertext add(const Ciphertext& a, const Ciphertext& b) const;
     Ciphertext sub(const Ciphertext& a, const Ciphertext& b) const;
@@ -394,14 +398,29 @@ class SealLite
 
     RnsPoly zeroPoly(int k = 0) const; ///< k = 0 means full level.
     RnsPoly uniformPoly();
-    /// Small (ternary / gaussian) polynomial lifted to RNS.
+    /// Small polynomial (the ternary secret) lifted to RNS.
     RnsPoly liftSmall(const std::vector<int>& coeffs) const;
     std::vector<int> sampleTernary();
     std::vector<int> sampleError();
 
+    /// \name RNS add, subtract and negate
+    /// Branch-free 32-bit loops: csub32(x + y, p), csub32(x - y + p, p)
+    /// and csub32(p - x, p), fully reduced.
+    /// @{
     void addInPlace(RnsPoly& a, const RnsPoly& b) const;
     void subInPlace(RnsPoly& a, const RnsPoly& b) const;
     void negateInPlace(RnsPoly& a) const;
+    /// @}
+    /// The one pass that adds scaled errors and plaintext words to a
+    /// poly at its level: poly = t·e + m - poly with \p subtract (the
+    /// c0 of encrypt and the b of a key entry, over the product a·s),
+    /// else poly + t·e + m (addPlain, and plainNttForm's lift onto a
+    /// zero poly). One 32-bit pass per prime, every word fully reduced.
+    /// An empty \p error or a null \p plain is a zero term. Plaintext
+    /// words are reduced mod p_i only when one of them reaches the
+    /// level's smallest prime; an encoded plaintext's words are below t.
+    void assemble(RnsPoly& poly, bool subtract, const std::vector<int>& error,
+                  const Plaintext* plain) const;
     /// Arena-backed deep copy of one poly.
     RnsPoly clonePoly(const RnsPoly& a) const;
     /// Negacyclic product against a cached NTT form into a fresh poly
@@ -414,19 +433,19 @@ class SealLite
     /// Transform \p a (full level) into cached NTT form.
     NttForm toNttForm(const RnsPoly& a) const;
 
-    /// Lift a plaintext (mod t) into RNS form at level \p k (0 = full).
-    RnsPoly liftPlain(const Plaintext& plain, int k = 0) const;
-
     /// Cached (lifted + NTT-transformed) form of \p plain for repeated
     /// ciphertext-plaintext multiplies across packed executions.
     std::shared_ptr<const NttForm> plainNttForm(const Plaintext& plain) const;
 
     /// Drop the last RNS prime of \p poly (the rescale + folded
-    /// t-correction described in the header notes). Division-free:
-    /// Barrett reductions for δ mod t and δ mod q_i, Shoup multiplies
-    /// by q_l^{-1} mod t and by the folded factor. Each coefficient's δ
-    /// is built once and applied to every surviving prime, so it never
-    /// leaves a register: no scratch buffer.
+    /// t-correction described in the header notes), in 32-bit words
+    /// and two passes (NttTables::dropCorrection, then
+    /// NttTables::dropRescale per surviving prime; 8 lanes where the
+    /// kernel applies). δ = δ0 + q_l·u is kept as its two centered
+    /// parts, δ0 (c mod q_l) and u (-δ0·q_l^{-1} mod t), in two n-word
+    /// arena buffers; each surviving prime forms δ mod q_i from them
+    /// with one Shoup product by q_l mod q_i and rescales with another
+    /// by the folded factor.
     void modSwitchPolyDown(RnsPoly& poly) const;
 
     /// Key-switch digit count per RNS prime.
@@ -465,12 +484,14 @@ class SealLite
     std::vector<std::shared_ptr<const NttTables>> ntt_;
     std::vector<LevelTables> level_tables_;    ///< [k-1] = level-k tables.
     /// Modulus-switch precomputation for dropping prime index l
-    /// (level l+1 -> l): q_l^{-1} mod t, and per surviving prime i the
-    /// folded factor (q_l^{-1} mod q_i) * (φ mod q_i) with φ the
-    /// centered representative of q_l mod t; each with its Shoup
-    /// companion.
+    /// (level l+1 -> l): q_l^{-1} mod t, and per surviving prime i
+    /// q_l mod q_i and the folded factor (q_l^{-1} mod q_i) * (φ mod q_i)
+    /// with φ the centered representative of q_l mod t; each with its
+    /// Shoup companion.
     std::vector<std::uint32_t> inv_prime_mod_t_;
     std::vector<std::uint32_t> inv_prime_mod_t_shoup_;
+    std::vector<std::vector<std::uint32_t>> switch_prime_mod_;
+    std::vector<std::vector<std::uint32_t>> switch_prime_mod_shoup_;
     std::vector<std::vector<std::uint32_t>> switch_factor_;
     std::vector<std::vector<std::uint32_t>> switch_factor_shoup_;
     /// Negacyclic NTT mod t behind encode/decode, and the NTT index of

@@ -22,6 +22,8 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) { reseed(seed); }
 
     /// Re-initialize the state from a 64-bit seed (splitmix64 expansion).
+    /// A pending Box-Muller spare is dropped, so every draw after this
+    /// call, normal() included, depends on \p seed alone.
     void
     reseed(std::uint64_t seed)
     {
@@ -32,6 +34,7 @@ class Rng
             z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
             word = z ^ (z >> 31);
         }
+        has_spare_ = false;
     }
 
     /// Next raw 64-bit value.

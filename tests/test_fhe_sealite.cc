@@ -9,9 +9,11 @@
 /// replaced, and golden hashes of the evaluator's ciphertext words.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <limits>
 #include <stdexcept>
+#include <tuple>
 
 #include "fhe/bigint.h"
 #include "fhe/modarith.h"
@@ -964,46 +966,232 @@ craftedCiphertext(const SealLite& s, int level, Rng& rng)
 
 TEST(SealLiteDifferentialTest, ModSwitchMatchesModuloReferenceWordForWord)
 {
+    // 31-bit chains are where the 32-bit drop's bounds are tightest:
+    // the rescale's Shoup product takes c - δ + q_i < 2q_i, just below
+    // 2^32 there, and δ0 lifts into q_i by one add as |δ0| < q_i.
     const SimdRestore restore;
     for (const RingCase& ring : ringCases()) {
-        for (int prime_count = 2; prime_count <= 8; ++prime_count) {
-            SCOPED_TRACE("n=" + std::to_string(ring.n) + " t=" +
-                         std::to_string(ring.t) +
-                         " k=" + std::to_string(prime_count));
-            const SealLite s(ringParams(ring, prime_count));
-            Rng rng(static_cast<std::uint64_t>(prime_count) * 131 + ring.t);
-            // One crafted ciphertext per level, so every chain prime
-            // meets the edge residues as the dropped q_l.
-            std::vector<Ciphertext> inputs;
-            for (int level = prime_count; level >= 2; --level) {
-                inputs.push_back(craftedCiphertext(s, level, rng));
+        for (const int prime_bits : {30, 31}) {
+            for (int prime_count = 2; prime_count <= 8; ++prime_count) {
+                SCOPED_TRACE("n=" + std::to_string(ring.n) + " t=" +
+                             std::to_string(ring.t) +
+                             " bits=" + std::to_string(prime_bits) +
+                             " k=" + std::to_string(prime_count));
+                SealLiteParams params = ringParams(ring, prime_count);
+                params.prime_bits = prime_bits;
+                const SealLite s(params);
+                Rng rng(static_cast<std::uint64_t>(prime_count) * 131 +
+                        ring.t);
+                // One crafted ciphertext per level, so every chain prime
+                // meets the edge residues as the dropped q_l.
+                std::vector<Ciphertext> inputs;
+                for (int level = prime_count; level >= 2; --level) {
+                    inputs.push_back(craftedCiphertext(s, level, rng));
+                }
+                for (bool simd : {true, false}) {
+                    SCOPED_TRACE(simd ? "simd on" : "simd off");
+                    setSimdEnabled(simd);
+                    for (const Ciphertext& input : inputs) {
+                        const int level = s.level(input);
+                        SCOPED_TRACE("drop from level " +
+                                     std::to_string(level));
+                        Ciphertext want = s.clone(input);
+                        referenceDrop(s, want.c0);
+                        referenceDrop(s, want.c1);
+                        Ciphertext got = s.clone(input);
+                        s.modSwitchTo(got, level - 1);
+                        ASSERT_EQ(got.c0.k, level - 1);
+                        EXPECT_EQ(got.c0.data, want.c0.data);
+                        EXPECT_EQ(got.c1.data, want.c1.data);
+                    }
+                    // The full chain walked down one drop at a time, from
+                    // level k to 1, matches the reference at every level.
+                    Ciphertext got = s.clone(inputs.front());
+                    Ciphertext want = s.clone(inputs.front());
+                    while (want.c0.k > 1) {
+                        referenceDrop(s, want.c0);
+                        referenceDrop(s, want.c1);
+                        s.modSwitchTo(got, want.c0.k);
+                        EXPECT_EQ(got.c0.data, want.c0.data) << want.c0.k;
+                        EXPECT_EQ(got.c1.data, want.c1.data) << want.c0.k;
+                    }
+                }
             }
-            for (bool simd : {true, false}) {
-                SCOPED_TRACE(simd ? "simd on" : "simd off");
-                setSimdEnabled(simd);
-                for (const Ciphertext& input : inputs) {
-                    const int level = s.level(input);
-                    SCOPED_TRACE("drop from level " + std::to_string(level));
-                    Ciphertext want = s.clone(input);
-                    referenceDrop(s, want.c0);
-                    referenceDrop(s, want.c1);
-                    Ciphertext got = s.clone(input);
-                    s.modSwitchTo(got, level - 1);
-                    ASSERT_EQ(got.c0.k, level - 1);
-                    EXPECT_EQ(got.c0.data, want.c0.data);
-                    EXPECT_EQ(got.c1.data, want.c1.data);
-                }
-                // The full chain walked down one drop at a time, from
-                // level k to 1, matches the reference at every level.
-                Ciphertext got = s.clone(inputs.front());
-                Ciphertext want = s.clone(inputs.front());
-                while (want.c0.k > 1) {
-                    referenceDrop(s, want.c0);
-                    referenceDrop(s, want.c1);
-                    s.modSwitchTo(got, want.c0.k);
-                    EXPECT_EQ(got.c0.data, want.c0.data) << want.c0.k;
-                    EXPECT_EQ(got.c1.data, want.c1.data) << want.c0.k;
-                }
+        }
+    }
+}
+
+// -- differential: RNS add, subtract, negate and addPlain -------------------
+
+/// A full-level ciphertext whose words at prime i cycle through 0, 1,
+/// p - 1 and a uniform residue: coefficient j takes edge (j + i) % 4
+/// when \p stride is 1, or (j / 4 + i) % 4 when it is 4, so the two
+/// strides pair every edge with every edge within 16 coefficients.
+Ciphertext
+edgeCiphertext(const SealLite& s, int stride, Rng& rng)
+{
+    const int n = s.params().n;
+    Ciphertext ct;
+    for (RnsPoly* poly : {&ct.c0, &ct.c1}) {
+        poly->k = s.levels();
+        poly->n = n;
+        poly->data.resize(static_cast<std::size_t>(poly->k) * n);
+        for (int i = 0; i < poly->k; ++i) {
+            const std::uint64_t p =
+                s.primeChain()[static_cast<std::size_t>(i)];
+            const std::uint64_t edges[] = {0, 1, p - 1, rng.uniformInt(p)};
+            for (int j = 0; j < n; ++j) {
+                poly->component(i)[j] = static_cast<std::uint32_t>(
+                    edges[(j / stride + i + (poly == &ct.c1)) % 4]);
+            }
+        }
+    }
+    return ct;
+}
+
+/// \p op(x, y, p) on every residue pair of two ciphertexts.
+template <typename Op>
+Ciphertext
+referenceWords(const SealLite& s, const Ciphertext& x, const Ciphertext& y,
+               Op op)
+{
+    Ciphertext out = s.clone(x);
+    for (const auto& [xp, yp, wp] : {std::tuple{&x.c0, &y.c0, &out.c0},
+                                     std::tuple{&x.c1, &y.c1, &out.c1}}) {
+        for (int i = 0; i < xp->k; ++i) {
+            const std::uint64_t p =
+                s.primeChain()[static_cast<std::size_t>(i)];
+            for (int j = 0; j < xp->n; ++j) {
+                wp->component(i)[j] = static_cast<std::uint32_t>(
+                    op(xp->component(i)[j], yp->component(i)[j], p));
+            }
+        }
+    }
+    return out;
+}
+
+/// \p ct with m mod p_i added to every c0 word: what addPlain must
+/// leave, and what a plaintext adds to a fresh encryption.
+Ciphertext
+referencePlusPlain(const SealLite& s, const Ciphertext& ct,
+                   const Plaintext& plain)
+{
+    Ciphertext out = s.clone(ct);
+    for (int i = 0; i < ct.c0.k; ++i) {
+        const std::uint64_t p = s.primeChain()[static_cast<std::size_t>(i)];
+        for (int j = 0; j < ct.c0.n; ++j) {
+            out.c0.component(i)[j] = static_cast<std::uint32_t>(
+                addMod(ct.c0.component(i)[j],
+                       plain.coeffs[static_cast<std::size_t>(j)] % p, p));
+        }
+    }
+    return out;
+}
+
+TEST(SealLiteDifferentialTest, RnsAddSubNegateMatchModularReferenceWordForWord)
+{
+    const SimdRestore restore;
+    for (const RingCase& ring : ringCases()) {
+        SCOPED_TRACE("n=" + std::to_string(ring.n) +
+                     " t=" + std::to_string(ring.t));
+        const SealLite s(ringParams(ring, 4));
+        const std::vector<std::uint64_t>& primes = s.primeChain();
+        const std::uint64_t p_min =
+            *std::min_element(primes.begin(), primes.end());
+        Rng rng(static_cast<std::uint64_t>(ring.n) * 17 + ring.t);
+        const Ciphertext a = edgeCiphertext(s, 1, rng);
+        const Ciphertext b = edgeCiphertext(s, 4, rng);
+        // Words below t, as encode leaves them; words just past the
+        // smallest chain prime, which must be reduced there although
+        // they fit a 32-bit word; and words past every chain prime.
+        Plaintext small;
+        Plaintext reaching;
+        Plaintext wide;
+        for (int j = 0; j < ring.n; ++j) {
+            const std::uint64_t below[] = {0, 1, ring.t - 1,
+                                           rng.uniformInt(ring.t)};
+            const std::uint64_t near[] = {p_min, 2 * p_min - 1, p_min - 1,
+                                          0xffffffff};
+            const std::uint64_t past[] = {~std::uint64_t{0}, p_min,
+                                          p_min - 1, rng.next()};
+            small.coeffs.push_back(below[j % 4]);
+            reaching.coeffs.push_back(near[(j / 4) % 4]);
+            wide.coeffs.push_back(past[j % 4]);
+        }
+        const Ciphertext sum = referenceWords(
+            s, a, b, [](std::uint64_t u, std::uint64_t v, std::uint64_t p) {
+                return addMod(u, v, p);
+            });
+        const Ciphertext diff = referenceWords(
+            s, a, b, [](std::uint64_t u, std::uint64_t v, std::uint64_t p) {
+                return subMod(u, v, p);
+            });
+        const Ciphertext neg = referenceWords(
+            s, a, b, [](std::uint64_t u, std::uint64_t, std::uint64_t p) {
+                return subMod(0, u, p);
+            });
+        const Ciphertext plus_small = referencePlusPlain(s, a, small);
+        const Ciphertext plus_reaching = referencePlusPlain(s, a, reaching);
+        const Ciphertext plus_wide = referencePlusPlain(s, a, wide);
+        for (bool simd : {true, false}) {
+            SCOPED_TRACE(simd ? "simd on" : "simd off");
+            setSimdEnabled(simd);
+            for (const auto& [name, got, want] :
+                 {std::tuple{"add", s.add(a, b), &sum},
+                  std::tuple{"sub", s.sub(a, b), &diff},
+                  std::tuple{"negate", s.negate(a), &neg},
+                  std::tuple{"addPlain small", s.addPlain(a, small),
+                             &plus_small},
+                  std::tuple{"addPlain reaching", s.addPlain(a, reaching),
+                             &plus_reaching},
+                  std::tuple{"addPlain wide", s.addPlain(a, wide),
+                             &plus_wide}}) {
+                EXPECT_EQ(got.c0.data, want->c0.data) << name;
+                EXPECT_EQ(got.c1.data, want->c1.data) << name;
+            }
+        }
+    }
+}
+
+TEST(SealLiteDifferentialTest, EncryptionIsLinearInThePlaintextWordForWord)
+{
+    // With the randomness fixed, encrypt(m) - encrypt(0) is (m mod p_i, 0)
+    // in every word: this holds each fresh c0 word to its plaintext term
+    // for words below t, words that fit 32 bits but reach past the
+    // smallest chain prime, and words past every chain prime.
+    const SimdRestore restore;
+    for (const RingCase& ring : ringCases()) {
+        SCOPED_TRACE("n=" + std::to_string(ring.n) +
+                     " t=" + std::to_string(ring.t));
+        SealLite s(ringParams(ring, 4));
+        const std::vector<std::uint64_t>& primes = s.primeChain();
+        const std::uint64_t p_min =
+            *std::min_element(primes.begin(), primes.end());
+        Rng rng(static_cast<std::uint64_t>(ring.n) * 19 + ring.t);
+        Plaintext zero;
+        zero.coeffs.assign(static_cast<std::size_t>(ring.n), 0);
+        std::vector<Plaintext> plains(3);
+        for (int j = 0; j < ring.n; ++j) {
+            const std::uint64_t words[][4] = {
+                {0, 1, ring.t - 1, rng.uniformInt(ring.t)},
+                {p_min, 2 * p_min - 1, 0xffffffff, rng.uniformInt(p_min)},
+                {~std::uint64_t{0}, p_min, p_min - 1, rng.next()}};
+            for (std::size_t k = 0; k < plains.size(); ++k) {
+                plains[k].coeffs.push_back(words[k][j % 4]);
+            }
+        }
+        for (bool simd : {true, false}) {
+            SCOPED_TRACE(simd ? "simd on" : "simd off");
+            setSimdEnabled(simd);
+            for (std::size_t k = 0; k < plains.size(); ++k) {
+                SCOPED_TRACE("plaintext " + std::to_string(k));
+                s.reseedRandomness(0x11ea + k);
+                const Ciphertext base = s.encrypt(zero);
+                s.reseedRandomness(0x11ea + k);
+                const Ciphertext got = s.encrypt(plains[k]);
+                ASSERT_EQ(got.c1.data, base.c1.data);
+                EXPECT_EQ(got.c0.data,
+                          referencePlusPlain(s, base, plains[k]).c0.data);
             }
         }
     }
@@ -1201,6 +1389,74 @@ TEST(SealLiteGoldenTest, ThirtyOneBitChainWordsMatchRecordedHashes)
             for (std::size_t i = 0; i < got.size(); ++i) {
                 EXPECT_EQ(got[i], golden.hashes[i])
                     << "op " << i << ": 0x" << std::hex << got[i];
+            }
+        }
+    }
+}
+
+TEST(SealLiteGoldenTest, FreshEncryptionWordsMatchRecordedHashes)
+{
+    // Recorded from the five-pass encryption (negate a·s, lift t·e, add,
+    // lift m, add). Three plaintexts: an encoded row; words up to one
+    // below the smallest chain prime, which lift into every prime as
+    // they are; and words reaching past every chain prime (2^64 - 1,
+    // 2^63 - 1, 2^40 + j, the smallest and the largest prime), which
+    // must be reduced at each.
+    struct Case
+    {
+        int n;
+        /// encrypt(encoded), encrypt(below), encrypt(wide).
+        std::array<std::uint64_t, 3> hashes;
+    };
+    const std::vector<Case> cases = {
+        {1024, {0x619c2a7c6a880406, 0x6c3a6d88b2755385, 0x1f5098244172cab4}},
+        {4096, {0x1fa84c8cf6c03dc0, 0x59b7298f2e205338, 0xadede77fd84cb237}},
+    };
+    const SimdRestore restore;
+    for (const Case& golden : cases) {
+        SCOPED_TRACE("n=" + std::to_string(golden.n));
+        SealLiteParams params;
+        params.n = golden.n;
+        params.prime_bits = 30;
+        params.prime_count = 6;
+        params.seed = 0xf5e5 + static_cast<std::uint64_t>(golden.n);
+        SealLite s(params);
+        const std::vector<std::uint64_t>& primes = s.primeChain();
+        const std::uint64_t p_min =
+            *std::min_element(primes.begin(), primes.end());
+        const std::uint64_t p_max =
+            *std::max_element(primes.begin(), primes.end());
+        Rng rng(static_cast<std::uint64_t>(golden.n));
+        std::vector<std::int64_t> row(static_cast<std::size_t>(s.slots()));
+        for (std::int64_t& v : row) v = rng.uniformRange(0, 65536);
+        const Plaintext encoded = s.encode(row);
+        Plaintext below;
+        Plaintext wide;
+        for (int j = 0; j < golden.n; ++j) {
+            const auto x = static_cast<std::uint64_t>(j);
+            below.coeffs.push_back(j % 3 == 0 ? p_min - 1
+                                   : j % 3 == 1 ? rng.uniformInt(p_min)
+                                                : x);
+            const std::uint64_t choices[] = {~std::uint64_t{0},
+                                             (std::uint64_t{1} << 63) - 1,
+                                             (std::uint64_t{1} << 40) + x,
+                                             p_min,
+                                             p_max,
+                                             x};
+            wide.coeffs.push_back(choices[j % 6]);
+        }
+        for (bool simd : {true, false}) {
+            SCOPED_TRACE(simd ? "simd on" : "simd off");
+            setSimdEnabled(simd);
+            std::array<std::uint64_t, 3> got{};
+            const Plaintext* plains[] = {&encoded, &below, &wide};
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                s.reseedRandomness(0xe17c + i);
+                got[i] = wordHash(s.encrypt(*plains[i]));
+            }
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                EXPECT_EQ(got[i], golden.hashes[i])
+                    << "plaintext " << i << ": 0x" << std::hex << got[i];
             }
         }
     }
