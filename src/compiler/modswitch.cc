@@ -208,4 +208,36 @@ canDropBefore(const FheProgram& program, int next, const NoiseState& state,
     return true;
 }
 
+std::vector<int>
+levelSchedule(const FheProgram& program, const RotationKeyPlan& plan,
+              const NoiseParams& np)
+{
+    const ModSwitchPlan& ms = program.mod_switch;
+    std::vector<int> levels(program.instrs.size(),
+                            static_cast<int>(np.level_bits.size()));
+    if (ms.empty()) return levels;
+    NoiseState noise = initialState(program, np);
+    std::size_t next_point = 0;
+    for (std::size_t idx = 0; idx < program.instrs.size(); ++idx) {
+        while (next_point < ms.points.size() &&
+               ms.points[next_point] < static_cast<int>(idx)) {
+            ++next_point;
+        }
+        if (next_point < ms.points.size() &&
+            ms.points[next_point] == static_cast<int>(idx)) {
+            // Multi-prime drops are possible when the noise demand
+            // collapsed far below the chain (each iteration re-runs the
+            // full suffix simulation one level lower).
+            while (canDropBefore(program, static_cast<int>(idx), noise, np,
+                                 plan, ms.margin_bits, ms.min_level)) {
+                applyDrop(noise, np);
+            }
+            ++next_point;
+        }
+        levels[idx] = noise.level;
+        applyInstr(noise, program.instrs[idx], np, plan);
+    }
+    return levels;
+}
+
 } // namespace chehab::compiler::modswitch

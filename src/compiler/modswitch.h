@@ -3,15 +3,18 @@
 ///
 /// The pass itself (driver.cc) only marks structurally plausible drop
 /// points — after ciphertext multiplies with further work remaining —
-/// because passes run before encryption parameters exist. At execution
-/// time the runtime replays the instruction stream through this integer
-/// model (an upper bound on log2 of the phase magnitude |t·e + m|) and
-/// takes a marked drop only when every live ciphertext AND every
-/// ciphertext the remaining suffix will produce stays at least
-/// margin_bits below the post-drop modulus. The model depends only on
+/// because passes run before encryption parameters exist. Once per
+/// execution, before evaluation, the runtime calls levelSchedule: it
+/// replays the instruction stream through this integer model (an upper
+/// bound on log2 of the phase magnitude |t·e + m|) and takes a marked
+/// drop only when every live ciphertext AND every ciphertext the
+/// remaining suffix will produce stays at least margin_bits below the
+/// post-drop modulus. The evaluator then only reads the resulting
+/// levels; it never runs the model. The model depends only on
 /// (program, key plan, scheme parameters, fresh budget) — never on
 /// input values or worker count — so the drop decisions, and therefore
 /// the decoded outputs, are bit-for-bit reproducible at any concurrency.
+/// Its building blocks stay public for the soundness property tests.
 #pragma once
 
 #include <vector>
@@ -90,5 +93,17 @@ bool canDropBefore(const FheProgram& program, int next,
                    const NoiseState& state, const NoiseParams& np,
                    const RotationKeyPlan& plan, int margin_bits,
                    int min_level);
+
+/// The chain level each instruction of \p program runs at: entry i is
+/// the number of primes left after the drops taken before instruction
+/// i. At each point of the program's mod-switch plan, visited in
+/// stream order, drops are taken while canDropBefore passes under the
+/// plan's margin and level floor; points out of order, repeated or
+/// past the end are never visited. Every entry is the full chain when
+/// the plan is empty. Non-increasing, so full chain minus the last
+/// entry is the number of drops a run takes.
+std::vector<int> levelSchedule(const FheProgram& program,
+                               const RotationKeyPlan& plan,
+                               const NoiseParams& np);
 
 } // namespace chehab::compiler::modswitch

@@ -260,58 +260,19 @@ FheRuntime::recycleCiphertexts(
 double
 FheRuntime::evaluateServer(
     const FheProgram& program, const RotationKeyPlan& plan,
+    const std::vector<int>& levels, const std::vector<LastReads>& last_reads,
     std::unordered_map<int, fhe::Ciphertext>& cts,
-    const std::unordered_map<int, fhe::Plaintext>& plains,
-    const std::vector<int>& protected_regs, int fresh_noise_budget,
-    int* mod_switch_drops) const
+    const std::unordered_map<int, fhe::Plaintext>& plains) const
 {
-    const ModSwitchPlan& ms = program.mod_switch;
-    const bool gated = !ms.empty();
-    modswitch::NoiseParams np;
-    modswitch::NoiseState noise;
-    std::size_t next_point = 0;
-    if (gated) {
-        np = modswitch::noiseParamsFor(scheme_, fresh_noise_budget);
-        noise = modswitch::initialState(program, np);
-    }
-
-    // Last-use liveness over the linear instruction stream: a ciphertext
-    // register whose final reader is instruction idx can be consumed
-    // destructively there (AddPlain/MulPlain's b names a plaintext
-    // register, so only a counts as a ciphertext read).
-    std::unordered_map<int, std::size_t> last_use;
-    if (in_place_enabled_) {
-        for (std::size_t idx = 0; idx < program.instrs.size(); ++idx) {
-            const FheInstr& instr = program.instrs[idx];
-            switch (instr.op) {
-              case FheOpcode::Add:
-              case FheOpcode::Sub:
-              case FheOpcode::Mul:
-                last_use[instr.a] = idx;
-                last_use[instr.b] = idx;
-                break;
-              case FheOpcode::AddPlain:
-              case FheOpcode::MulPlain:
-              case FheOpcode::Negate:
-              case FheOpcode::Rotate:
-                last_use[instr.a] = idx;
-                break;
-              case FheOpcode::PackCipher:
-              case FheOpcode::PackPlain:
-                break;
-            }
+    // An operand read for the last time is consumed; any other is
+    // cloned. Either way the op then runs in place on the result.
+    auto take = [&](int reg, bool last) {
+        if (!last) {
+            ++inplace_copies_;
+            return scheme_.clone(cts.at(reg));
         }
-    }
-    const std::unordered_set<int> protected_set(protected_regs.begin(),
-                                                protected_regs.end());
-    auto dies = [&](int reg, std::size_t idx) {
-        if (!in_place_enabled_ || protected_set.count(reg)) return false;
-        auto it = last_use.find(reg);
-        return it != last_use.end() && it->second == idx;
-    };
-    auto consume = [&](int reg) {
-        auto node = cts.extract(reg);
         ++inplace_consumed_;
+        auto node = cts.extract(reg);
         return std::move(node.mapped());
     };
     auto discard = [&](int reg) {
@@ -321,136 +282,68 @@ FheRuntime::evaluateServer(
     };
 
     Stopwatch watch;
+    int level = scheme_.levels();
     for (std::size_t idx = 0; idx < program.instrs.size(); ++idx) {
         const FheInstr& instr = program.instrs[idx];
-        if (gated) {
-            while (next_point < ms.points.size() &&
-                   ms.points[next_point] < static_cast<int>(idx)) {
-                ++next_point;
-            }
-            if (next_point < ms.points.size() &&
-                ms.points[next_point] == static_cast<int>(idx)) {
-                // Multi-prime drops are possible when the noise demand
-                // collapsed far below the chain (each iteration re-runs
-                // the full suffix simulation one level lower).
-                while (modswitch::canDropBefore(
-                    program, static_cast<int>(idx), noise, np, plan,
-                    ms.margin_bits, ms.min_level)) {
-                    const int new_level = noise.level - 1;
-                    for (auto& [reg, ct] : cts) {
-                        scheme_.modSwitchTo(ct, new_level);
-                    }
-                    modswitch::applyDrop(noise, np);
-                    if (mod_switch_drops) ++*mod_switch_drops;
-                }
-                ++next_point;
-            }
+        if (levels[idx] < level) {
+            // Every live ciphertext switches down together, so binary
+            // ops always see equal levels (in a multi-member row this
+            // includes other members' ciphertexts, which is sound
+            // because switching is exact per ciphertext).
+            level = levels[idx];
+            for (auto& [reg, ct] : cts) scheme_.modSwitchTo(ct, level);
         }
-        switch (instr.op) {
-          case FheOpcode::PackCipher:
-          case FheOpcode::PackPlain:
-            break;
-          case FheOpcode::Add: {
-            const bool a_dies = dies(instr.a, idx);
-            const bool b_dies = dies(instr.b, idx) && instr.b != instr.a;
-            if (a_dies) {
-                fhe::Ciphertext value = consume(instr.a);
-                scheme_.addInPlace(
-                    value, instr.b == instr.a ? value : cts.at(instr.b));
-                if (b_dies) discard(instr.b);
-                cts.emplace(instr.dst, std::move(value));
-            } else if (b_dies) {
-                // Add is commutative: consume b instead.
-                fhe::Ciphertext value = consume(instr.b);
-                scheme_.addInPlace(value, cts.at(instr.a));
-                cts.emplace(instr.dst, std::move(value));
-            } else {
-                ++inplace_copies_;
-                cts.emplace(instr.dst,
-                            scheme_.add(cts.at(instr.a), cts.at(instr.b)));
-            }
-            break;
-          }
-          case FheOpcode::Sub: {
-            const bool a_dies = dies(instr.a, idx);
-            const bool b_dies = dies(instr.b, idx) && instr.b != instr.a;
-            if (a_dies) {
-                fhe::Ciphertext value = consume(instr.a);
-                scheme_.subInPlace(
-                    value, instr.b == instr.a ? value : cts.at(instr.b));
-                if (b_dies) discard(instr.b);
-                cts.emplace(instr.dst, std::move(value));
-            } else {
-                ++inplace_copies_;
-                cts.emplace(instr.dst,
-                            scheme_.sub(cts.at(instr.a), cts.at(instr.b)));
-                if (b_dies) discard(instr.b);
-            }
-            break;
-          }
-          case FheOpcode::Mul: {
+        if (instr.op == FheOpcode::PackCipher ||
+            instr.op == FheOpcode::PackPlain) {
+            continue;
+        }
+        const LastReads& last = last_reads[idx];
+        if (instr.op == FheOpcode::Mul) {
             // multiply() builds its result from the tensor product — no
-            // copy to elide — but dying operands still recycle.
+            // operand to take — but dying operands still recycle.
             fhe::Ciphertext value =
                 scheme_.multiply(cts.at(instr.a), cts.at(instr.b));
-            if (dies(instr.b, idx) && instr.b != instr.a) {
-                discard(instr.b);
-            }
-            if (dies(instr.a, idx)) discard(instr.a);
+            if (last.b) discard(instr.b);
+            if (last.a) discard(instr.a);
             cts.emplace(instr.dst, std::move(value));
+            continue;
+        }
+        // Add commutes: when only b dies, it takes b and reads a.
+        const bool swap = instr.op == FheOpcode::Add && last.b && !last.a;
+        const int a = swap ? instr.b : instr.a;
+        const int b = swap ? instr.a : instr.b;
+        fhe::Ciphertext value = take(a, last.a || swap);
+        switch (instr.op) {
+          case FheOpcode::Add:
+            scheme_.addInPlace(value, b == a ? value : cts.at(b));
             break;
-          }
+          case FheOpcode::Sub:
+            scheme_.subInPlace(value, b == a ? value : cts.at(b));
+            break;
           case FheOpcode::AddPlain:
-            if (dies(instr.a, idx)) {
-                fhe::Ciphertext value = consume(instr.a);
-                scheme_.addPlainInPlace(value, plains.at(instr.b));
-                cts.emplace(instr.dst, std::move(value));
-            } else {
-                ++inplace_copies_;
-                cts.emplace(instr.dst, scheme_.addPlain(cts.at(instr.a),
-                                                        plains.at(instr.b)));
-            }
+            scheme_.addPlainInPlace(value, plains.at(instr.b));
             break;
           case FheOpcode::MulPlain:
-            if (dies(instr.a, idx)) {
-                fhe::Ciphertext value = consume(instr.a);
-                scheme_.mulPlainInPlace(value, plains.at(instr.b));
-                cts.emplace(instr.dst, std::move(value));
-            } else {
-                ++inplace_copies_;
-                cts.emplace(instr.dst, scheme_.mulPlain(cts.at(instr.a),
-                                                        plains.at(instr.b)));
-            }
+            scheme_.mulPlainInPlace(value, plains.at(instr.b));
             break;
           case FheOpcode::Negate:
-            if (dies(instr.a, idx)) {
-                fhe::Ciphertext value = consume(instr.a);
-                scheme_.negateInPlace(value);
-                cts.emplace(instr.dst, std::move(value));
-            } else {
-                ++inplace_copies_;
-                cts.emplace(instr.dst, scheme_.negate(cts.at(instr.a)));
-            }
+            scheme_.negateInPlace(value);
             break;
-          case FheOpcode::Rotate: {
-            fhe::Ciphertext value;
-            if (dies(instr.a, idx)) {
-                value = consume(instr.a);
-            } else {
-                ++inplace_copies_;
-                value = scheme_.clone(cts.at(instr.a));
-            }
+          case FheOpcode::Rotate:
             for (int component : plan.decomposition.at(instr.step)) {
                 fhe::Ciphertext next = scheme_.rotate(value, component);
                 scheme_.recycle(std::move(value));
                 ++recycled_cts_;
                 value = std::move(next);
             }
-            cts.emplace(instr.dst, std::move(value));
             break;
-          }
+          case FheOpcode::PackCipher:
+          case FheOpcode::PackPlain:
+          case FheOpcode::Mul:
+            break; // Handled above.
         }
-        if (gated) modswitch::applyInstr(noise, instr, np, plan);
+        if (last.b && !swap) discard(b);
+        cts.emplace(instr.dst, std::move(value));
     }
     return watch.elapsedSeconds();
 }
@@ -496,6 +389,14 @@ FheRuntime::execute(const FheProgram& program, const RotationKeyPlan& plan,
     RunResult& result = row_result.shared;
     result.counts = program.counts();
     result.fresh_noise_budget = scheme_.freshNoiseBudget();
+    // Every drop is decided here, from the program, the plan and the
+    // scheme alone (compiler/modswitch.h). freshNoiseBudget() encrypts
+    // on first use, so it stays ahead of the packs' encryptions.
+    // checkRegisters guarantees an instruction, so levels is not empty.
+    const std::vector<int> levels = modswitch::levelSchedule(
+        program, plan,
+        modswitch::noiseParamsFor(scheme_, result.fresh_noise_budget));
+    result.mod_switch_drops = scheme_.levels() - levels.back();
 
     scheme_.makeGaloisKeys(plan.keys);
     result.rotation_keys = static_cast<int>(plan.keys.size());
@@ -536,17 +437,36 @@ FheRuntime::execute(const FheProgram& program, const RotationKeyPlan& plan,
         }
     }
 
-    // Every member's output register must survive to the readout below.
-    std::vector<int> protected_regs;
-    protected_regs.reserve(row.members.size());
-    for (const RowMember& member : row.members) {
-        protected_regs.push_back(member.output_reg);
+    // Last reads, decided before evaluation too. Walking the stream
+    // backwards, an instruction reads a ciphertext operand for the last
+    // time when no later instruction reads it (AddPlain/MulPlain's b
+    // names a plaintext register, so only a counts there). Every
+    // member's output register must survive to the readout below, so
+    // it never dies; with in-place evaluation off nothing does.
+    std::vector<LastReads> last_reads(program.instrs.size());
+    if (in_place_enabled_) {
+        std::unordered_set<int> read_later;
+        for (const RowMember& member : row.members) {
+            read_later.insert(member.output_reg);
+        }
+        for (std::size_t idx = program.instrs.size(); idx-- > 0;) {
+            const FheInstr& instr = program.instrs[idx];
+            if (instr.op == FheOpcode::PackCipher ||
+                instr.op == FheOpcode::PackPlain) {
+                continue;
+            }
+            LastReads& last = last_reads[idx];
+            last.a = read_later.insert(instr.a).second;
+            if (instr.op == FheOpcode::Add || instr.op == FheOpcode::Sub ||
+                instr.op == FheOpcode::Mul) {
+                last.b = read_later.insert(instr.b).second;
+            }
+        }
     }
 
     result.setup_seconds = setup_watch.elapsedSeconds();
     result.exec_seconds =
-        evaluateServer(program, plan, cts, plains, protected_regs,
-                       result.fresh_noise_budget, &result.mod_switch_drops);
+        evaluateServer(program, plan, levels, last_reads, cts, plains);
     const Stopwatch decode_watch;
 
     // Per-member readout: each member's output lives in its own

@@ -35,9 +35,11 @@ struct RunResult
     int consumed_noise = 0;           ///< CN of Table 6.
     FheProgram::Counts counts;
     int rotation_keys = 0;            ///< Keys generated (after App. B).
-    /// Modulus drops the mod-switch gate actually took during the
-    /// server phase (0 when the pass did not run or no point passed the
-    /// noise simulation). Deterministic per (program, plan, params).
+    /// Modulus drops the run took: the full chain minus the level of
+    /// the drop schedule's last instruction (0 when the pass did not
+    /// run or no marked point passed the noise model; see
+    /// modswitch::levelSchedule). Deterministic per (program, plan,
+    /// params).
     int mod_switch_drops = 0;
 };
 
@@ -174,12 +176,11 @@ class FheRuntime
     int slots() const { return scheme_.slots(); }
 
     /// \name Destructive evaluation control and observability
-    /// The server-side evaluator consumes a register's last use
-    /// destructively (last-use liveness over the linear program),
-    /// cutting the per-op c0/c1 copies the copying forms pay. Output
-    /// registers are protected. Disabled = every op clones (the
-    /// in-place-vs-copying differential tests run both ways; results
-    /// are bit-identical either way).
+    /// The server-side evaluator consumes an operand at its last read
+    /// over the linear program, cutting the c0/c1 copy a clone pays.
+    /// Output registers are never consumed. Disabled = every op clones
+    /// (the in-place-vs-copying differential tests run both ways;
+    /// results are bit-identical either way).
     /// @{
     void setInPlaceEnabled(bool enabled) { in_place_enabled_ = enabled; }
     bool inPlaceEnabled() const { return in_place_enabled_; }
@@ -205,25 +206,29 @@ class FheRuntime
     /// arena-born buffers and the next run on this runtime mints
     /// replacements, so steady state never reaches zero allocations.
     void recycleCiphertexts(std::unordered_map<int, fhe::Ciphertext>& cts);
-    /// The timed server-side phase of execute(). When the program carries a mod-switch plan, each
-    /// marked point runs the deterministic noise gate
-    /// (compiler/modswitch.h) against \p fresh_noise_budget and, on
-    /// success, switches EVERY live ciphertext down one level in
-    /// lockstep (so binary ops always see equal levels — in a
-    /// multi-member row this includes other members' ciphertexts, which is sound because
-    /// switching is exact per ciphertext). Drops taken are added to
-    /// \p mod_switch_drops. Registers in \p protected_regs (the
-    /// caller's output registers) are never consumed destructively;
-    /// everything else is consumed at its last use and dead values are
-    /// recycled eagerly (which also shrinks the mod-switch lockstep
-    /// loop — sound, since switching is per-ciphertext independent and
-    /// dead values are never read again).
+    /// Which ciphertext operands an instruction reads for the last
+    /// time (b only for Add, Sub and Mul, and never when b == a).
+    struct LastReads
+    {
+        bool a = false;
+        bool b = false;
+    };
+    /// The timed server-side phase of execute(): one loop over the
+    /// instruction stream, with every decision made beforehand. Before
+    /// instruction i, when \p levels[i] (modswitch::levelSchedule) is
+    /// below the current level, every live ciphertext switches down to
+    /// it in lockstep, so binary ops always see equal levels. Each op
+    /// other than Mul takes its first operand — consumed when
+    /// \p last_reads marks its last read, cloned otherwise — and runs
+    /// in place (Add takes b instead when only b dies); Mul multiplies
+    /// out of place. Operands read for the last time are recycled
+    /// eagerly, which also shrinks the lockstep switch.
     double evaluateServer(
         const FheProgram& program, const RotationKeyPlan& plan,
+        const std::vector<int>& levels,
+        const std::vector<LastReads>& last_reads,
         std::unordered_map<int, fhe::Ciphertext>& cts,
-        const std::unordered_map<int, fhe::Plaintext>& plains,
-        const std::vector<int>& protected_regs, int fresh_noise_budget,
-        int* mod_switch_drops) const;
+        const std::unordered_map<int, fhe::Plaintext>& plains) const;
 
     fhe::SealLite scheme_;
     ir::Evaluator plain_eval_;

@@ -65,14 +65,15 @@ struct FheInstr
 /// Candidate modulus-switch drop points chosen by the mod-switch pass.
 /// The pass runs before parameters are known, so it only marks *where*
 /// a drop is structurally profitable (after a ciphertext multiply with
-/// further work remaining); the runtime decides per execution — via a
-/// deterministic noise simulation against the actual chain — whether
-/// each point actually drops. Empty plan = pass not run = no drops.
+/// further work remaining); the runtime decides once per execution,
+/// before evaluating (modswitch::levelSchedule, a deterministic noise
+/// simulation against the actual chain), whether each point actually
+/// drops. Empty plan = pass not run = no drops.
 struct ModSwitchPlan
 {
     std::vector<int> points; ///< Instruction indices; drop happens *before*
                              ///  executing the instruction at each index.
-    int margin_bits = 12;    ///< Safety margin the noise gate must keep.
+    int margin_bits = 12;    ///< Safety margin every drop must keep.
     int min_level = 2;       ///< Never drop below this many chain primes.
 
     bool empty() const { return points.empty(); }

@@ -149,6 +149,16 @@ readProgram(ByteReader& in)
         program.instrs.push_back(std::move(instr));
     }
     program.num_regs = in.i32();
+    // The scheduler allocates one register per instruction, and tables
+    // sized by num_regs (lane-fit analysis, the noise model, composite
+    // renaming) must not be able to ask for gigabytes.
+    if (program.num_regs < 0 ||
+        static_cast<std::size_t>(program.num_regs) > program.instrs.size()) {
+        throw std::runtime_error("register count " +
+                                 std::to_string(program.num_regs) +
+                                 " outside [0, " +
+                                 std::to_string(program.instrs.size()) + "]");
+    }
     program.output_reg = in.i32();
     program.output_width = in.i32();
     const std::uint32_t num_points = in.u32();

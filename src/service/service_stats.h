@@ -55,7 +55,7 @@ struct ServiceStats
     std::uint64_t arena_reuses = 0;
     std::uint64_t arena_bytes = 0;
     /// @}
-    /// Mid-circuit modulus drops the runtime's mod-switch gate took,
+    /// Mid-circuit modulus drops the runtime's drop schedule took,
     /// summed over owner executions (solo and packed). Zero unless a
     /// request's pipeline includes the "mod-switch" pass.
     std::uint64_t mod_switch_drops = 0;

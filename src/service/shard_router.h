@@ -16,8 +16,9 @@
 ///   - Compile traffic routes by **cache affinity**: the CacheKey
 ///     consistent-hashes onto a vnode ring, so one kernel always lands
 ///     on one shard — its compile cache hits, its single-flight dedupe
-///     collapses concurrent identical compiles, and no artifact is
-///     compiled N times. The ring (64 vnodes per shard, sorted hash
+///     collapses concurrent identical compiles, and compile traffic
+///     never compiles an artifact N times (run traffic can: see the
+///     next bullet). The ring (64 vnodes per shard, sorted hash
 ///     points) keeps the mapping stable under shard-count changes:
 ///     growing N -> N+1 shards only remaps the ~1/(N+1) of keys the
 ///     new shard's vnodes capture; every other key keeps its shard and
@@ -35,7 +36,9 @@
 ///     This is the work-stealing hook: a skewed mix that piles onto
 ///     one shard spills its overflow to idle shards instead of
 ///     queueing, at the price of a cold compile cache on the stealing
-///     shard (single-flight still collapses the duplicates there).
+///     shard: the moved run compiles its kernel there, or warm-loads
+///     it from a shared cache_dir (single-flight still collapses the
+///     duplicates there).
 ///
 /// Determinism: routing only selects *where* a request executes.
 /// Pipelines are deterministic and runtimes reseed per request, so

@@ -5,14 +5,18 @@
 /// (drops allowed with headroom, refused when the margin or min-level
 /// would be violated), the mod-switch pass's drop-point placement and
 /// fingerprint coverage, and on-vs-off decode-level identity through
-/// the runtime.
+/// the runtime, and the model's soundness: along the drop schedule it
+/// bounds every register's measured phase.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "benchsuite/kernels.h"
 #include "compiler/driver.h"
 #include "compiler/modswitch.h"
 #include "compiler/runtime.h"
+#include "dataset/motif_gen.h"
 #include "ir/parser.h"
 #include "support/rng.h"
 #include "trs/ruleset.h"
@@ -265,6 +269,231 @@ TEST(ModSwitchRuntimeTest, DecodedOutputsIdenticalOnVsOff)
         driver.compile(source, on).program, env);
     EXPECT_EQ(again.mod_switch_drops, switched.mod_switch_drops);
     EXPECT_EQ(again.output, switched.output);
+}
+
+// -- the drop schedule and the model's soundness -----------------------
+
+/// The reference for levelSchedule: the drop gate interleaved with
+/// evaluation, verbatim. At each marked point it takes drops while
+/// canDropBefore passes, then advances the model across the
+/// instruction. Returns the chain level each instruction ran at.
+std::vector<int>
+gateLevels(const FheProgram& program, const RotationKeyPlan& plan,
+           const modswitch::NoiseParams& np)
+{
+    const ModSwitchPlan& ms = program.mod_switch;
+    const bool gated = !ms.empty();
+    const int full = static_cast<int>(np.level_bits.size());
+    modswitch::NoiseState noise;
+    std::size_t next_point = 0;
+    if (gated) noise = modswitch::initialState(program, np);
+    std::vector<int> levels;
+    for (std::size_t idx = 0; idx < program.instrs.size(); ++idx) {
+        const FheInstr& instr = program.instrs[idx];
+        if (gated) {
+            while (next_point < ms.points.size() &&
+                   ms.points[next_point] < static_cast<int>(idx)) {
+                ++next_point;
+            }
+            if (next_point < ms.points.size() &&
+                ms.points[next_point] == static_cast<int>(idx)) {
+                while (modswitch::canDropBefore(
+                    program, static_cast<int>(idx), noise, np, plan,
+                    ms.margin_bits, ms.min_level)) {
+                    modswitch::applyDrop(noise, np);
+                }
+                ++next_point;
+            }
+        }
+        levels.push_back(gated ? noise.level : full);
+        if (gated) modswitch::applyInstr(noise, instr, np, plan);
+    }
+    return levels;
+}
+
+/// A compiled program of the property sweep and its inputs.
+struct PropertyCase
+{
+    FheProgram program;
+    ir::Env env;
+};
+
+/// The programs the property tests sweep: the Porcupine suite at size
+/// 4, the Coyote suite and 20 seeded motif programs, each compiled
+/// greedy with the mod-switch pass.
+const std::vector<PropertyCase>&
+propertyCases()
+{
+    static const std::vector<PropertyCase> cases = [] {
+        std::vector<ir::ExprPtr> sources;
+        for (const benchsuite::Kernel& kernel : benchsuite::porcupineSuite(4)) {
+            sources.push_back(kernel.program);
+        }
+        for (const benchsuite::Kernel& kernel : benchsuite::coyoteSuite()) {
+            sources.push_back(kernel.program);
+        }
+        dataset::MotifSynthesizer motifs(2024);
+        for (int i = 0; i < 20; ++i) sources.push_back(motifs.generate());
+
+        const trs::Ruleset ruleset = trs::buildChehabRuleset();
+        const CompilerDriver driver(&ruleset);
+        DriverConfig pipeline = DriverConfig::greedy();
+        pipeline.passes.push_back("mod-switch");
+        std::vector<PropertyCase> out;
+        for (const ir::ExprPtr& source : sources) {
+            out.push_back({driver.compile(source, pipeline).program,
+                           benchsuite::syntheticInputs(source)});
+        }
+        return out;
+    }();
+    return cases;
+}
+
+fhe::SealLiteParams
+propertyParams(int n, int decomp_bits)
+{
+    fhe::SealLiteParams params;
+    params.n = n;
+    params.prime_count = 4;
+    params.decomp_bits = decomp_bits;
+    return params;
+}
+
+TEST(ModSwitchSoundnessTest, ModelBoundsEveryRegistersMeasuredPhase)
+{
+    // For every ciphertext register R, run the program with R as its
+    // output and compare R's measured phase bits (the chain's bits at
+    // the final level, less one, less R's remaining budget) with the
+    // model's estimate replayed along the drop schedule. The model is
+    // an upper bound, so the estimate may never be smaller.
+    int registers = 0;
+    int min_slack = 1 << 30;
+    for (const int decomp_bits : {10, 15}) {
+        FheRuntime runtime(propertyParams(1024, decomp_bits));
+        fhe::SealLite& scheme = runtime.scheme();
+        const modswitch::NoiseParams np =
+            modswitch::noiseParamsFor(scheme, scheme.freshNoiseBudget());
+        for (const auto& [program, env] : propertyCases()) {
+            const RotationKeyPlan plan = effectiveKeyPlan(program, 0);
+            const std::vector<int> levels =
+                modswitch::levelSchedule(program, plan, np);
+
+            modswitch::NoiseState model =
+                modswitch::initialState(program, np);
+            for (std::size_t idx = 0; idx < program.instrs.size(); ++idx) {
+                while (model.level > levels[idx]) {
+                    modswitch::applyDrop(model, np);
+                }
+                modswitch::applyInstr(model, program.instrs[idx], np, plan);
+            }
+
+            for (const FheInstr& instr : program.instrs) {
+                if (instr.op == FheOpcode::PackPlain) continue;
+                FheProgram probe = program;
+                probe.output_reg = instr.dst;
+                probe.output_width = 1;
+                const RunResult run = runtime.run(probe, env);
+                EXPECT_EQ(run.mod_switch_drops,
+                          scheme.levels() - levels.back());
+                const int measured =
+                    scheme.coeffModulusBitsAt(scheme.levels() -
+                                              run.mod_switch_drops) -
+                    1 - run.final_noise_budget;
+                const int estimate =
+                    model.bits[static_cast<std::size_t>(instr.dst)];
+                EXPECT_GE(estimate, measured)
+                    << "r" << instr.dst << " decomp_bits " << decomp_bits
+                    << "\n" << program.disassemble();
+                min_slack = std::min(min_slack, estimate - measured);
+                ++registers;
+            }
+        }
+    }
+    EXPECT_GT(registers, 1000);
+    RecordProperty("registers", registers);
+    RecordProperty("min_slack_bits", min_slack);
+}
+
+TEST(ModSwitchScheduleTest, MatchesTheInterleavedGateOnCompiledPrograms)
+{
+    int dropping = 0;
+    for (const int n : {1024, 4096}) {
+        for (const int decomp_bits : {10, 15}) {
+            fhe::SealLite scheme(propertyParams(n, decomp_bits));
+            const modswitch::NoiseParams np = modswitch::noiseParamsFor(
+                scheme, scheme.freshNoiseBudget());
+            for (const auto& [program, env] : propertyCases()) {
+                const RotationKeyPlan plan = effectiveKeyPlan(program, 0);
+                const std::vector<int> levels =
+                    modswitch::levelSchedule(program, plan, np);
+                EXPECT_EQ(levels, gateLevels(program, plan, np))
+                    << "n " << n << " decomp_bits " << decomp_bits << "\n"
+                    << program.disassemble();
+                if (!levels.empty() && levels.back() < scheme.levels()) {
+                    ++dropping;
+                }
+            }
+        }
+    }
+    EXPECT_GT(dropping, 0);
+}
+
+TEST(ModSwitchScheduleTest, MatchesTheInterleavedGateOnHandMarkedPlans)
+{
+    // Plans shaped like artifact data rather than the pass's output:
+    // unsorted and repeated points, a point at 0, points at and past
+    // the end, and margins and floors the pass never sets.
+    fhe::SealLite scheme(propertyParams(1024, 10));
+    const modswitch::NoiseParams np =
+        modswitch::noiseParamsFor(scheme, scheme.freshNoiseBudget());
+    int drops = 0;
+    for (const auto& [program, env] : propertyCases()) {
+        const RotationKeyPlan plan = effectiveKeyPlan(program, 0);
+        const int size = static_cast<int>(program.instrs.size());
+        std::vector<int> every(static_cast<std::size_t>(size));
+        for (int i = 0; i < size; ++i) every[static_cast<std::size_t>(i)] = i;
+        const std::vector<std::vector<int>> point_sets = {
+            {size - 1, 2, 0, 2, 1},
+            {0, 0, 0},
+            {1, size, size + 3},
+            {-1, size / 2, size / 2},
+            every,
+        };
+        for (const std::vector<int>& points : point_sets) {
+            for (const int margin_bits : {0, 40}) {
+                for (const int min_level : {0, 1}) {
+                    FheProgram marked = program;
+                    marked.mod_switch.points = points;
+                    marked.mod_switch.margin_bits = margin_bits;
+                    marked.mod_switch.min_level = min_level;
+                    const std::vector<int> levels =
+                        modswitch::levelSchedule(marked, plan, np);
+                    EXPECT_EQ(levels, gateLevels(marked, plan, np))
+                        << "margin " << margin_bits << " min_level "
+                        << min_level << "\n"
+                        << marked.disassemble();
+                    if (!levels.empty()) {
+                        drops += scheme.levels() - levels.back();
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(drops, 0);
+}
+
+TEST(ModSwitchScheduleTest, EmptyPlanRunsEveryInstructionAtTheFullChain)
+{
+    fhe::SealLite scheme(propertyParams(1024, 10));
+    const modswitch::NoiseParams np =
+        modswitch::noiseParamsFor(scheme, scheme.freshNoiseBudget());
+    for (const auto& [program, env] : propertyCases()) {
+        FheProgram unmarked = program;
+        unmarked.mod_switch = {};
+        const RotationKeyPlan plan = effectiveKeyPlan(unmarked, 0);
+        EXPECT_EQ(modswitch::levelSchedule(unmarked, plan, np),
+                  std::vector<int>(unmarked.instrs.size(), scheme.levels()));
+    }
 }
 
 } // namespace

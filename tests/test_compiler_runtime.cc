@@ -370,6 +370,44 @@ TEST(RuntimeTest, UndefinedRegisterIsTypedError)
     EXPECT_EQ(run.output, (std::vector<std::int64_t>{2, 3, 4, 1}));
 }
 
+TEST(RuntimeTest, EveryOpButMulTakesOneOperand)
+{
+    // Every op other than Mul takes its first operand exactly once:
+    // consumed at its last read, cloned otherwise. With in-place
+    // evaluation off every take is a clone, and the words are the same.
+    const trs::Ruleset ruleset = trs::buildChehabRuleset();
+    const CompilerDriver driver(&ruleset);
+    std::uint64_t consumed = 0;
+    for (const benchsuite::Kernel& kernel :
+         {benchsuite::polyReg(4), benchsuite::l2Distance(4),
+          benchsuite::boxBlur(3), benchsuite::matMul(2)}) {
+        const FheProgram program =
+            driver.compile(kernel.program, DriverConfig::greedy()).program;
+        std::uint64_t takes = 0;
+        for (const FheInstr& instr : program.instrs) {
+            takes += instr.op != FheOpcode::PackCipher &&
+                     instr.op != FheOpcode::PackPlain &&
+                     instr.op != FheOpcode::Mul;
+        }
+        const ir::Env env = benchsuite::syntheticInputs(kernel.program);
+        FheRuntime in_place(smallParams());
+        FheRuntime cloning(smallParams());
+        cloning.setInPlaceEnabled(false);
+        const RunResult on = in_place.run(program, env);
+        const RunResult off = cloning.run(program, env);
+        EXPECT_EQ(on.output, off.output) << kernel.name;
+        EXPECT_EQ(on.final_noise_budget, off.final_noise_budget)
+            << kernel.name;
+        const InPlaceStats on_stats = in_place.inPlaceStats();
+        const InPlaceStats off_stats = cloning.inPlaceStats();
+        EXPECT_EQ(on_stats.consumed + on_stats.copies, takes) << kernel.name;
+        EXPECT_EQ(off_stats.consumed, 0u) << kernel.name;
+        EXPECT_EQ(off_stats.copies, takes) << kernel.name;
+        consumed += on_stats.consumed;
+    }
+    EXPECT_GT(consumed, 0u);
+}
+
 // ---- accounting goldens ------------------------------------------------
 //
 // Outputs and noise accounting of every porcupineSuite(8) + coyoteSuite

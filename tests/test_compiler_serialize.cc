@@ -9,6 +9,8 @@
 /// throw std::runtime_error, never crash or return a wrong artifact.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -131,8 +133,9 @@ TEST(CompilerSerializeTest, ContentBytesAreDeterministicAcrossCompiles)
 TEST(CompilerSerializeTest, MalformedBytesThrowInsteadOfCrashing)
 {
     const trs::Ruleset ruleset = trs::buildChehabRuleset();
-    const std::string bytes =
-        serializeCompiled(compileGreedy(ruleset, ir::parse(dotSource(4))));
+    const Compiled compiled =
+        compileGreedy(ruleset, ir::parse(dotSource(4)));
+    const std::string bytes = serializeCompiled(compiled);
 
     EXPECT_THROW(deserializeCompiled(std::string()), std::runtime_error);
     EXPECT_THROW(deserializeCompiled("garbage"), std::runtime_error);
@@ -147,6 +150,23 @@ TEST(CompilerSerializeTest, MalformedBytesThrowInsteadOfCrashing)
     }
     // Trailing junk is rejected too — the payload must be exact.
     EXPECT_THROW(deserializeCompiled(bytes + "x"), std::runtime_error);
+
+    // The scheduler allocates one register per instruction, so a
+    // register count outside [0, instructions] is corrupt: tables sized
+    // by it would ask for gigabytes.
+    const int instrs = static_cast<int>(compiled.program.instrs.size());
+    for (const int num_regs :
+         {-1, instrs + 1, std::numeric_limits<std::int32_t>::max()}) {
+        Compiled tampered = compiled;
+        tampered.program.num_regs = num_regs;
+        EXPECT_THROW(deserializeCompiled(serializeCompiled(tampered)),
+                     std::runtime_error)
+            << "num_regs " << num_regs;
+    }
+    Compiled full = compiled;
+    full.program.num_regs = instrs;
+    EXPECT_EQ(deserializeCompiled(serializeCompiled(full)).program.num_regs,
+              instrs);
 }
 
 TEST(CompilerSerializeTest, CorruptedOpTagsThrow)

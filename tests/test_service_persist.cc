@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -661,6 +662,62 @@ TEST_F(PersistTest, ArtifactWithUndefinedRegisterFailsTyped)
     EXPECT_EQ(stats.run_failed, 1u);
     EXPECT_EQ(checkStatsInvariants(stats, /*quiescent=*/true),
               std::string());
+}
+
+TEST_F(PersistTest, ArtifactWithOversizedRegisterFileIsRecompiled)
+{
+    // A checksum-valid stored artifact can claim a register file far
+    // larger than its instruction stream. Lane-fit analysis, the noise
+    // model and composite renaming size tables by it, so the store must
+    // count the entry corrupt and the service must recompile it: the
+    // run succeeds with the outputs of a service that never saw it.
+    const benchsuite::Kernel blur = benchsuite::boxBlur(3);
+    compiler::DriverConfig pipeline = compiler::DriverConfig::greedy({}, 12);
+    pipeline.passes.push_back("mod-switch");
+    const ir::ExprPtr canonical = compiler::canonicalize(blur.program);
+    const trs::Ruleset ruleset = trs::buildChehabRuleset();
+    compiler::Compiled tampered =
+        compiler::CompilerDriver(&ruleset).compile(canonical, pipeline);
+    tampered.program.num_regs = std::numeric_limits<std::int32_t>::max();
+    ASSERT_TRUE(PersistStore(dir()).storeArtifact(
+        makeCacheKey(canonical, pipeline), tampered));
+
+    RunRequest request;
+    request.name = blur.name;
+    request.source = blur.program;
+    request.pipeline = pipeline;
+    request.params.n = 128;
+    request.params.prime_count = 4;
+    request.params.seed = 17;
+    request.inputs = benchsuite::syntheticInputs(blur.program);
+    const auto serve = [&](const std::string& cache_dir) {
+        ServiceConfig config;
+        config.num_workers = 2;
+        config.cache_dir = cache_dir;
+        config.max_lanes = 4;
+        CompileService service(config);
+        LifetimeResult result;
+        result.responses.push_back(service.submitRun(request).get());
+        service.drain();
+        result.stats = service.stats();
+        return result;
+    };
+
+    const LifetimeResult warm = serve(dir());
+    const RunResponse& response = warm.responses.front();
+    EXPECT_TRUE(response.ok) << response.error;
+    EXPECT_TRUE(outputMatchesReference(request, response));
+    EXPECT_EQ(warm.stats.persist.corrupt, 1u);
+    EXPECT_EQ(warm.stats.persist.hits, 0u);
+    EXPECT_EQ(warm.stats.compiled, 1u);
+    EXPECT_EQ(checkStatsInvariants(warm.stats, /*quiescent=*/true),
+              std::string());
+
+    const LifetimeResult clean = serve(std::string());
+    EXPECT_EQ(response.result.output,
+              clean.responses.front().result.output);
+    EXPECT_EQ(response.result.mod_switch_drops,
+              clean.responses.front().result.mod_switch_drops);
 }
 
 } // namespace
